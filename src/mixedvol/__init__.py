@@ -17,24 +17,24 @@ from .extremal import (EqualityCertificate, RigidityReport, StabilityReport,
                        rigidity_check, stability_witness,
                        weak_stability_check)
 from .graph import (DiscretizedForm, GraphEdge, KernelReport, MetricGraph,
-                    MuMeasure, PoincareReport, SpectrumResult,
-                    StructuralReport, assemble, build_graph,
-                    edge_poincare_check, form_value, integrate_on_arcs,
-                    kernel_analysis, sbm_and_mu, spectrum, structural_checks)
+                    PoincareReport, SpectrumResult, StructuralReport,
+                    assemble, build_graph, edge_poincare_check, form_value,
+                    integrate_on_arcs, kernel_analysis, sbm_and_mu, spectrum,
+                    structural_checks)
 from .lowerdim import (ClusterReport, CylinderLimitReport, LowerDimProblem,
                        LowerEqualityCertificate, LowerSpectrumReport,
                        assemble_lowerdim, certify_equality_lowerdim,
                        cylinder_limit_check, explicit_spectrum,
                        lowerdim_setup, sbm_lowerdim, verify_spectrum)
-from .measures import (DeficitReport, GeodesicArc, SphericalMeasure,
-                       area_measure, classical_functionals,
-                       integrate_against_measure, merge_atoms,
-                       mixed_area_measure, mixed_volume,
+from .measures import (DeficitReport, area_measure, classical_functionals,
+                       merge_atoms, mixed_area_measure, mixed_volume,
                        mixed_volume_via_measure, mv3, quadratic_deficit,
-                       vbbm_conewise, volume)
-from .quadrature import (ArcFrame, adaptive_gauss, arc_between,
-                         arc_sample_nodes, integrate_evaluator,
-                         integrate_pair, integrate_with_breakpoints,
-                         product_integral)
+                       vbbm_conewise)
+from .quadrature import (ArcFrame, ArcRestriction, SphericalMeasure,
+                         adaptive_gauss, arc_between, arc_sample_nodes,
+                         integrate_against_measure, integrate_evaluator,
+                         integrate_pair, integrate_weighted_arcs,
+                         integrate_with_breakpoints, product_integral,
+                         sup_on_arcs)
 
 __version__ = "0.1.0"

@@ -364,11 +364,11 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
 
 def minkowski_sum(p: Polytope, q: Polytope, name: str = "") -> Polytope:
     """Hull of all pairwise vertex sums; h_{P+Q} = h_P + h_Q."""
-    s = (p.vertices[:, None, :] + q.vertices[None, :, :]).reshape(-1, 3)
-    return hull(s, name=name)
+    return hull(sum_vertices([p, q]), name=name)
 
 
 def sum_vertices(bodies: Sequence[Polytope]) -> np.ndarray:
+    """All sums of one vertex from each polytope (with repeats)."""
     pts = bodies[0].vertices
     for b in bodies[1:]:
         pts = (pts[:, None, :] + b.vertices[None, :, :]).reshape(-1, 3)

@@ -19,10 +19,11 @@ from . import bodies as B
 from . import extremal as X
 from . import lowerdim as LD
 from . import measures as MS
-from .bodies import Polytope, SupportEvaluator, affine_dim
+from .bodies import Polytope, SupportEvaluator
 from .errors import MixedVolError
 from .graph import (GraphEdge, MetricGraph, assemble, build_graph,
-                    kernel_analysis, sbm_and_mu, spectrum, structural_checks)
+                    form_value, kernel_analysis, sbm_and_mu, spectrum,
+                    structural_checks)
 from . import quadrature as quad
 
 CSV_SCHEMA_VERSION = "mixedvol-report-v1"
@@ -207,11 +208,6 @@ def render_report(report: dict, fmt: str) -> str:
     return header + row1 + "\n" + row2 + "\n"
 
 
-def emit(report: dict, args, exit_code: int) -> tuple[dict, int]:
-    """Marks the report for rendering once the wall time is known."""
-    return report, exit_code
-
-
 def base_report(args, command: str, params: dict) -> dict:
     return {"command": command, "seed": args.seed, "params": params,
             "values": {}, "margins": {}, "verdicts": {}, "wall_time": 0.0}
@@ -227,7 +223,7 @@ def cmd_mixvol(args):
     v = MS.mv3(k, l, m)
     rep = base_report(args, "mixvol", {"K": args.K, "L": args.L, "M": args.M})
     rep["values"]["V"] = v
-    return emit(rep, args, 0)
+    return rep, 0
 
 
 def cmd_deficit(args):
@@ -240,14 +236,13 @@ def cmd_deficit(args):
     ok = dr.deficit >= -args.tol * dr.scale
     rep["margins"]["deficit_over_scale"] = dr.deficit / dr.scale
     rep["verdicts"]["nonnegative"] = bool(ok)
-    return emit(rep, args, 0 if ok else 1)
+    return rep, 0 if ok else 1
 
 
 def cmd_graph(args):
     m = require_full_dim(parse_body(args.M), "M")
     g = build_graph(m)
-    fmt = args.format if args.format in ("dot", "json") else "json"
-    text = export_graph(g, fmt, args.out)
+    text = export_graph(g, args.format, args.out)
     sys.stdout.write(text)
     return None, 0
 
@@ -268,13 +263,13 @@ def cmd_spectrum(args):
         "kernel_window": ker.window,
         "dofs": form.size,
     })
-    return emit(rep, args, 0)
+    return rep, 0
 
 
 def cmd_certify_full(args):
     k, l = parse_body(args.K), parse_body(args.L)
     m = require_full_dim(parse_body(args.M), "M")
-    cert = X.certify_equality_fulldim(k, l, m, quad_tol=args.quad_tol)
+    cert = X.certify_equality_fulldim(k, l, m)
     rep = base_report(args, "certify-full",
                       {"K": args.K, "L": args.L, "M": args.M})
     rep["values"].update({
@@ -284,14 +279,14 @@ def cmd_certify_full(args):
         "diameter": cert.diameter,
     })
     rep["verdicts"]["verdict"] = cert.verdict
-    return emit(rep, args, 0 if cert.verdict != "inconclusive" else 1)
+    return rep, 0 if cert.verdict != "inconclusive" else 1
 
 
 def cmd_certify_lower(args):
     k, l = parse_body(args.K), parse_body(args.L)
     m = parse_body(args.M)
     w = parse_direction(args.w)
-    cert = LD.certify_equality_lowerdim(k, l, m, w, quad_tol=args.quad_tol)
+    cert = LD.certify_equality_lowerdim(k, l, m, w)
     rep = base_report(args, "certify-lower",
                       {"K": args.K, "L": args.L, "M": args.M, "w": args.w})
     rep["values"].update({
@@ -300,7 +295,7 @@ def cmd_certify_lower(args):
         "diameter": cert.diameter,
     })
     rep["verdicts"]["verdict"] = cert.verdict
-    return emit(rep, args, 0 if cert.verdict != "inconclusive" else 1)
+    return rep, 0 if cert.verdict != "inconclusive" else 1
 
 
 def cmd_stability(args):
@@ -314,7 +309,7 @@ def cmd_stability(args):
                           "r": r.witness.r, "R": r.witness.big_r})
     rep["margins"]["margin"] = r.margin
     rep["verdicts"]["holds"] = bool(r.holds)
-    return emit(rep, args, 0 if r.holds else 1)
+    return rep, 0 if r.holds else 1
 
 
 def cmd_rigidity(args):
@@ -328,24 +323,28 @@ def cmd_rigidity(args):
                           "r": r.r, "R": r.big_r})
     rep["margins"]["margin"] = r.margin
     rep["verdicts"]["holds"] = bool(r.holds)
-    return emit(rep, args, 0 if r.holds else 1)
+    return rep, 0 if r.holds else 1
 
 
 def cmd_lower_spectrum(args):
     m = parse_body(args.M)
     w = parse_direction(args.w)
     p = LD.lowerdim_setup(m, w)
-    r = LD.verify_spectrum(p, args.kmax, args.mesh_h, args.tol)
+    tol = args.tol
+    if tol is None:
+        # twice the a-priori P1 eigenvalue error k^4 h^2 / 36 at k = kmax
+        tol = 2.0 * args.kmax ** 4 * args.mesh_h ** 2 / 36.0
+    r = LD.verify_spectrum(p, args.kmax, args.mesh_h, tol)
     rep = base_report(args, "lower-spectrum",
                       {"M": args.M, "w": args.w, "kmax": args.kmax,
-                       "mesh_h": args.mesh_h, "tol": args.tol})
+                       "mesh_h": args.mesh_h, "tol": tol})
     rep["values"]["multiplicity"] = p.multiplicity
     rep["values"]["clusters"] = [
         {"k": c.k, "predicted": c.predicted,
          "observed": list(c.observed)} for c in r.clusters]
     rep["margins"]["worst_deviation"] = r.worst_deviation
     rep["verdicts"]["ok"] = bool(r.ok)
-    return emit(rep, args, 0 if r.ok else 1)
+    return rep, 0 if r.ok else 1
 
 
 def cmd_demo(args):
@@ -364,7 +363,7 @@ def cmd_demo(args):
         "top_eigenvalues": [float(v) for v in spec.eigenvalues[:5]],
         "truncated_cube_verdict": cert.verdict,
     })
-    return emit(rep, args, 0)
+    return rep, 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,6 @@ def suite_graph(seed: int) -> tuple[bool, dict]:
 
 
 def suite_form(seed: int) -> tuple[bool, dict]:
-    from .graph import form_value
     k = _rand_poly(seed)
     l = _rand_poly(seed + 1)
     m = _rand_poly(seed + 2)
@@ -516,12 +514,42 @@ def cmd_randtest(args):
     rep["values"]["failed"] = len(failures)
     rep["values"]["failures"] = failures
     rep["verdicts"]["all_pass"] = not failures
-    return emit(rep, args, 0 if not failures else 1)
+    return rep, 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+FLAGS = {
+    "K": dict(default="cube"),
+    "L": dict(default="cube"),
+    "M": dict(default="cube"),
+    "w": dict(default="0,0,1"),
+    "tol": dict(type=float, default=1e-9),
+    "mesh-h": dict(dest="mesh_h", type=float, default=float(np.pi) / 100),
+    "kmax": dict(type=int, default=8),
+    "suite": dict(default="mixvol"),
+    "n": dict(type=int, default=10),
+}
+
+# The flags each subcommand reads. Every command except graph writes a report
+# and also takes --seed, --format json|csv and --out; graph takes
+# --format dot|json and --out.
+COMMAND_FLAGS = {
+    "mixvol": "K L M",
+    "deficit": "K L M tol",
+    "graph": "M",
+    "spectrum": "M mesh-h kmax",
+    "certify-full": "K L M",
+    "certify-lower": "K L M w",
+    "stability": "K L M",
+    "rigidity": "K L M",
+    "lower-spectrum": "M w kmax mesh-h tol",
+    "randtest": "suite n",
+    "demo": "mesh-h",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -529,28 +557,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mixed volumes, metric-graph spectra, and equality/"
                     "stability/rigidity checks for 3D convex polytopes.")
     sub = ap.add_subparsers(dest="command", required=True)
-    names = ["mixvol", "deficit", "graph", "spectrum", "certify-full",
-             "certify-lower", "stability", "rigidity", "lower-spectrum",
-             "randtest", "demo"]
-    for name in names:
+    for name, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--mesh-h", dest="mesh_h", type=float,
-                       default=float(np.pi) / 100)
-        p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
-        p.add_argument("--kmax", type=int,
-                       default=2 if name == "lower-spectrum" else 8)
-        p.add_argument("--format", choices=["json", "csv", "dot"],
-                       default="json")
+        if name == "graph":
+            p.add_argument("--format", choices=["dot", "json"], default="json")
+        else:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--K", default="cube")
-        p.add_argument("--L", default="cube")
-        p.add_argument("--M", default="cube")
-        p.add_argument("--w", default="0,0,1")
-        if name == "randtest":
-            p.add_argument("--suite", default="mixvol")
-            p.add_argument("--n", type=int, default=10)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+    # tol=None: derived from kmax and the mesh size
+    sub.choices["lower-spectrum"].set_defaults(kmax=2, tol=None)
     return ap
 
 
@@ -586,8 +604,7 @@ def run_command(argv: list[str]) -> int:
         return 2
     if report is not None:
         report["wall_time"] = time.perf_counter() - start
-        text = render_report(report, args.format if args.format != "dot"
-                             else "json")
+        text = render_report(report, args.format)
         if args.out:
             try:
                 with open(args.out, "w") as fh:

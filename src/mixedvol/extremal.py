@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .bodies import Ball, Body, Polytope, SupportEvaluator, classify_trivial
+from .bodies import (Ball, Body, Polytope, SupportEvaluator, classify_trivial,
+                     enclosing_radii)
 from .errors import DegenerateInput, SingularGM, ZeroDenominator
 from .graph import MetricGraph, build_graph, sbm_and_mu
-from .bodies import enclosing_radii
 from .measures import DeficitReport, mv3, quadratic_deficit
 
 DEFICIT_THRESHOLD = 1e-9      # relative to max(vKL^2, vKK*vLL)
@@ -25,10 +25,6 @@ def _diameter(body: Body) -> float:
     if isinstance(body, Ball):
         return 2.0 * body.radius
     return body.diameter
-
-
-def _support_at(body: Body, u: np.ndarray):
-    return body.support(u)
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ def stability_witness(k: Body, l: Body, m: Polytope) -> StabilityWitness:
     eigs = np.linalg.eigvalsh(g_mat)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-30):
         raise SingularGM("G_M numerically singular")
-    delta = np.asarray(_support_at(k, normals)) - a * np.asarray(_support_at(l, normals))
+    delta = np.asarray(k.support(normals)) - a * np.asarray(l.support(normals))
     v = np.linalg.solve(g_mat, normals.T @ (weights * delta))
     resid = float(np.sum(weights * (delta - normals @ v) ** 2))
     r, big_r = enclosing_radii(m)
@@ -123,40 +119,36 @@ def _verdict(deficit: float, scale: float, sup_res: float, diam: float,
 
 
 def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator) -> np.ndarray:
-    """Least-squares linear witness: argmin_v int (delta - <v,.>)^2 dS_{B,M}."""
-    basis = [SupportEvaluator.linear(np.eye(3)[i]) for i in range(3)]
+    """Least-squares linear witness: argmin_v int (delta - <v,.>)^2 dS_{B,M}.
+
+    On an arc u(t) = a cos t + e sin t the coordinate x_i has the single
+    segment coefficients (a_i, e_i, 0), so the normal equations need one
+    restriction of delta per arc and the closed-form Gram matrix
+    int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc."""
     a_mat = np.zeros((3, 3))
     b_vec = np.zeros(3)
-    for e in g.edges:
-        we = e.weight / 2.0
-        for i in range(3):
-            b_vec[i] += we * quad.integrate_pair(delta, basis[i], e.frame)[0]
-            for j in range(i, 3):
-                val = we * quad.integrate_pair(basis[i], basis[j], e.frame)[0]
-                a_mat[i, j] += val
-                if i != j:
-                    a_mat[j, i] += val
+    for fr, w in g.sbm_arcs:
+        coords = np.column_stack([fr.start, fr.tangent, np.zeros(3)])  # (3, 3)
+        a_mat += w * quad.product_integral(coords[:, None, :], coords[None, :, :],
+                                           0.0, fr.length)
+        r = quad.ArcRestriction.of(delta, fr)
+        b_vec += w * quad.product_integral(r.coef[:, None, :], coords[None, :, :],
+                                           r.cuts[:-1, None], r.cuts[1:, None]
+                                           ).sum(axis=0)
     return np.linalg.solve(a_mat, b_vec)
 
 
 def sup_on_sbm(g: MetricGraph, f: SupportEvaluator) -> float:
     """Sup of |f| over quadrature nodes of the arcs of supp S_{B,M}."""
-    worst = 0.0
-    for e in g.edges:
-        t = quad.arc_sample_nodes(e.frame, [f])
-        vals = np.abs(np.asarray(f(e.frame.point(t))))
-        worst = max(worst, float(vals.max()))
-    return worst
+    return quad.sup_on_arcs(f, [e.frame for e in g.edges])
 
 
 def certify_equality_fulldim(k: Body, l: Body, m: Polytope,
-                             quad_tol: float = 1e-10,
                              deficit_threshold: float = DEFICIT_THRESHOLD,
                              residual_threshold: float = RESIDUAL_THRESHOLD,
                              ) -> EqualityCertificate:
     """Certify or falsify equality: deficit ~ 0 iff h_K - a h_L - <v,.>
     vanishes on supp S_{B,M} (the closure of 1-extreme normal directions)."""
-    del quad_tol
     if m.dim < 3:
         raise DegenerateInput("use the lower-dimensional certifier")
     dr = quadratic_deficit(k, l, m)
@@ -211,8 +203,8 @@ def rigidity_check(k: Body, l: Body, m: Polytope) -> RigidityReport:
     _, mu = sbm_and_mu(g)
     f = SupportEvaluator.of(k) + SupportEvaluator.of(l, -1.0)
     sbm_int = 0.0
-    for e in g.edges:
-        sbm_int += e.weight / 2.0 * quad.integrate_pair(f, f, e.frame)[0]
+    for fr, w in g.sbm_arcs:
+        sbm_int += w * quad.integrate_pair(f, f, fr)[0]
     mu_int = sum(float(f(u)) ** 2 * mass for u, mass in mu.atoms)
     dr = quadratic_deficit(k, l, m)
     correction = (r * r / (6.0 * big_r * big_r)) * sbm_int \

@@ -10,8 +10,8 @@ construction and the weighted Kirchhoff conditions are natural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +20,7 @@ from . import quadrature as quad
 from .bodies import Polytope, SupportEvaluator
 from .errors import (BadMesh, BadParam, DegenerateInput, InsufficientSpectrum,
                      NumericalFailure)
-from .measures import GeodesicArc, SphericalMeasure
+from .quadrature import SphericalMeasure
 
 N_DIM = 3  # ambient dimension; prefactors 1/(n(n-1)) = 1/6 and 1/(n-1) = 1/2
 
@@ -65,14 +65,10 @@ class MetricGraph:
     def total_weight(self) -> float:
         return sum(e.weight for e in self.edges)
 
-
-@dataclass(frozen=True)
-class MuMeasure:
-    """Vertex measure mu_M({n_F}) = (1/2) sum_{F'~F} w * l (n = 3)."""
-    atoms: tuple[tuple[np.ndarray, float], ...]
-
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
+    @property
+    def sbm_arcs(self) -> list[tuple[quad.ArcFrame, float]]:
+        """The arcs of S_{B,M}: each edge with weight w/2."""
+        return [(e.frame, e.weight / 2.0) for e in self.edges]
 
 
 def build_graph(m: Polytope) -> MetricGraph:
@@ -91,18 +87,17 @@ def build_graph(m: Polytope) -> MetricGraph:
     return MetricGraph(normals, areas, tuple(edges), m)
 
 
-def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, MuMeasure]:
-    """Realize S_{B,M} (arcs with weight w/2) and mu_M (vertex atoms)."""
-    arcs = []
+def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
+    """Realize S_{B,M} (arcs with weight w/2) and mu_M (vertex atoms,
+    mu_M({n_F}) = (1/2) sum_{F'~F} w * l for n = 3)."""
     mu_mass = np.zeros(len(g.normals))
     for e in g.edges:
         i, j = e.facets
-        arcs.append((GeodesicArc(g.normals[i], g.normals[j]), e.weight / 2.0))
         mu_mass[i] += e.weight * e.length / 2.0
         mu_mass[j] += e.weight * e.length / 2.0
-    sbm = SphericalMeasure(arcs=arcs)
-    mu = MuMeasure(tuple((g.normals[i], float(mu_mass[i]))
-                         for i in range(len(g.normals))))
+    sbm = SphericalMeasure(arcs=g.sbm_arcs)
+    mu = SphericalMeasure(atoms=[(g.normals[i], float(mu_mass[i]))
+                                 for i in range(len(g.normals))])
     return sbm, mu
 
 
@@ -110,24 +105,13 @@ def integrate_on_arcs(f: Union[SupportEvaluator, Callable], g: MetricGraph,
                       quad_tol: float = 1e-10) -> float:
     """sum_e (w_e/2) int_e f dH^1; exact for support-function combinations,
     adaptive Gauss-Legendre for generic callables."""
-    total = 0.0
-    for e in g.edges:
-        if isinstance(f, SupportEvaluator):
-            val = quad.integrate_evaluator(f, e.frame)
-        else:
-            fr = e.frame
-            val = quad.adaptive_gauss(lambda t: np.asarray(f(fr.point(t))),
-                                      0.0, fr.length, quad_tol)
-        total += e.weight / 2.0 * val
-    return total
+    return quad.integrate_weighted_arcs(f, g.sbm_arcs, quad_tol)
 
 
-def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator,
-               quad_tol: float = 1e-10) -> float:
+def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> float:
     """E(f, g) = (1/6) sum_e w_e int (fg - f'g'), exact piecewise evaluation.
 
     Equals V(K, L, M) when f = h_K, g = h_L (M the graph's polytope)."""
-    del quad_tol  # piecewise trig-polynomial integrals are closed-form exact
     total = 0.0
     for e in g.edges:
         ifg, idfdg = quad.integrate_pair(f, gg, e.frame)

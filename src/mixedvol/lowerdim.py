@@ -18,11 +18,12 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import quadrature as quad
-from .bodies import (Body, Polytope, SupportEvaluator, affine_dim,
-                     as_unit_vector, classify_trivial, minkowski_sum, segment,
-                     support_data, unit)
+from .bodies import (Polytope, SupportEvaluator, affine_dim, as_unit_vector,
+                     classify_trivial, minkowski_sum, segment, support_data,
+                     unit)
 from .errors import (BadMesh, DimensionError, InsufficientSpectrum,
                      NumericalFailure, ZeroDenominator)
+from .extremal import _verdict
 from .graph import DiscretizedForm, build_graph, integrate_on_arcs, spectrum
 from .measures import DeficitReport, mixed_volume
 
@@ -46,6 +47,12 @@ class LowerDimProblem:
     def half_circle(self, j: int) -> quad.ArcFrame:
         """The half great circle theta -> w cos(theta) + z_j sin(theta)."""
         return quad.ArcFrame(self.w, self.atoms[j][0], np.pi)
+
+    @property
+    def sbm_arcs(self) -> list[tuple[quad.ArcFrame, float]]:
+        """The arcs of S_{B,M}: each half circle with weight mass_j / 2."""
+        return [(self.half_circle(j), 0.5 * mass)
+                for j, (_, mass) in enumerate(self.atoms)]
 
     def total_mass(self) -> float:
         return sum(mass for _, mass in self.atoms)
@@ -106,16 +113,7 @@ def sbm_lowerdim(p: LowerDimProblem, f: Union[SupportEvaluator, Callable],
 
     Exact for support-function combinations; adaptive Gauss-Legendre otherwise.
     Equals 3 V(B, K, M) when f = h_K."""
-    total = 0.0
-    for j, (_, mass) in enumerate(p.atoms):
-        fr = p.half_circle(j)
-        if isinstance(f, SupportEvaluator):
-            val = quad.integrate_evaluator(f, fr)
-        else:
-            val = quad.adaptive_gauss(lambda t: np.asarray(f(fr.point(t))),
-                                      0.0, np.pi, quad_tol)
-        total += 0.5 * mass * val
-    return total
+    return quad.integrate_weighted_arcs(f, p.sbm_arcs, quad_tol)
 
 
 def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
@@ -222,14 +220,11 @@ class LowerEqualityCertificate:
 
 
 def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope, w,
-                              quad_tol: float = 1e-10,
                               deficit_threshold: float = 1e-9,
                               residual_threshold: float = 1e-6,
                               ) -> LowerEqualityCertificate:
     """Certify equality through the face criterion: with c = V(K,L,M)/V(L,L,M),
     equality holds iff h_K + h_{F(cL, w)} = h_{cL} + h_{F(K, w)} on supp S_{B,M}."""
-    del quad_tol
-    from .extremal import _verdict
     p = lowerdim_setup(m, w)
     dr = DeficitReport(mixed_volume(k, l, m), mixed_volume(k, k, m),
                        mixed_volume(l, l, m))
@@ -242,12 +237,7 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope, w,
     _, face_k = support_data(k, p.w)
     resid = (SupportEvaluator.of(k) + SupportEvaluator.of(face_lt)
              + SupportEvaluator.of(lt, -1.0) + SupportEvaluator.of(face_k, -1.0))
-    sup_res = 0.0
-    for j in range(p.multiplicity):
-        fr = p.half_circle(j)
-        t = quad.arc_sample_nodes(fr, [resid])
-        vals = np.abs(np.asarray(resid(fr.point(t))))
-        sup_res = max(sup_res, float(vals.max()))
+    sup_res = quad.sup_on_arcs(resid, [fr for fr, _ in p.sbm_arcs])
     diam = max(k.diameter, abs(c) * l.diameter, 1e-30)
     verdict = _verdict(dr.deficit, dr.scale, sup_res, diam,
                        deficit_threshold, residual_threshold)

@@ -8,67 +8,19 @@ never polarized; they are routed through the measure formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from . import quadrature as quad
-from .bodies import (Ball, Body, Polytope, SupportEvaluator, affine_dim, hull,
-                     unit)
-from .errors import DegenerateInput, NegativeMass
+from .bodies import (Ball, Body, Polytope, SupportEvaluator, affine_dim,
+                     minkowski_sum, sum_vertices, unit)
+from .errors import DegenerateInput
+from .graph import build_graph, sbm_and_mu
+from .quadrature import SphericalMeasure, integrate_against_measure
 
 ATOM_MERGE_ANGLE = 1e-9   # angular tolerance for merging atoms by direction
-
-
-@dataclass(frozen=True)
-class GeodesicArc:
-    """Geodesic segment on S^2 from a to b (shorter arc)."""
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def length(self) -> float:
-        return float(np.arccos(np.clip(self.a @ self.b, -1.0, 1.0)))
-
-    def frame(self) -> quad.ArcFrame:
-        return quad.arc_between(self.a, self.b)
-
-
-@dataclass
-class SphericalMeasure:
-    """Measure on S^2 with an atomic part and a geodesic-arc part."""
-    atoms: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    arcs: list[tuple[GeodesicArc, float]] = field(default_factory=list)
-    nonnegative: bool = True
-
-    def total_mass(self) -> float:
-        return (sum(m for _, m in self.atoms)
-                + sum(w * arc.length for arc, w in self.arcs))
-
-    def barycenter_residual(self) -> float:
-        """Norm of int u dmu; vanishes for area measures of closed bodies."""
-        s = np.zeros(3)
-        for u, m in self.atoms:
-            s += m * u
-        for arc, w in self.arcs:
-            fr = arc.frame()
-            # int over arc of u dH^1 = sin(l) * a + (1 - cos(l)) * e, per axis
-            s += w * (np.sin(fr.length) * fr.start
-                      + (1 - np.cos(fr.length)) * fr.tangent)
-        return float(np.linalg.norm(s))
-
-    def validate_nonnegative(self, tol: float = 1e-9) -> "SphericalMeasure":
-        total = abs(self.total_mass())
-        floor = -tol * max(total, 1e-30)
-        for _, m in self.atoms:
-            if m < floor:
-                raise NegativeMass(f"atom mass {m:g} below {floor:g}")
-        for _, w in self.arcs:
-            if w < floor:
-                raise NegativeMass(f"arc weight {w:g} below {floor:g}")
-        return self
 
 
 def merge_atoms(raw: Sequence[tuple[np.ndarray, float]],
@@ -91,11 +43,6 @@ def merge_atoms(raw: Sequence[tuple[np.ndarray, float]],
 # Volumes and polarization
 # ---------------------------------------------------------------------------
 
-def volume(p: Polytope) -> float:
-    """Divergence-theorem volume (1/3) sum_F h_F area_F; 0 for dim < 3."""
-    return p.volume
-
-
 def _points_volume(pts: np.ndarray) -> float:
     if affine_dim(pts) < 3:
         return 0.0
@@ -103,10 +50,7 @@ def _points_volume(pts: np.ndarray) -> float:
 
 
 def _sum_volume(bodies: Sequence[Polytope]) -> float:
-    pts = bodies[0].vertices
-    for b in bodies[1:]:
-        pts = (pts[:, None, :] + b.vertices[None, :, :]).reshape(-1, 3)
-    return _points_volume(pts)
+    return _points_volume(sum_vertices(bodies))
 
 
 def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
@@ -146,9 +90,7 @@ def _surface_atoms_any(p: Polytope) -> list[tuple[np.ndarray, float]]:
 
 def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     """S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)], merged and verified nonnegative."""
-    s = minkowski_sum_measure = _surface_atoms_any(hull(
-        (l.vertices[:, None, :] + m.vertices[None, :, :]).reshape(-1, 3)))
-    raw = ([(u, 0.5 * mass) for u, mass in minkowski_sum_measure]
+    raw = ([(u, 0.5 * mass) for u, mass in _surface_atoms_any(minkowski_sum(l, m))]
            + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(l)]
            + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(m)])
     merged = merge_atoms(raw)
@@ -156,19 +98,6 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     out.validate_nonnegative()
     out.atoms = [(u, max(mass, 0.0)) for u, mass in out.atoms if mass > 0.0]
     return out
-
-
-def integrate_against_measure(f: SupportEvaluator, mu: SphericalMeasure,
-                              quad_tol: float = 1e-10) -> float:
-    """sum over atoms of f(u) * mass plus arc integrals of f dH^1.
-
-    Arc integrals are exact piecewise trig-polynomial integrals (breakpoint
-    aware), which meets any quad_tol for support-function combinations."""
-    del quad_tol  # segment integrals are closed-form exact for evaluators
-    total = sum(float(f(u)) * mass for u, mass in mu.atoms)
-    for arc, w in mu.arcs:
-        total += w * quad.integrate_evaluator(f, arc.frame())
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +111,13 @@ def _as_evaluator(body: Union[Body, SupportEvaluator]) -> SupportEvaluator:
 
 
 def mixed_volume_via_measure(f: Union[Body, SupportEvaluator], l: Body,
-                             m: Polytope, quad_tol: float = 1e-10) -> float:
+                             m: Polytope) -> float:
     """(1/3) int f dS_{L,M}; ball L-slots use the arc measure S_{B,M}."""
     ev = _as_evaluator(f)
     if isinstance(l, Ball):
-        from .graph import build_graph, sbm_and_mu  # measure realization lives there
         sbm, _ = sbm_and_mu(build_graph(m))
-        return l.radius * integrate_against_measure(ev, sbm, quad_tol) / 3.0
-    return integrate_against_measure(ev, mixed_area_measure(l, m), quad_tol) / 3.0
+        return l.radius * integrate_against_measure(ev, sbm) / 3.0
+    return integrate_against_measure(ev, mixed_area_measure(l, m)) / 3.0
 
 
 def mv3(k: Body, l: Body, m: Polytope) -> float:
@@ -198,7 +126,6 @@ def mv3(k: Body, l: Body, m: Polytope) -> float:
     if not kb and not lb:
         return mixed_volume(k, l, m)
     if kb and lb:
-        from .graph import build_graph, sbm_and_mu
         sbm, _ = sbm_and_mu(build_graph(m))
         # V(b1, b2, M) = rho1 * rho2 * V(B, B, M) + translation-invariant rest
         vbbm = sbm.total_mass() / 3.0

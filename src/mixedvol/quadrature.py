@@ -1,21 +1,24 @@
-"""Integration along great-circle arcs on the unit sphere.
+"""Integration along great-circle arcs on the unit sphere, and measures on
+the sphere made of atoms and weighted arcs.
 
-On an arc u(t) = a cos t + e sin t the restriction of a polytope support
-function is a piecewise trig polynomial A cos t + B sin t (+ C for balls and
-linear shifts), with breakpoints where the active vertex of the maximum
-switches. Segment integrals of products (and of derivative products) are
-therefore evaluated in closed form. An adaptive composite Gauss-Legendre
-rule is provided for generic integrands.
+On an arc u(t) = a cos t + e sin t the restriction of a support-function
+combination is a piecewise trig polynomial A cos t + B sin t + C (C from
+balls), cut where some polytope term switches active vertex. An
+``ArcRestriction`` holds the cuts and the per-segment coefficients, so
+integrals of products (and of derivative products) are closed-form sums over
+its segments. An adaptive composite Gauss-Legendre rule is provided for
+generic integrands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .bodies import Ball, Polytope, SupportEvaluator
-from .errors import QuadratureFailure
+from .errors import NegativeMass, QuadratureFailure
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -95,70 +98,80 @@ def evaluator_breakpoints(f: SupportEvaluator, frame: ArcFrame) -> list[float]:
     return sorted(set(bps))
 
 
-def segment_coeffs(f: SupportEvaluator, frame: ArcFrame, tmid: float) -> tuple[float, float, float]:
-    """(A, B, C) with f(u(t)) = A cos t + B sin t + C on the smooth segment
-    containing tmid; polytope terms use the vertex active at tmid."""
-    umid = frame.point(tmid)
-    a_coef = float(frame.start @ f.shift)
-    b_coef = float(frame.tangent @ f.shift)
-    c_coef = 0.0
-    for c, body in f.terms:
-        if isinstance(body, Ball):
-            a_coef += c * float(frame.start @ body.center)
-            b_coef += c * float(frame.tangent @ body.center)
-            c_coef += c * body.radius
-        else:
-            v = body.vertices[body.support_argmax(umid)]
-            a_coef += c * float(frame.start @ v)
-            b_coef += c * float(frame.tangent @ v)
-    return a_coef, b_coef, c_coef
-
-
 # ---------------------------------------------------------------------------
 # Closed-form segment integrals
 # ---------------------------------------------------------------------------
 
-def _trig_moments(t0: float, t1: float) -> tuple[float, float, float, float, float]:
-    """(int cos^2, int sin^2, int sin*cos, int cos, int sin) over [t0, t1]."""
-    s0, c0, s1, c1 = np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
+def product_integral(p, q, t0, t1):
+    """Exact integral over [t0, t1] of the product of two A cos + B sin + C
+    terms. p and q are (..., 3) coefficient arrays; t0 and t1 broadcast
+    against their leading axes, one integral per segment."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    a1, b1, c1 = p[..., 0], p[..., 1], p[..., 2]
+    a2, b2, c2 = q[..., 0], q[..., 1], q[..., 2]
+    s0, k0, s1, k1 = np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
     half = 0.5 * (t1 - t0)
-    cc = half + 0.5 * (s1 * c1 - s0 * c0)
-    ss = half - 0.5 * (s1 * c1 - s0 * c0)
-    sc = 0.5 * (s1 * s1 - s0 * s0)
-    return cc, ss, sc, s1 - s0, c0 - c1
-
-
-def product_integral(p: tuple[float, float, float], q: tuple[float, float, float],
-                     t0: float, t1: float) -> float:
-    """Exact integral over [t0, t1] of the product of two A cos + B sin + C terms."""
-    a1, b1, c1 = p
-    a2, b2, c2 = q
-    cc, ss, sc, ic, is_ = _trig_moments(t0, t1)
+    cc = half + 0.5 * (s1 * k1 - s0 * k0)       # int cos^2
+    ss = half - 0.5 * (s1 * k1 - s0 * k0)       # int sin^2
+    sc = 0.5 * (s1 * s1 - s0 * s0)              # int sin cos
     return (a1 * a2 * cc + b1 * b2 * ss + (a1 * b2 + a2 * b1) * sc
-            + (a1 * c2 + a2 * c1) * ic + (b1 * c2 + b2 * c1) * is_
+            + (a1 * c2 + a2 * c1) * (s1 - s0) + (b1 * c2 + b2 * c1) * (k0 - k1)
             + c1 * c2 * (t1 - t0))
 
 
-def _derivative_coeffs(p: tuple[float, float, float]) -> tuple[float, float, float]:
-    a, b, _ = p
-    return b, -a, 0.0
+# (A, B, C) @ _DERIVATIVE = (B, -A, 0), the coefficients of the arc derivative
+_DERIVATIVE = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_ONE = np.array([0.0, 0.0, 1.0])
 
 
-def segments_of(f: SupportEvaluator, g: SupportEvaluator | None, frame: ArcFrame) -> list[float]:
-    bps = evaluator_breakpoints(f, frame)
-    if g is not None:
-        bps = sorted(set(bps) | set(evaluator_breakpoints(g, frame)))
-    return [0.0] + bps + [frame.length]
+@dataclass(frozen=True)
+class ArcRestriction:
+    """A support-function combination along an arc: A cos t + B sin t + C
+    with (A, B, C) = coef[i] on the segment [cuts[i], cuts[i + 1]]."""
+    cuts: np.ndarray     # (s + 1,) ascending, from 0 to the arc length
+    coef: np.ndarray     # (s, 3)
+
+    @classmethod
+    def of(cls, f: SupportEvaluator, frame: ArcFrame) -> "ArcRestriction":
+        """Cut f at its active-vertex breakpoints; each polytope term looks
+        up its active vertex at all segment midpoints at once."""
+        cuts = np.array([0.0, *evaluator_breakpoints(f, frame), frame.length])
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        trig = np.array([np.cos(mid), np.sin(mid)])     # (2, s)
+        plane = np.array([frame.start, frame.tangent])  # (2, 3)
+        coef = np.zeros((len(mid), 3))
+        coef[:, :2] = plane @ f.shift
+        for c, body in f.terms:
+            if isinstance(body, Ball):
+                coef += c * np.array([*(plane @ body.center), body.radius])
+            else:
+                ab = body.vertices @ plane.T            # (m, 2)
+                coef[:, :2] += c * ab[np.argmax(ab @ trig, axis=0)]
+        return cls(cuts, coef)
+
+    def on(self, cuts: np.ndarray) -> "ArcRestriction":
+        """The same function on a refinement of its cuts."""
+        seg = np.searchsorted(self.cuts, 0.5 * (cuts[:-1] + cuts[1:])) - 1
+        return ArcRestriction(cuts, self.coef[seg])
+
+    def integral(self) -> float:
+        """int f dt over the arc."""
+        return float(product_integral(self.coef, _ONE, self.cuts[:-1],
+                                      self.cuts[1:]).sum())
+
+    def pair(self, other: "ArcRestriction") -> tuple[float, float]:
+        """(int f g, int f' g') over the arc, f = self and g = other."""
+        cuts = np.union1d(self.cuts, other.cuts)
+        p, q = self.on(cuts).coef, other.on(cuts).coef
+        ifg, idfdg = product_integral(np.stack([p, p @ _DERIVATIVE]),
+                                      np.stack([q, q @ _DERIVATIVE]),
+                                      cuts[:-1], cuts[1:]).sum(axis=-1)
+        return float(ifg), float(idfdg)
 
 
 def integrate_evaluator(f: SupportEvaluator, frame: ArcFrame) -> float:
     """Exact integral of f along the arc with respect to arclength."""
-    cuts = segments_of(f, None, frame)
-    one = (0.0, 0.0, 1.0)
-    total = 0.0
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        total += product_integral(segment_coeffs(f, frame, 0.5 * (t0 + t1)), one, t0, t1)
-    return total
+    return ArcRestriction.of(f, frame).integral()
 
 
 def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, frame: ArcFrame) -> tuple[float, float]:
@@ -166,28 +179,86 @@ def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, frame: ArcFrame) ->
 
     The arc derivative of a polytope support function is taken from the
     active vertex on each smooth segment."""
-    cuts = segments_of(f, g, frame)
-    ifg = 0.0
-    idfdg = 0.0
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        tm = 0.5 * (t0 + t1)
-        pf = segment_coeffs(f, frame, tm)
-        pg = segment_coeffs(g, frame, tm)
-        ifg += product_integral(pf, pg, t0, t1)
-        idfdg += product_integral(_derivative_coeffs(pf), _derivative_coeffs(pg), t0, t1)
-    return ifg, idfdg
+    rf = ArcRestriction.of(f, frame)
+    return rf.pair(rf if g is f else ArcRestriction.of(g, frame))
 
 
 def arc_sample_nodes(frame: ArcFrame, evaluators: list[SupportEvaluator],
                      per_segment: int = 17) -> np.ndarray:
     """Arc parameters covering every smooth segment (endpoints included),
     suitable for sup-norm residual scans."""
-    bps: set[float] = set()
-    for f in evaluators:
-        bps |= set(evaluator_breakpoints(f, frame))
-    cuts = [0.0] + sorted(bps) + [frame.length]
-    nodes = [np.linspace(t0, t1, per_segment) for t0, t1 in zip(cuts[:-1], cuts[1:])]
-    return np.unique(np.concatenate(nodes))
+    bps = sorted({b for f in evaluators for b in evaluator_breakpoints(f, frame)})
+    cuts = np.array([0.0, *bps, frame.length])
+    return np.unique(np.linspace(cuts[:-1], cuts[1:], per_segment))
+
+
+def sup_on_arcs(f: SupportEvaluator, frames: Sequence[ArcFrame]) -> float:
+    """Sup of |f| over the sample nodes of each arc."""
+    worst = 0.0
+    for fr in frames:
+        t = arc_sample_nodes(fr, [f])
+        worst = max(worst, float(np.abs(np.asarray(f(fr.point(t)))).max()))
+    return worst
+
+
+def integrate_weighted_arcs(f: Union[SupportEvaluator, Callable],
+                            arcs: Sequence[tuple[ArcFrame, float]],
+                            quad_tol: float = 1e-10) -> float:
+    """sum over (frame, w) of w * int f dH^1 along the arc: exact for
+    support-function combinations, adaptive Gauss-Legendre to quad_tol for
+    other callables on the sphere."""
+    total = 0.0
+    for fr, w in arcs:
+        if isinstance(f, SupportEvaluator):
+            val = integrate_evaluator(f, fr)
+        else:
+            val = adaptive_gauss(lambda t: np.asarray(f(fr.point(t))),
+                                 0.0, fr.length, quad_tol)
+        total += w * val
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Measures on the sphere: atoms plus weighted arcs
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SphericalMeasure:
+    """Measure on S^2 with an atomic part and a weighted-arc part."""
+    atoms: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    arcs: list[tuple[ArcFrame, float]] = field(default_factory=list)
+
+    def total_mass(self) -> float:
+        return (sum(m for _, m in self.atoms)
+                + sum(w * fr.length for fr, w in self.arcs))
+
+    def barycenter_residual(self) -> float:
+        """Norm of int u dmu; vanishes for area measures of closed bodies."""
+        s = np.zeros(3)
+        for u, m in self.atoms:
+            s += m * u
+        for fr, w in self.arcs:
+            # int over arc of u dH^1 = sin(l) * a + (1 - cos(l)) * e, per axis
+            s += w * (np.sin(fr.length) * fr.start
+                      + (1 - np.cos(fr.length)) * fr.tangent)
+        return float(np.linalg.norm(s))
+
+    def validate_nonnegative(self, tol: float = 1e-9) -> "SphericalMeasure":
+        total = abs(self.total_mass())
+        floor = -tol * max(total, 1e-30)
+        for _, m in self.atoms:
+            if m < floor:
+                raise NegativeMass(f"atom mass {m:g} below {floor:g}")
+        for _, w in self.arcs:
+            if w < floor:
+                raise NegativeMass(f"arc weight {w:g} below {floor:g}")
+        return self
+
+
+def integrate_against_measure(f: SupportEvaluator, mu: SphericalMeasure) -> float:
+    """sum over atoms of f(u) * mass plus the exact arc integrals of f dH^1."""
+    return (sum(float(f(u)) * mass for u, mass in mu.atoms)
+            + integrate_weighted_arcs(f, mu.arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_04_form_volume_consistency():
         k, l, m = hulls[i], hulls[i + 1], hulls[i + 2]
         v1 = MS.mixed_volume(k, l, m)
         v2 = G.form_value(G.build_graph(m), SupportEvaluator.of(k),
-                          SupportEvaluator.of(l), quad_tol=1e-10)
+                          SupportEvaluator.of(l))
         worst = max(worst, rel_err(v1, v2))
     ok = worst <= 1e-6
     report("04 form/volume consistency", ok,

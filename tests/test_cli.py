@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +218,44 @@ def test_graph_export_unwritable(capsys):
     code, _, err = run(capsys, ["graph", "--M", "cube", "--format", "json",
                                 "--out", "/no/such/dir/g.json"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Per-subcommand flags and the derived lower-spectrum tolerance
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--format", "csv"],
+    ["mixvol", "--format", "dot"],
+    ["spectrum", "--quad-tol", "1e-10"],
+    ["randtest", "--K", "cube"],
+])
+def test_flag_the_command_does_not_read_gives_exit_2(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_lower_spectrum_default_tol_from_mesh_and_kmax(capsys):
+    # P1 eigenvalue error is about k^4 h^2 / 36; the default tolerance is
+    # twice that bound at the requested kmax and mesh size
+    code, out, _ = run(capsys, ["lower-spectrum", "--M", "square",
+                                "--w", "0,0,1", "--kmax", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["tol"] == 2 * 2 ** 4 * (np.pi / 100) ** 2 / 36
+    assert doc["margins"]["worst_deviation"] <= doc["params"]["tol"]
+
+
+def _readme_usage_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("mixedvol ")]
+
+
+@pytest.mark.parametrize("line", _readme_usage_lines())
+def test_readme_usage_line_exits_0(capsys, line):
+    code, out, err = run(capsys, line.split()[1:])
+    assert code == 0, err
+    assert out

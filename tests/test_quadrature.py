@@ -65,10 +65,45 @@ def test_integrate_pair_derivative():
     assert idfdg == pytest.approx(np.pi / 4, abs=1e-14)
 
 
-def test_integrate_pair_matches_adaptive_gauss():
-    p = B.random_hull(10, 5)
-    q = B.random_hull(10, 6)
-    f, g = B.SupportEvaluator.of(p), B.SupportEvaluator.of(q)
+def _sphere_hull(n: int, seed: int) -> B.Polytope:
+    p = np.random.default_rng(seed).standard_normal((n, 3))
+    return B.hull(p / np.linalg.norm(p, axis=1)[:, None])
+
+
+def _arc_derivative(ev: B.SupportEvaluator, fr: quad.ArcFrame):
+    """t -> d/dt ev(u(t)), from the active vertex of each polytope term at t."""
+    def fun(t):
+        u = fr.point(t)
+        du = (np.multiply.outer(-np.sin(t), fr.start)
+              + np.multiply.outer(np.cos(t), fr.tangent))
+        out = du @ ev.shift
+        for c, body in ev.terms:
+            if isinstance(body, B.Ball):
+                out = out + c * (du @ body.center)
+            else:
+                v = body.vertices[np.argmax(u @ body.vertices.T, axis=-1)]
+                out = out + c * np.sum(v * du, axis=-1)
+        return out
+    return fun
+
+
+PAIRS = {
+    "10pt-hulls": lambda: (B.SupportEvaluator.of(B.random_hull(10, 5)),
+                               B.SupportEvaluator.of(B.random_hull(10, 6))),
+    "300pt-sphere-hulls": lambda: (B.SupportEvaluator.of(_sphere_hull(300, 1)),
+                                       B.SupportEvaluator.of(_sphere_hull(300, 2))),
+    "ball-plus-linear-shift": lambda: (
+        B.SupportEvaluator.of(B.Ball([0.2, -0.1, 0.3], 0.7))
+        + B.SupportEvaluator.of(B.random_hull(10, 5), -0.5)
+        + B.SupportEvaluator.linear([0.3, -1.2, 0.4]),
+        B.SupportEvaluator.of(B.random_hull(10, 6))
+        + B.SupportEvaluator.linear([-0.5, 0.1, 0.2])),
+}
+
+
+@pytest.mark.parametrize("case", PAIRS)
+def test_integrate_pair_matches_adaptive_gauss(case):
+    f, g = PAIRS[case]()
     a = np.array([1.0, 0, 0])
     b = np.array([0.3, 0.9, np.sqrt(1 - 0.09 - 0.81)])
     fr = quad.arc_between(a, b)
@@ -77,6 +112,38 @@ def test_integrate_pair_matches_adaptive_gauss():
         lambda t: np.asarray(f(fr.point(t))) * np.asarray(g(fr.point(t))),
         0.0, fr.length, 1e-12)
     assert rel_err(exact, numeric) < 1e-10
+    # the same function twice shares one restriction
+    exact_ff = quad.integrate_pair(f, f, fr)[0]
+    numeric_ff = quad.adaptive_gauss(
+        lambda t: np.asarray(f(fr.point(t))) ** 2, 0.0, fr.length, 1e-12)
+    assert rel_err(exact_ff, numeric_ff) < 1e-10
+    # single integrals
+    assert rel_err(quad.integrate_evaluator(f, fr), quad.adaptive_gauss(
+        lambda t: np.asarray(f(fr.point(t))), 0.0, fr.length, 1e-12)) < 1e-10
+    # derivative products jump at the breakpoints: split the adaptive rule there
+    bps = sorted(set(quad.evaluator_breakpoints(f, fr))
+                 | set(quad.evaluator_breakpoints(g, fr)))
+    df, dg = _arc_derivative(f, fr), _arc_derivative(g, fr)
+    numeric_d = quad.integrate_with_breakpoints(
+        lambda t: df(t) * dg(t), bps, 0.0, fr.length, 1e-12)
+    assert rel_err(quad.integrate_pair(f, g, fr)[1], numeric_d) < 1e-10
+
+
+def test_restriction_on_merged_cuts_of_large_sphere_hulls():
+    fr = quad.arc_between(np.array([1.0, 0, 0]),
+                          np.array([0.3, 0.9, np.sqrt(1 - 0.09 - 0.81)]))
+    f = B.SupportEvaluator.of(_sphere_hull(300, 1))
+    g = B.SupportEvaluator.of(_sphere_hull(300, 2))
+    rf, rg = quad.ArcRestriction.of(f, fr), quad.ArcRestriction.of(g, fr)
+    assert len(rf.coef) >= 5 and len(rg.coef) >= 5
+    cuts = np.union1d(rf.cuts, rg.cuts)
+    assert len(cuts) == len(rf.cuts) + len(rg.cuts) - 2
+    # the refined coefficients reproduce f at every merged segment midpoint
+    r = rf.on(cuts)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    trig = np.column_stack([np.cos(mid), np.sin(mid), np.ones_like(mid)])
+    vals = np.sum(r.coef * trig, axis=1)
+    assert np.abs(vals - f(fr.point(mid))).max() < 1e-14
 
 
 def test_product_integral_polynomial_identity():
