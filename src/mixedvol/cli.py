@@ -9,6 +9,7 @@ failure is replayable from (suite, seed, index).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -261,6 +262,7 @@ def cmd_spectrum(args):
         "kernel_dimension": ker.dimension,
         "kernel_principal_angle_residual": ker.principal_angle_residual,
         "kernel_window": ker.window,
+        "eigen_residual_max": float(spec.residuals.max()),
         "dofs": form.size,
     })
     return rep, 0
@@ -551,7 +553,10 @@ COMMAND_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    mutate it."""
     ap = argparse.ArgumentParser(
         prog="mixedvol",
         description="Mixed volumes, metric-graph spectra, and equality/"

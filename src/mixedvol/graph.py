@@ -5,16 +5,19 @@ normals of adjacent facets, weighted by ridge lengths. The quadratic form
 E(f,g) = (1/6) sum_e w_e int (fg - f'g') and the L^2(S_{B,M}) mass inner
 product (1/2) sum_e w_e int fg are assembled with conforming piecewise-linear
 elements sharing vertex degrees of freedom, so continuity holds by
-construction and the weighted Kirchhoff conditions are natural.
+construction and the weighted Kirchhoff conditions are natural. The same
+assembly serves the lower-dimensional bouquet of half circles. The matrices
+are sparse, and only the top of the spectrum is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import quadrature as quad
 from .bodies import Polytope, SupportEvaluator
@@ -40,27 +43,20 @@ class MetricGraph:
     edges: tuple[GraphEdge, ...]
     polytope: Polytope
 
-    def incident(self, f: int) -> list[tuple[GraphEdge, np.ndarray]]:
-        """(edge, outgoing tangent n_{F->F'}) pairs at vertex f."""
-        out = []
-        for e in self.edges:
-            if e.facets[0] == f:
-                out.append((e, e.frame.tangent))
-            elif e.facets[1] == f:
-                # tangent at the far end, pointing back toward facets[0]
-                l = e.length
-                t = (-np.sin(l) * e.frame.start + np.cos(l) * e.frame.tangent)
-                out.append((e, -t))
-        return out
-
     def vertex_balance_residuals(self) -> np.ndarray:
-        res = np.zeros(len(self.normals))
-        for f in range(len(self.normals)):
-            s = np.zeros(3)
-            for e, tangent in self.incident(f):
-                s += e.weight * tangent
-            res[f] = np.linalg.norm(s)
-        return res
+        """|sum of w_e times the outgoing unit tangent| at each vertex."""
+        ends = np.array([e.facets for e in self.edges], dtype=np.intp)
+        w = np.array([e.weight for e in self.edges])[:, None]
+        start = np.array([e.frame.start for e in self.edges])
+        tangent = np.array([e.frame.tangent for e in self.edges])
+        l = np.array([e.length for e in self.edges])[:, None]
+        # tangent at the far end, pointing back toward facets[0]
+        back = -(-np.sin(l) * start + np.cos(l) * tangent)
+        # interleaved in edge order, so each vertex sums its edges in order
+        s = np.zeros((len(self.normals), 3))
+        np.add.at(s, ends.ravel(),
+                  np.stack([w * tangent, w * back], axis=1).reshape(-1, 3))
+        return np.linalg.norm(s, axis=1)
 
     def total_weight(self) -> float:
         return sum(e.weight for e in self.edges)
@@ -123,10 +119,18 @@ def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> flo
 # Galerkin discretization
 # ---------------------------------------------------------------------------
 
+class CSRMatrix(scipy.sparse.csr_array):
+    """CSR array whose ``nbytes`` is its stored data, indices and indptr."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass
 class DiscretizedForm:
-    e_matrix: np.ndarray       # quadratic form E
-    mass: np.ndarray           # L^2(S_{B,M}) inner product, SPD
+    e_matrix: CSRMatrix        # quadratic form E
+    mass: CSRMatrix            # L^2(S_{B,M}) inner product, SPD
     node_points: np.ndarray    # (N, 3) sphere position of each DOF
     edge_dofs: list[np.ndarray]  # DOF chains per edge (vertex DOFs shared)
     graph: MetricGraph | None    # None for the lower-dimensional assembly
@@ -145,49 +149,85 @@ class DiscretizedForm:
         return self.node_points.copy()
 
 
-def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
-    """Hat-function Galerkin matrices with exact per-element integrals.
+# (i, j, length, weight, frame): an edge from vertex i to vertex j
+EdgeSpec = tuple[int, int, float, float, quad.ArcFrame]
 
-    Each edge is split into ceil(l/h) uniform elements (at least 2); no flux
-    conditions are imposed -- the Kirchhoff vertex conditions are natural."""
+
+def assemble_edges(vertex_points: np.ndarray, edges: Sequence[EdgeSpec],
+                   h: float, graph: MetricGraph | None = None) -> DiscretizedForm:
+    """Hat-function Galerkin matrices of a weighted metric graph, with exact
+    per-element integrals.
+
+    Edge (i, j, l, w, frame) runs from vertex i to vertex j along ``frame``
+    and is split into ceil(l/h) uniform elements (at least 2). DOFs
+    0..nv-1 are the vertices, shared by their edges, so continuity holds by
+    construction and the Kirchhoff vertex conditions are natural; the
+    interior DOFs follow edge by edge."""
     if h <= 0:
         raise BadMesh("mesh size must be positive")
-    nf = len(g.normals)
-    counts = []
-    for e in g.edges:
-        ne = int(np.ceil(e.length / h))
-        if ne < 2:
-            raise BadMesh(
-                f"edge of length {e.length:g} gets {ne} < 2 elements at h={h:g}")
-        counts.append(ne)
-    n_dofs = nf + sum(ne - 1 for ne in counts)
-    e_mat = np.zeros((n_dofs, n_dofs))
-    mass = np.zeros((n_dofs, n_dofs))
-    points = np.zeros((n_dofs, 3))
-    points[:nf] = g.normals
-    next_dof = nf
-    edge_dofs = []
-    for e, ne in zip(g.edges, counts):
-        i, j = e.facets
-        interior = np.arange(next_dof, next_dof + ne - 1)
-        next_dof += ne - 1
-        chain = np.concatenate(([i], interior, [j]))
-        edge_dofs.append(chain)
-        t = np.linspace(0.0, e.length, ne + 1)
-        points[interior] = e.frame.point(t[1:-1])
-        he = e.length / ne
-        m_el = he / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-        k_el = 1.0 / he * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        e_el = e.weight / 6.0 * (m_el - k_el)
-        mm_el = e.weight / 2.0 * m_el
-        for k in range(ne):
-            idx = chain[k:k + 2]
-            e_mat[np.ix_(idx, idx)] += e_el
-            mass[np.ix_(idx, idx)] += mm_el
-    if (np.abs(e_mat - e_mat.T).max() > 1e-14
-            or np.abs(mass - mass.T).max() > 1e-14):
+    heads, tails, lengths, weights, frames = zip(*edges)
+    heads, tails = np.array(heads, dtype=np.intp), np.array(tails, dtype=np.intp)
+    lengths, weights = np.array(lengths, dtype=float), np.array(weights, dtype=float)
+    counts = np.ceil(lengths / h).astype(np.intp)
+    if (counts < 2).any():
+        bad = int(np.argmax(counts < 2))
+        raise BadMesh(f"edge of length {lengths[bad]:g} gets {counts[bad]} < 2 "
+                      f"elements at h={h:g}")
+    # a P1 mass matrix with positive element weights is SPD
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise NumericalFailure(
+            "mass matrix is not positive definite: an edge weight is not a "
+            "positive finite number")
+    nv = len(vertex_points)
+    edge_h = lengths / counts
+    n_int = counts - 1
+    first = nv + np.cumsum(n_int) - n_int          # first interior DOF per edge
+    n_dofs = nv + int(n_int.sum())
+
+    # elements: element k of edge e joins chain[k] and chain[k + 1], where
+    # chain = (i, first, first + 1, ..., first + counts - 2, j)
+    el_edge = np.repeat(np.arange(len(edges)), counts)
+    k = np.arange(len(el_edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    left = np.where(k == 0, heads[el_edge], first[el_edge] + k - 1)
+    right = np.where(k == counts[el_edge] - 1, tails[el_edge], first[el_edge] + k)
+    he = edge_h[el_edge]
+    w = weights[el_edge]
+    m_off = he / 6.0                   # element mass matrix he/6 [[2, 1], [1, 2]]
+    m_diag = m_off * 2.0
+    stiff = 1.0 / he                   # element stiffness 1/he [[1, -1], [-1, 1]]
+    e_diag, e_off = w / 6.0 * (m_diag - stiff), w / 6.0 * (m_off + stiff)
+    mm_diag, mm_off = w / 2.0 * m_diag, w / 2.0 * m_off
+    rows = np.concatenate([left, right, left, right])
+    cols = np.concatenate([left, right, right, left])
+    shape = (n_dofs, n_dofs)
+    e_mat = CSRMatrix((np.concatenate([e_diag, e_diag, e_off, e_off]),
+                       (rows, cols)), shape=shape)
+    mass = CSRMatrix((np.concatenate([mm_diag, mm_diag, mm_off, mm_off]),
+                      (rows, cols)), shape=shape)
+    if (abs(e_mat - e_mat.T).max() > 1e-14
+            or abs(mass - mass.T).max() > 1e-14):
         raise NumericalFailure("assembled matrices are not symmetric")
-    return DiscretizedForm(e_mat, mass, points, edge_dofs, g, h)
+
+    # interior node n = 1..counts-1 of edge e sits at t = n * l / counts
+    node_edge = np.repeat(np.arange(len(edges)), n_int)
+    t = ((np.arange(len(node_edge)) - np.repeat(first - nv, n_int) + 1)
+         * edge_h[node_edge])
+    starts = np.array([fr.start for fr in frames])
+    tangents = np.array([fr.tangent for fr in frames])
+    points = np.concatenate([
+        np.asarray(vertex_points, dtype=float),
+        np.cos(t)[:, None] * starts[node_edge]
+        + np.sin(t)[:, None] * tangents[node_edge]])
+    edge_dofs = [np.concatenate(([i], np.arange(f, f + n), [j]))
+                 for i, j, f, n in zip(heads, tails, first, n_int)]
+    return DiscretizedForm(e_mat, mass, points, edge_dofs, graph, h)
+
+
+def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
+    """Galerkin matrices on the metric graph of a full-dimensional polytope."""
+    return assemble_edges(
+        g.normals, [(*e.facets, e.length, e.weight, e.frame) for e in g.edges],
+        h, g)
 
 
 @dataclass
@@ -198,16 +238,32 @@ class SpectrumResult:
     form: DiscretizedForm
 
 
-def spectrum(form: DiscretizedForm, k: int | None = None) -> SpectrumResult:
-    """Top-k eigenpairs of E x = lambda M x (dense, Cholesky-reduced)."""
+# Shift for the top of the spectrum. E = M/3 - K/6 with K the weighted PSD
+# stiffness matrix, so 1/3 is the exact top eigenvalue (the constants) and
+# E - SHIFT * M is negative definite: its factorization never meets a
+# singular shift, and the eigenvalues nearest SHIFT are the top ones.
+SHIFT = 0.34
+
+
+def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
+    """Top-k eigenpairs of E x = lambda M x, descending, by shift-invert
+    Lanczos (ARPACK) about SHIFT, from a fixed start vector so that repeated
+    calls return identical pairs."""
+    n = form.size
+    if k < 1:
+        raise BadParam(f"need at least one eigenpair, got k={k}")
+    if k >= n:
+        raise InsufficientSpectrum(
+            f"{n} DOFs cannot resolve {k} eigenpairs; decrease the mesh size")
+    # not the constants: they are an exact eigenvector and would end the
+    # Lanczos recurrence after one step
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        np.linalg.cholesky(form.mass)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("mass matrix is not positive definite") from exc
-    vals, vecs = scipy.linalg.eigh(form.e_matrix, form.mass)
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            form.e_matrix, k, M=form.mass, sigma=SHIFT, v0=v0)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
-    if k is not None:
-        order = order[:k]
     vals, vecs = vals[order], vecs[:, order]
     res = np.linalg.norm(form.e_matrix @ vecs - form.mass @ vecs * vals, axis=0)
     return SpectrumResult(vals, vecs, res, form)

@@ -21,10 +21,11 @@ from . import quadrature as quad
 from .bodies import (Polytope, SupportEvaluator, affine_dim, as_unit_vector,
                      classify_trivial, minkowski_sum, segment, support_data,
                      unit)
-from .errors import (BadMesh, DimensionError, InsufficientSpectrum,
+from .errors import (DimensionError, InsufficientSpectrum,
                      NumericalFailure, ZeroDenominator)
 from .extremal import _verdict
-from .graph import DiscretizedForm, build_graph, integrate_on_arcs, spectrum
+from .graph import (DiscretizedForm, assemble_edges, build_graph,
+                    integrate_on_arcs, spectrum)
 from .measures import DeficitReport, mixed_volume
 
 HYPERPLANE_TOL = 1e-9
@@ -119,39 +120,13 @@ def sbm_lowerdim(p: LowerDimProblem, f: Union[SupportEvaluator, Callable],
 def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
     """Hat-function Galerkin matrices on the bouquet of half circles.
 
-    The poles +-w are shared degrees of freedom (indices 0 and 1), which
-    enforces continuity at the two junction points; the Kirchhoff conditions
-    there are natural."""
-    if h <= 0:
-        raise BadMesh("mesh size must be positive")
-    ne = int(np.ceil(np.pi / h))
-    if ne < 2:
-        raise BadMesh(f"half circle gets {ne} < 2 elements at h={h:g}")
-    mult = p.multiplicity
-    n_dofs = 2 + mult * (ne - 1)
-    e_mat = np.zeros((n_dofs, n_dofs))
-    mass_mat = np.zeros((n_dofs, n_dofs))
-    points = np.zeros((n_dofs, 3))
-    points[0], points[1] = p.w, -p.w
-    he = np.pi / ne
-    m_el = he / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    k_el = 1.0 / he * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    t = np.linspace(0.0, np.pi, ne + 1)
-    edge_dofs = []
-    next_dof = 2
-    for j, (_, mass) in enumerate(p.atoms):
-        interior = np.arange(next_dof, next_dof + ne - 1)
-        next_dof += ne - 1
-        chain = np.concatenate(([0], interior, [1]))
-        edge_dofs.append(chain)
-        points[interior] = p.half_circle(j).point(t[1:-1])
-        e_el = mass / 6.0 * (m_el - k_el)
-        mm_el = mass / 2.0 * m_el
-        for k in range(ne):
-            idx = chain[k:k + 2]
-            e_mat[np.ix_(idx, idx)] += e_el
-            mass_mat[np.ix_(idx, idx)] += mm_el
-    return DiscretizedForm(e_mat, mass_mat, points, edge_dofs, None, h)
+    The bouquet is a metric graph with two vertices, the poles +-w (DOFs 0
+    and 1, shared by every half circle), and one edge of length pi and
+    weight mass_j per atom."""
+    return assemble_edges(
+        np.array([p.w, -p.w]),
+        [(0, 1, np.pi, mass, p.half_circle(j))
+         for j, (_, mass) in enumerate(p.atoms)], h)
 
 
 @dataclass(frozen=True)
@@ -186,7 +161,7 @@ def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
     form = assemble_lowerdim(p, h)
     predicted = explicit_spectrum(k_max, p.multiplicity)
     needed = sum(mult for _, mult in predicted)
-    if form.size < needed:
+    if form.size <= needed:
         raise InsufficientSpectrum(
             f"{form.size} DOFs cannot resolve {needed} requested eigenvalues; "
             "decrease the mesh size")

@@ -127,6 +127,23 @@ def test_lower_spectrum_square(capsys):
     assert [len(c["observed"]) for c in doc["values"]["clusters"]] == [1, 4, 4]
 
 
+def test_spectrum_reports_eigen_residual(capsys):
+    code, out, _ = run(capsys, ["spectrum", "--M", "cube",
+                                "--mesh-h", str(np.pi / 40)])
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert len(values["eigenvalues"]) == 8
+    assert 0 <= values["eigen_residual_max"] < 1e-8
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_spectrum_kmax_below_1_gives_exit_2(capsys, kmax):
+    code, out, err = run(capsys, ["spectrum", "--M", "cube", "--kmax", kmax])
+    assert code == 2
+    assert out == ""
+    assert "BadParam" in err
+
+
 def test_randtest_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, ["randtest", "--suite", "mixvol", "--n", "3",
                                 "--seed", "11"])

@@ -1,13 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedvol import bodies as B
 from mixedvol import graph as G
+from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
 from mixedvol.bodies import SupportEvaluator
-from mixedvol.errors import BadMesh, BadParam, DegenerateInput
+from mixedvol.errors import (BadMesh, BadParam, DegenerateInput,
+                             InsufficientSpectrum, NumericalFailure)
 
 from conftest import rel_err
 
@@ -59,6 +65,24 @@ def test_vertex_balance():
         g = G.build_graph(B.random_hull(10, seed + 30))
         res = g.vertex_balance_residuals()
         assert res.max() < 1e-9 * g.total_weight()
+
+
+def test_vertex_balance_matches_edge_loop():
+    # reference: per vertex, scan every edge and add w_e times the outgoing
+    # tangent, in edge order
+    g = G.build_graph(B.approximate_ball(2))
+    expected = np.zeros(len(g.normals))
+    for f in range(len(g.normals)):
+        s = np.zeros(3)
+        for e in g.edges:
+            if e.facets[0] == f:
+                s += e.weight * e.frame.tangent
+            elif e.facets[1] == f:
+                l = e.length
+                t = -np.sin(l) * e.frame.start + np.cos(l) * e.frame.tangent
+                s += e.weight * -t
+        expected[f] = np.linalg.norm(s)
+    assert np.array_equal(g.vertex_balance_residuals(), expected)
 
 
 def test_structural_checks_random():
@@ -116,7 +140,7 @@ def test_assemble_dof_count(unit_cube):
     assert form.size == 6 + 12 * (ne - 1)
     # matrices symmetric, mass positive definite
     assert np.abs(form.mass - form.mass.T).max() == 0.0
-    assert np.linalg.eigvalsh(form.mass).min() > 0
+    assert np.linalg.eigvalsh(form.mass.toarray()).min() > 0
 
 
 def test_galerkin_constant_exact(unit_cube):
@@ -156,7 +180,7 @@ def test_discrete_form_hyperbolic(unit_cube, std_simplex):
     # exactly one positive eigenvalue for the assembled form
     for m in (unit_cube, std_simplex, B.random_hull(10, 77)):
         form = G.assemble(G.build_graph(m), np.pi / 40)
-        spec = G.spectrum(form)
+        spec = G.spectrum(form, 2)
         assert spec.eigenvalues[0] > 0
         assert spec.eigenvalues[1] <= 1e-12
 
@@ -169,6 +193,87 @@ def test_spectrum_mesh_convergence(unit_cube):
         spec = G.spectrum(G.assemble(g, h), 4)
         errs.append(abs(spec.eigenvalues[1]))
     assert errs[0] / errs[1] > 3.5
+
+
+def _ngon(n: int) -> B.Polytope:
+    ang = np.arange(n) * 2 * np.pi / n
+    return B.hull(np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)]))
+
+
+W = np.array([0.0, 0.0, 1.0])
+SQUARE = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+
+# (body, mesh size, k); bouquets ask for k = 1 + m * kmax, so their
+# clusters of exact multiplicity m are resolved in full
+ORACLE_CASES = {
+    "cube": (B.cube, np.pi / 40, 8),
+    "simplex": (B.simplex, np.pi / 40, 8),
+    "random-hull": (lambda: B.random_hull(10, 77), np.pi / 40, 8),
+    "square": (lambda: B.hull(SQUARE), np.pi / 100, 1 + 4 * 3),
+    "segment": (lambda: B.segment([0, 0, 0], [1, 0, 0]), np.pi / 100, 1 + 2 * 3),
+    "hexagon": (lambda: _ngon(6), np.pi / 100, 1 + 6 * 2),
+    "12-gon": (lambda: _ngon(12), np.pi / 60, 1 + 12 * 2),
+}
+
+
+def _oracle_form(name):
+    make, h, k = ORACLE_CASES[name]
+    m = make()
+    if m.dim == 3:
+        return G.assemble(G.build_graph(m), h), k
+    return LD.assemble_lowerdim(LD.lowerdim_setup(m, W), h), k
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_spectrum_matches_dense_oracle(name):
+    form, k = _oracle_form(name)
+    e_dense, m_dense = form.e_matrix.toarray(), form.mass.toarray()
+    dense = scipy.linalg.eigh(e_dense, m_dense, eigvals_only=True)[::-1][:k]
+    spec = G.spectrum(form, k)
+    assert np.abs(spec.eigenvalues - dense).max() < 1e-10
+    v = spec.vectors
+    assert np.abs(v.T @ m_dense @ v - np.eye(k)).max() < 1e-12
+    assert np.array_equal(G.spectrum(form, k).eigenvalues, spec.eigenvalues)
+
+
+def test_spectrum_argument_checks(unit_cube):
+    form = G.assemble(G.build_graph(unit_cube), np.pi / 20)
+    for k in (0, -1):
+        with pytest.raises(BadParam):
+            G.spectrum(form, k)
+    with pytest.raises(InsufficientSpectrum):
+        G.spectrum(form, form.size)
+    assert len(G.spectrum(form, form.size - 1).eigenvalues) == form.size - 1
+
+
+def test_spectrum_no_convergence_is_numerical_failure(unit_cube, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    form = G.assemble(G.build_graph(unit_cube), np.pi / 20)
+    with pytest.raises(NumericalFailure):
+        G.spectrum(form, 4)
+
+
+def test_zero_weight_edge_is_numerical_failure(unit_cube):
+    g = G.build_graph(unit_cube)
+    edges = (dataclasses.replace(g.edges[0], weight=0.0),) + g.edges[1:]
+    g0 = dataclasses.replace(g, edges=edges)
+    with pytest.raises(NumericalFailure):
+        G.spectrum(G.assemble(g0, np.pi / 20), 4)
+
+
+def test_ball3_fine_mesh_hyperbolic():
+    # N = 11300 DOFs: one positive eigenvalue 1/3, a 3-dimensional kernel
+    # spanned by the coordinates, negative rest
+    h = np.pi / 200
+    form = G.assemble(G.build_graph(B.approximate_ball(3)), h)
+    assert form.size == 11300
+    spec = G.spectrum(form, 8)
+    assert abs(spec.eigenvalues[0] - 1.0 / 3.0) < 1e-10
+    assert G.kernel_analysis(spec, 10 * h * h).dimension == 3
+    assert spec.eigenvalues[4] < 0
 
 
 def test_restrict_support_function(unit_cube):

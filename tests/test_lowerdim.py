@@ -143,6 +143,16 @@ def test_spectrum_insufficient(unit_square):
         LD.verify_spectrum(p, 10, np.pi / 2.1, 5e-3)
 
 
+def test_spectrum_h_convergence_square(unit_square):
+    # the worst cluster deviation falls as O(h^2): a factor 4 per halving,
+    # up to N = 6398 DOFs at h = pi/1600
+    p = LD.lowerdim_setup(unit_square, W)
+    devs = [LD.verify_spectrum(p, 3, np.pi / d, 1.0).worst_deviation
+            for d in (400, 800, 1600)]
+    for coarse, fine in zip(devs, devs[1:]):
+        assert 3.9 <= coarse / fine <= 4.1
+
+
 def test_explicit_spectrum_values():
     entries = LD.explicit_spectrum(3, 5)
     assert entries[0] == (pytest.approx(1 / 3), 1)
