@@ -12,6 +12,8 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import BadSpec, DegenerateInput, NumericalFailure
@@ -45,7 +47,7 @@ def as_unit_vector(u) -> np.ndarray:
 class Facet:
     normal: np.ndarray      # outward unit normal
     offset: float           # support value h(normal)
-    cycle: np.ndarray       # vertex indices, ordered counterclockwise seen from outside
+    vertex_ids: np.ndarray  # indices into Polytope.vertices, ascending
     area: float
 
 
@@ -121,14 +123,14 @@ class Polytope:
 
     def translate(self, v) -> "Polytope":
         v = np.asarray(v, dtype=float)
-        facets = [Facet(f.normal, f.offset + float(f.normal @ v), f.cycle, f.area)
+        facets = [Facet(f.normal, f.offset + float(f.normal @ v), f.vertex_ids, f.area)
                   for f in self.facets]
         return Polytope(self.vertices + v, facets, self.edges, self.dim, self.name)
 
     def scaled(self, c: float) -> "Polytope":
         if c <= 0:
             raise BadSpec("scaling factor must be positive")
-        facets = [Facet(f.normal, c * f.offset, f.cycle, c * c * f.area)
+        facets = [Facet(f.normal, c * f.offset, f.vertex_ids, c * c * f.area)
                   for f in self.facets]
         edges = [Edge(e.facets, e.vertices, c * e.length) for e in self.edges]
         return Polytope(c * self.vertices, facets, edges, self.dim, self.name)
@@ -274,82 +276,74 @@ def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
     return Polytope(pts[qh.vertices], [], [], 2, name)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x, each equal to np.linalg.norm(row).
+
+    The stacked matrix product forms each row's dot product the way the norm
+    of one vector does, so a facet's normal is exactly unit(mean of its
+    triangles' normals). That last bit matters: an arc between two facet normals can end
+    on a breakpoint of a support function, and there rounding decides whether
+    the breakpoint falls inside the arc."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
     qh = ConvexHull(pts)
-    tri = qh.simplices
     eqs = qh.equations          # normal . x + d <= 0, normal unit outward
-    nb = qh.neighbors
-    nt = len(tri)
-
-    # merge coplanar neighboring triangles into facets (BFS on adjacency)
-    facet_of = np.full(nt, -1, dtype=int)
-    groups: list[list[int]] = []
-    for t0 in range(nt):
-        if facet_of[t0] >= 0:
-            continue
-        gid = len(groups)
-        stack, members = [t0], [t0]
-        facet_of[t0] = gid
-        ref = eqs[t0, :3]
-        while stack:
-            s = stack.pop()
-            for t in nb[s]:
-                if facet_of[t] < 0 and np.linalg.norm(eqs[t, :3] - ref) <= MERGE_TOL:
-                    facet_of[t] = gid
-                    stack.append(t)
-                    members.append(t)
-        groups.append(members)
-
+    nt, nv = len(qh.simplices), len(qh.vertices)
     # reindex vertices to extreme points only
-    old2new = {int(o): i for i, o in enumerate(qh.vertices)}
+    old2new = np.empty(len(pts), dtype=np.intp)
+    old2new[qh.vertices] = np.arange(nv)
     verts = pts[qh.vertices]
+    tri = old2new[qh.simplices]
 
-    facets: list[Facet] = []
-    facet_vsets: list[set[int]] = []
-    for members in groups:
-        n = unit(np.mean(eqs[members, :3], axis=0))
-        vset = {old2new[int(v)] for m in members for v in tri[m]}
-        vidx = np.array(sorted(vset), dtype=int)
-        fpts = verts[vidx]
-        offset = float(np.mean(fpts @ n))
-        # order the cycle counterclockwise (seen from outside) about the
-        # facet centroid
-        fc = fpts.mean(axis=0)
-        t1 = unit(fpts[np.argmax(np.linalg.norm(fpts - fc, axis=1))] - fc)
-        t1 = unit(t1 - (t1 @ n) * n)
-        t2 = np.cross(n, t1)
-        ang = np.arctan2((fpts - fc) @ t2, (fpts - fc) @ t1)
-        order = np.argsort(ang)
-        cycle = vidx[order]
-        # shoelace area in the facet plane
-        x, y = (verts[cycle] - fc) @ t1, (verts[cycle] - fc) @ t2
-        area = 0.5 * float(np.abs(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
-        facets.append(Facet(n, offset, cycle, area))
-        facet_vsets.append(vset)
+    # facets: components of the graph joining neighbouring triangles whose
+    # normals agree within MERGE_TOL, labelled in order of their lowest
+    # triangle. (s, t) runs over (triangle, neighbour slot) in row-major order;
+    # slot k is the ridge opposite tri[s, k].
+    s = np.repeat(np.arange(nt), 3)
+    t = qh.neighbors.ravel()
+    close = np.linalg.norm(eqs[s, :3] - eqs[t, :3], axis=1) <= MERGE_TOL
+    nf, facet_of = connected_components(
+        scipy.sparse.coo_array((np.ones(close.sum()), (s[close], t[close])),
+                               shape=(nt, nt)), directed=False)
+    normals = np.zeros((nf, 3))
+    np.add.at(normals, facet_of, eqs[:, :3])
+    normals /= np.bincount(facet_of, minlength=nf)[:, None]
+    normals /= _row_norms(normals)[:, None]
+    a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
+    tri_areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    areas = np.bincount(facet_of, tri_areas, nf)
+    fv = np.unique(facet_of[:, None] * nv + tri)    # (facet, vertex), sorted
+    fid, vid = np.divmod(fv, nv)
+    per_facet = np.bincount(fid, minlength=nf)
+    offsets = np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]),
+                          nf) / per_facet
+    facets = [Facet(n, float(o), ids, float(ar)) for n, o, ids, ar in
+              zip(normals, offsets, np.split(vid, np.cumsum(per_facet)[:-1]), areas)]
 
-    # edges: adjacent merged facets, connected through shared triangle sides
-    pair_seen = set()
-    edges: list[Edge] = []
-    for s in range(nt):
-        for t in nb[s]:
-            fi, fj = facet_of[s], facet_of[int(t)]
-            if fi == fj:
-                continue
-            key = (min(fi, fj), max(fi, fj))
-            if key in pair_seen:
-                continue
-            pair_seen.add(key)
-            shared = sorted(facet_vsets[key[0]] & facet_vsets[key[1]])
-            if len(shared) < 2:
-                raise NumericalFailure("facet merge produced a dangling ridge")
-            if len(shared) > 2:
-                # collinear chain: keep the extreme pair
-                p = verts[shared]
-                d = p[-1] - p[0]
-                proj = p @ d
-                shared = [shared[int(np.argmin(proj))], shared[int(np.argmax(proj))]]
-            a, b = int(shared[0]), int(shared[1])
-            edges.append(Edge(key, (a, b), float(np.linalg.norm(verts[a] - verts[b]))))
+    # edges: facet pairs joined by a ridge, in order of first appearance
+    fs, ft = facet_of[s], facet_of[t]
+    ridge = fs != ft
+    pair = np.minimum(fs, ft)[ridge] * nf + np.maximum(fs, ft)[ridge]
+    keys, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    edge_of = np.argsort(order)[inverse]
+    # an edge's endpoints are the vertices in exactly one ridge of its chain
+    # (each ridge taken once, from its lower facet's side)
+    k = np.tile(np.arange(3), nt)
+    ends = np.stack([tri[s, (k + 1) % 3], tri[s, (k + 2) % 3]], axis=1)[ridge]
+    once = (fs < ft)[ridge]
+    ev, count = np.unique(edge_of[once][:, None] * nv + ends[once],
+                          return_counts=True)
+    tips = ev[count == 1]
+    if not np.array_equal(np.bincount(tips // nv, minlength=len(keys)),
+                          np.full(len(keys), 2)):
+        raise NumericalFailure("facet merge produced a dangling ridge")
+    tips = (tips % nv).reshape(-1, 2)
+    lengths = _row_norms(verts[tips[:, 0]] - verts[tips[:, 1]])
+    edges = [Edge(divmod(int(key), nf), (int(i), int(j)), float(ln))
+             for key, (i, j), ln in zip(keys[order], tips, lengths)]
 
     if len(verts) - len(edges) + len(facets) != 2:
         raise NumericalFailure(

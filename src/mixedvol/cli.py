@@ -341,6 +341,7 @@ def cmd_lower_spectrum(args):
                       {"M": args.M, "w": args.w, "kmax": args.kmax,
                        "mesh_h": args.mesh_h, "tol": tol})
     rep["values"]["multiplicity"] = p.multiplicity
+    rep["values"]["eigen_residual_max"] = r.eigen_residual_max
     rep["values"]["clusters"] = [
         {"k": c.k, "predicted": c.predicted,
          "observed": list(c.observed)} for c in r.clusters]

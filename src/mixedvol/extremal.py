@@ -107,10 +107,11 @@ class EqualityCertificate:
     diameter: float
 
 
-def _verdict(deficit: float, scale: float, sup_res: float, diam: float,
-             eps_d: float, eps_s: float) -> str:
-    small = deficit <= eps_d * scale and sup_res <= eps_s * diam
-    large = deficit > 10 * eps_d * scale and sup_res > 10 * eps_s * diam
+def _verdict(deficit: float, scale: float, sup_res: float, diam: float) -> str:
+    small = (deficit <= DEFICIT_THRESHOLD * scale
+             and sup_res <= RESIDUAL_THRESHOLD * diam)
+    large = (deficit > 10 * DEFICIT_THRESHOLD * scale
+             and sup_res > 10 * RESIDUAL_THRESHOLD * diam)
     if small:
         return "equality"
     if large:
@@ -143,10 +144,7 @@ def sup_on_sbm(g: MetricGraph, f: SupportEvaluator) -> float:
     return quad.sup_on_arcs(f, [e.frame for e in g.edges])
 
 
-def certify_equality_fulldim(k: Body, l: Body, m: Polytope,
-                             deficit_threshold: float = DEFICIT_THRESHOLD,
-                             residual_threshold: float = RESIDUAL_THRESHOLD,
-                             ) -> EqualityCertificate:
+def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertificate:
     """Certify or falsify equality: deficit ~ 0 iff h_K - a h_L - <v,.>
     vanishes on supp S_{B,M} (the closure of 1-extreme normal directions)."""
     if m.dim < 3:
@@ -162,10 +160,9 @@ def certify_equality_fulldim(k: Body, l: Body, m: Polytope,
     resid = delta + SupportEvaluator.linear(-v)
     sup_res = sup_on_sbm(g, resid)
     diam = max(_diameter(k), abs(a) * _diameter(l), 1e-30)
-    verdict = _verdict(dr.deficit, dr.scale, sup_res, diam,
-                       deficit_threshold, residual_threshold)
+    verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
     return EqualityCertificate(dr, float(a), v, sup_res, verdict,
-                               deficit_threshold, residual_threshold,
+                               DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD,
                                dr.scale, diam)
 
 

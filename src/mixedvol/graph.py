@@ -97,11 +97,9 @@ def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
     return sbm, mu
 
 
-def integrate_on_arcs(f: Union[SupportEvaluator, Callable], g: MetricGraph,
-                      quad_tol: float = 1e-10) -> float:
-    """sum_e (w_e/2) int_e f dH^1; exact for support-function combinations,
-    adaptive Gauss-Legendre for generic callables."""
-    return quad.integrate_weighted_arcs(f, g.sbm_arcs, quad_tol)
+def integrate_on_arcs(f: SupportEvaluator, g: MetricGraph) -> float:
+    """sum_e (w_e/2) int_e f dH^1, exact."""
+    return quad.integrate_weighted_arcs(f, g.sbm_arcs)
 
 
 def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> float:
@@ -289,12 +287,13 @@ def kernel_analysis(spec: SpectrumResult, tau: float) -> KernelReport:
     mass = spec.form.mass
     gram = coords.T @ mass @ coords
     c_orth = coords @ np.linalg.inv(np.linalg.cholesky(gram)).T
-    sv = np.linalg.svd(q.T @ mass @ c_orth, compute_uv=False)
-    sv = np.clip(sv, 0.0, 1.0)
-    # pad with zeros if the window is smaller than 3-dimensional
-    angles_cos = np.concatenate([sv, np.zeros(max(0, 3 - len(sv)))])
-    residual = float(np.sqrt(max(0.0, 1.0 - angles_cos.min() ** 2)))
-    return KernelReport(dim, residual, tau)
+    # the sines of the principal angles are the mass-norms of what is left of
+    # the coordinate functions after projection onto the window; taken
+    # directly, not as sqrt(1 - cos^2), they resolve angles below 1e-8, and a
+    # window of fewer than 3 dimensions leaves sines of 1
+    r = c_orth - q @ (q.T @ (mass @ c_orth))
+    sines = np.sqrt(np.clip(np.linalg.eigvalsh(r.T @ (mass @ r)), 0.0, None))
+    return KernelReport(dim, float(sines.max()), tau)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ number of support atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -23,7 +23,7 @@ from .bodies import (Polytope, SupportEvaluator, affine_dim, as_unit_vector,
                      unit)
 from .errors import (DimensionError, InsufficientSpectrum,
                      NumericalFailure, ZeroDenominator)
-from .extremal import _verdict
+from .extremal import DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD, _verdict
 from .graph import (DiscretizedForm, assemble_edges, build_graph,
                     integrate_on_arcs, spectrum)
 from .measures import DeficitReport, mixed_volume
@@ -108,13 +108,10 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
     return p
 
 
-def sbm_lowerdim(p: LowerDimProblem, f: Union[SupportEvaluator, Callable],
-                 quad_tol: float = 1e-10) -> float:
-    """int f dS_{B,M} = (1/2) sum_j mass_j int_0^pi f(iota(theta, z_j)) dtheta.
-
-    Exact for support-function combinations; adaptive Gauss-Legendre otherwise.
-    Equals 3 V(B, K, M) when f = h_K."""
-    return quad.integrate_weighted_arcs(f, p.sbm_arcs, quad_tol)
+def sbm_lowerdim(p: LowerDimProblem, f: SupportEvaluator) -> float:
+    """int f dS_{B,M} = (1/2) sum_j mass_j int_0^pi f(iota(theta, z_j)) dtheta,
+    exact. Equals 3 V(B, K, M) when f = h_K."""
+    return quad.integrate_weighted_arcs(f, p.sbm_arcs)
 
 
 def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
@@ -142,6 +139,7 @@ class LowerSpectrumReport:
     clusters: tuple[ClusterReport, ...]
     worst_deviation: float
     tol: float
+    eigen_residual_max: float   # max |E x - lambda M x| over the computed pairs
 
     @property
     def ok(self) -> bool:
@@ -175,7 +173,8 @@ def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
         pos += mult
         clusters.append(ClusterReport(k, lam, mult, tuple(float(v) for v in chunk)))
         worst = max(worst, float(np.abs(chunk - lam).max()))
-    return LowerSpectrumReport(tuple(clusters), worst, tol)
+    return LowerSpectrumReport(tuple(clusters), worst, tol,
+                               float(spec.residuals.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +193,8 @@ class LowerEqualityCertificate:
     diameter: float
 
 
-def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope, w,
-                              deficit_threshold: float = 1e-9,
-                              residual_threshold: float = 1e-6,
-                              ) -> LowerEqualityCertificate:
+def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
+                              w) -> LowerEqualityCertificate:
     """Certify equality through the face criterion: with c = V(K,L,M)/V(L,L,M),
     equality holds iff h_K + h_{F(cL, w)} = h_{cL} + h_{F(K, w)} on supp S_{B,M}."""
     p = lowerdim_setup(m, w)
@@ -214,10 +211,9 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope, w,
              + SupportEvaluator.of(lt, -1.0) + SupportEvaluator.of(face_k, -1.0))
     sup_res = quad.sup_on_arcs(resid, [fr for fr, _ in p.sbm_arcs])
     diam = max(k.diameter, abs(c) * l.diameter, 1e-30)
-    verdict = _verdict(dr.deficit, dr.scale, sup_res, diam,
-                       deficit_threshold, residual_threshold)
+    verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
     return LowerEqualityCertificate(dr, float(c), sup_res, verdict,
-                                    deficit_threshold, residual_threshold,
+                                    DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD,
                                     dr.scale, diam)
 
 

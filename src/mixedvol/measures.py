@@ -23,20 +23,23 @@ from .quadrature import SphericalMeasure, integrate_against_measure
 ATOM_MERGE_ANGLE = 1e-9   # angular tolerance for merging atoms by direction
 
 
-def merge_atoms(raw: Sequence[tuple[np.ndarray, float]],
-                angle_tol: float = ATOM_MERGE_ANGLE) -> list[tuple[np.ndarray, float]]:
-    """Sum masses of directions that agree within the angular tolerance."""
-    dirs: list[np.ndarray] = []
-    masses: list[float] = []
-    for u, m in raw:
-        for i, d in enumerate(dirs):
-            if np.linalg.norm(u - d) <= angle_tol:
-                masses[i] += m
-                break
-        else:
-            dirs.append(np.asarray(u, dtype=float))
-            masses.append(m)
-    return list(zip(dirs, masses))
+def merge_atoms(raw: Sequence[tuple[np.ndarray, float]]
+                ) -> list[tuple[np.ndarray, float]]:
+    """Sum masses of directions that agree within ATOM_MERGE_ANGLE.
+
+    Greedy in input order: the first unclaimed atom becomes a representative
+    and claims every unclaimed atom within the tolerance of it; the claimed
+    masses are summed in input order."""
+    dirs = np.array([u for u, _ in raw], dtype=float)
+    free = np.ones(len(raw), dtype=bool)
+    merged = []
+    for i in range(len(raw)):
+        if free[i]:
+            claim = np.flatnonzero(free & (np.linalg.norm(dirs - dirs[i], axis=1)
+                                           <= ATOM_MERGE_ANGLE))
+            free[claim] = False
+            merged.append((dirs[i], sum(raw[j][1] for j in claim)))
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ combination is a piecewise trig polynomial A cos t + B sin t + C (C from
 balls), cut where some polytope term switches active vertex. An
 ``ArcRestriction`` holds the cuts and the per-segment coefficients, so
 integrals of products (and of derivative products) are closed-form sums over
-its segments. An adaptive composite Gauss-Legendre rule is provided for
-generic integrands.
+its segments. An adaptive composite Gauss-Legendre rule is kept as an
+independent check of the closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -183,13 +183,15 @@ def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, frame: ArcFrame) ->
     return rf.pair(rf if g is f else ArcRestriction.of(g, frame))
 
 
-def arc_sample_nodes(frame: ArcFrame, evaluators: list[SupportEvaluator],
-                     per_segment: int = 17) -> np.ndarray:
+NODES_PER_SEGMENT = 17   # sample nodes per smooth segment, endpoints included
+
+
+def arc_sample_nodes(frame: ArcFrame, evaluators: list[SupportEvaluator]) -> np.ndarray:
     """Arc parameters covering every smooth segment (endpoints included),
     suitable for sup-norm residual scans."""
     bps = sorted({b for f in evaluators for b in evaluator_breakpoints(f, frame)})
     cuts = np.array([0.0, *bps, frame.length])
-    return np.unique(np.linspace(cuts[:-1], cuts[1:], per_segment))
+    return np.unique(np.linspace(cuts[:-1], cuts[1:], NODES_PER_SEGMENT))
 
 
 def sup_on_arcs(f: SupportEvaluator, frames: Sequence[ArcFrame]) -> float:
@@ -201,20 +203,12 @@ def sup_on_arcs(f: SupportEvaluator, frames: Sequence[ArcFrame]) -> float:
     return worst
 
 
-def integrate_weighted_arcs(f: Union[SupportEvaluator, Callable],
-                            arcs: Sequence[tuple[ArcFrame, float]],
-                            quad_tol: float = 1e-10) -> float:
-    """sum over (frame, w) of w * int f dH^1 along the arc: exact for
-    support-function combinations, adaptive Gauss-Legendre to quad_tol for
-    other callables on the sphere."""
+def integrate_weighted_arcs(f: SupportEvaluator,
+                            arcs: Sequence[tuple[ArcFrame, float]]) -> float:
+    """sum over (frame, w) of w * int f dH^1 along the arc, exact."""
     total = 0.0
     for fr, w in arcs:
-        if isinstance(f, SupportEvaluator):
-            val = integrate_evaluator(f, fr)
-        else:
-            val = adaptive_gauss(lambda t: np.asarray(f(fr.point(t))),
-                                 0.0, fr.length, quad_tol)
-        total += w * val
+        total += w * integrate_evaluator(f, fr)
     return total
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from mixedvol import bodies as B
 from mixedvol.errors import BadSpec, DegenerateInput, NumericalFailure
@@ -34,7 +35,7 @@ def test_euler_formula_random_hulls():
 def test_facet_planes_contain_cycles():
     p = B.random_hull(15, 3)
     for f in p.facets:
-        pts = p.vertices[list(f.cycle)]
+        pts = p.vertices[f.vertex_ids]
         assert np.abs(pts @ f.normal - f.offset).max() < 1e-9 * p.scale
 
 
@@ -44,6 +45,145 @@ def test_coplanar_facets_merged():
                            for z in (0, 3)], dtype=float))
     assert len(box.facets) == 6
     assert abs(box.volume - 6.0) < 1e-12
+
+
+def _grid(nx, ny, nz):
+    return np.array([[x, y, z] for x in range(nx) for y in range(ny)
+                     for z in range(nz)], dtype=float)
+
+
+def _check_hull(p, pts):
+    """Combinatorial and metric invariants of a full-dimensional hull."""
+    ref = ConvexHull(pts)
+    assert len(p.vertices) - len(p.edges) + len(p.facets) == 2
+    assert rel_err(sum(f.area for f in p.facets), ref.area) < 1e-12
+    assert rel_err(p.volume, ref.volume) < 1e-12
+    tol = 1e-9 * p.scale
+    for f in p.facets:
+        assert len(f.vertex_ids) >= 3
+        assert np.abs(p.vertices[f.vertex_ids] @ f.normal - f.offset).max() < tol
+    for e in p.edges:
+        for fi in e.facets:
+            f = p.facets[fi]
+            assert np.abs(p.vertices[list(e.vertices)] @ f.normal
+                          - f.offset).max() < tol
+    ends = np.array([e.vertices for e in p.edges]).ravel()
+    assert np.bincount(ends, minlength=len(p.vertices)).min() >= 3
+
+
+HULL_INPUTS = {
+    "grid-3x3x3": lambda: _grid(3, 3, 3),
+    "grid-4x2x3": lambda: _grid(4, 2, 3),
+    "cube+sheared-cube": lambda: B.sum_vertices(
+        [B.cube(), B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 0.3)]),
+    **{f"ball@{k}": (lambda k=k: B.approximate_ball(k).vertices) for k in range(4)},
+    "deep-truncation": lambda: B.truncate_vertex(
+        B.cube(), 0, 0.9, vertex_only=False).vertices,
+}
+
+
+@pytest.mark.parametrize("name", list(HULL_INPUTS))
+def test_hull_invariants(name):
+    pts = HULL_INPUTS[name]()
+    _check_hull(B.hull(pts), pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 60), st.integers(0, 10**6))
+def test_hull_invariants_gaussian(count, seed):
+    pts = np.random.default_rng(seed).standard_normal((count, 3))
+    _check_hull(B.hull(pts), pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["grid-3x3x3", "grid-4x2x3"]), st.floats(-17, -12),
+       st.integers(0, 10**6))
+def test_near_coplanar_hull_fails_or_holds(name, log_size, seed):
+    # grid points moved by at most 1e-12 * scale: facets that are coplanar up
+    # to rounding either merge into a valid polytope or the hull refuses
+    pts = HULL_INPUTS[name]()
+    size = 10.0 ** log_size * np.abs(pts).max()
+    pts = pts + np.random.default_rng(seed).uniform(-size, size, pts.shape)
+    try:
+        p = B.hull(pts)
+    except NumericalFailure:
+        return
+    _check_hull(p, pts)
+
+
+def _reference_combinatorics(pts):
+    """Facets and edges by the per-triangle loops the vectorized hull
+    replaced: BFS over coplanar neighbours, a vertex-set intersection per
+    adjacent facet pair, and the collinear extreme pair of that set."""
+    qh = ConvexHull(pts)
+    tri, eqs, nb = qh.simplices, qh.equations, qh.neighbors
+    facet_of = np.full(len(tri), -1)
+    groups = []
+    for t0 in range(len(tri)):
+        if facet_of[t0] >= 0:
+            continue
+        facet_of[t0] = len(groups)
+        stack, members = [t0], [t0]
+        while stack:
+            for t in nb[stack.pop()]:
+                if (facet_of[t] < 0
+                        and np.linalg.norm(eqs[t, :3] - eqs[t0, :3]) <= B.MERGE_TOL):
+                    facet_of[t] = len(groups)
+                    stack.append(t)
+                    members.append(t)
+        groups.append(members)
+    old2new = {int(o): i for i, o in enumerate(qh.vertices)}
+    verts = pts[qh.vertices]
+    vsets = [{old2new[int(v)] for m in g for v in tri[m]} for g in groups]
+    normals = [B.unit(np.mean(eqs[g, :3], axis=0)) for g in groups]
+    offsets = [np.mean(verts[sorted(vs)] @ n) for vs, n in zip(vsets, normals)]
+    edges, seen = [], set()
+    for s in range(len(tri)):
+        for t in nb[s]:
+            key = tuple(sorted((facet_of[s], facet_of[t])))
+            if key[0] == key[1] or key in seen:
+                continue
+            seen.add(key)
+            shared = sorted(vsets[key[0]] & vsets[key[1]])
+            proj = verts[shared] @ (verts[shared[-1]] - verts[shared[0]])
+            ends = {shared[int(np.argmin(proj))], shared[int(np.argmax(proj))]}
+            a, b = sorted(ends)
+            edges.append((key, ends, np.linalg.norm(verts[a] - verts[b])))
+    return vsets, normals, offsets, edges
+
+
+def _sphere_points(n):
+    x = np.random.default_rng(0).standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+PARITY_INPUTS = {
+    **{name: make for name, make in HULL_INPUTS.items() if name != "ball@3"},
+    **{f"rand10s{s}": (lambda s=s: B.random_hull(10, s).vertices) for s in range(10)},
+    "sphere300": lambda: _sphere_points(300),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_INPUTS))
+def test_hull_matches_reference_loops(name):
+    # same facets and edges in the same order, the same normals and lengths;
+    # offsets are summed in another order, so they agree to rounding only
+    pts = PARITY_INPUTS[name]()
+    p = B.hull(pts)
+    vsets, normals, offsets, edges = _reference_combinatorics(pts)
+    assert [f.vertex_ids.tolist() for f in p.facets] == [sorted(v) for v in vsets]
+    assert np.array_equal([f.normal for f in p.facets], normals)
+    assert np.abs(np.array([f.offset for f in p.facets]) - offsets).max() < 1e-14 * p.scale
+    assert [(e.facets, set(e.vertices), e.length) for e in p.edges] == edges
+
+
+def test_vertex_inside_an_edge_fails_euler_check(unit_cube):
+    # an edge midpoint pushed out by 1e-11 is a hull vertex, but its
+    # triangles merge into the two cube faces: the ridge chain along the edge
+    # has two ends, and the midpoint is left in no edge
+    pts = np.vstack([unit_cube.vertices, [[1 + 1e-11, 1 + 1e-11, 0.5]]])
+    with pytest.raises(NumericalFailure, match="Euler"):
+        B.hull(pts)
 
 
 def test_support_function_cube(unit_cube):

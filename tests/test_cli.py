@@ -136,6 +136,13 @@ def test_spectrum_reports_eigen_residual(capsys):
     assert 0 <= values["eigen_residual_max"] < 1e-8
 
 
+def test_lower_spectrum_reports_eigen_residual(capsys):
+    code, out, _ = run(capsys, ["lower-spectrum", "--M", "square"])
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert 0 <= values["eigen_residual_max"] < 1e-8
+
+
 @pytest.mark.parametrize("kmax", ["0", "-1"])
 def test_spectrum_kmax_below_1_gives_exit_2(capsys, kmax):
     code, out, err = run(capsys, ["spectrum", "--M", "cube", "--kmax", kmax])

@@ -176,6 +176,35 @@ def test_kernel_analysis_cube(unit_cube):
     assert rep.principal_angle_residual < 1e-3
 
 
+# (body, mesh size) for the principal-angle oracle
+ANGLE_CASES = {
+    "cube": (B.cube, np.pi / 60),
+    "simplex": (B.simplex, np.pi / 60),
+    "ball@1": (lambda: B.approximate_ball(1), 0.05),
+    "random-hull": (lambda: B.random_hull(10, 77), np.pi / 60),
+}
+
+
+@pytest.mark.parametrize("name", list(ANGLE_CASES))
+def test_kernel_principal_angle_matches_subspace_angles(name):
+    make, h = ANGLE_CASES[name]
+    form = G.assemble(G.build_graph(make()), h)
+    spec = G.spectrum(form, 8)
+    tau = 10 * h * h
+    rep = G.kernel_analysis(spec, tau)
+    # principal angles in the mass inner product: with M = L L^T they are
+    # the Euclidean angles between the images under L^T
+    lt = np.linalg.cholesky(form.mass.toarray()).T
+    window = spec.vectors[:, np.abs(spec.eigenvalues) < tau]
+    angles = scipy.linalg.subspace_angles(lt @ form.coordinate_functions(),
+                                          lt @ window)
+    expected = float(np.sin(angles.max()))
+    assert (abs(rep.principal_angle_residual - expected)
+            <= max(1e-6 * expected, 1e-13))
+    if name == "cube":
+        assert rep.principal_angle_residual < 1e-12
+
+
 def test_discrete_form_hyperbolic(unit_cube, std_simplex):
     # exactly one positive eigenvalue for the assembled form
     for m in (unit_cube, std_simplex, B.random_hull(10, 77)):

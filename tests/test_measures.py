@@ -149,3 +149,62 @@ def test_merge_atoms():
     assert len(merged) == 2
     masses = sorted(m for _, m in merged)
     assert masses == pytest.approx([3.0, 3.0])
+
+
+def _merge_atoms_reference(raw):
+    """The double loop merge_atoms must reproduce: each atom joins the first
+    earlier representative within ATOM_MERGE_ANGLE or becomes one."""
+    dirs, masses = [], []
+    for u, m in raw:
+        for i, d in enumerate(dirs):
+            if np.linalg.norm(u - d) <= MS.ATOM_MERGE_ANGLE:
+                masses[i] += m
+                break
+        else:
+            dirs.append(np.asarray(u, dtype=float))
+            masses.append(m)
+    return list(zip(dirs, masses))
+
+
+def _raw_mixed_atoms(l, m):
+    """The unmerged atoms of S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)]."""
+    return ([(u, 0.5 * a) for u, a in MS._surface_atoms_any(B.minkowski_sum(l, m))]
+            + [(u, -0.5 * a) for u, a in MS._surface_atoms_any(l)]
+            + [(u, -0.5 * a) for u, a in MS._surface_atoms_any(m)])
+
+
+def _chain_atoms():
+    # a ~ b and b ~ c but not a ~ c: a claims b, and c starts its own atom
+    a = np.array([0.0, 0.0, 1.0])
+    step = np.array([0.6e-9, 0.0, 0.0])
+    return [(a, 1.0), (a + step, 2.0), (a + 2 * step, 4.0)]
+
+
+def _jittered_atoms():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((40, 3))
+    dirs = base[rng.integers(0, 40, 400)]
+    dirs = dirs + rng.uniform(-1e-9, 1e-9, dirs.shape)
+    return [(u, float(m)) for u, m in zip(dirs, rng.standard_normal(400))]
+
+
+MERGE_CASES = {
+    "chain": _chain_atoms,
+    "jittered": _jittered_atoms,
+    "rand20-ball1": lambda: _raw_mixed_atoms(B.random_hull(20, 3), B.approximate_ball(1)),
+    "trunc-shear": lambda: _raw_mixed_atoms(
+        B.truncate_vertex(B.cube(), 0, 0.3),
+        B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 0.3)),
+    "empty": lambda: [],
+}
+
+
+@pytest.mark.parametrize("name", list(MERGE_CASES))
+def test_merge_atoms_matches_reference_loop(name):
+    raw = MERGE_CASES[name]()
+    got, ref = MS.merge_atoms(raw), _merge_atoms_reference(raw)
+    assert len(got) == len(ref)
+    for (u, m), (v, n) in zip(got, ref):
+        assert np.array_equal(u, v) and m == n
+    if name == "chain":
+        assert [m for _, m in got] == [3.0, 4.0]
