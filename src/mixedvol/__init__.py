@@ -3,7 +3,7 @@ graphs, and executable equality/stability/rigidity checks for the Minkowski
 quadratic inequality, including the lower-dimensional (hyperplane) pipeline.
 """
 
-from .bodies import (Ball, Body, Edge, Facet, Polytope, SupportEvaluator,
+from .bodies import (Ball, Body, Edges, Facets, Polytope, SupportEvaluator,
                      TrivialityReport, affine_dim, approximate_ball,
                      as_unit_vector, classify_trivial, cube, enclosing_radii,
                      hull, minkowski_sum, random_hull, segment, shear,
@@ -16,7 +16,7 @@ from .extremal import (EqualityCertificate, RigidityReport, StabilityReport,
                        StabilityWitness, certify_equality_fulldim,
                        rigidity_check, stability_witness,
                        weak_stability_check)
-from .graph import (DiscretizedForm, GraphEdge, KernelReport, MetricGraph,
+from .graph import (DiscretizedForm, KernelReport, MetricGraph,
                     PoincareReport, SpectrumResult, StructuralReport,
                     assemble, build_graph, edge_poincare_check, form_value,
                     integrate_on_arcs, kernel_analysis, sbm_and_mu, spectrum,

@@ -7,7 +7,7 @@ are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -44,34 +44,65 @@ def as_unit_vector(u) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Facet:
-    normal: np.ndarray      # outward unit normal
-    offset: float           # support value h(normal)
-    vertex_ids: np.ndarray  # indices into Polytope.vertices, ascending
-    area: float
+class Facets:
+    """A polytope's facets, one row each."""
+    normals: np.ndarray     # (F, 3) outward unit normals
+    offsets: np.ndarray     # (F,) support values h(normal)
+    areas: np.ndarray       # (F,)
+    incidence: np.ndarray   # (I, 2) sorted (facet, vertex) pairs
+
+    def __len__(self) -> int:
+        return len(self.offsets)
 
 
 @dataclass(frozen=True)
-class Edge:
-    facets: tuple[int, int]     # indices into Polytope.facets, ascending
-    vertices: tuple[int, int]   # indices into Polytope.vertices
-    length: float
+class Edges:
+    """A polytope's edges, one row each."""
+    facets: np.ndarray      # (E, 2) indices into the facets, ascending
+    vertices: np.ndarray    # (E, 2) indices into Polytope.vertices
+    lengths: np.ndarray     # (E,)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+
+NO_FACETS = Facets(np.zeros((0, 3)), np.zeros(0), np.zeros(0),
+                   np.zeros((0, 2), dtype=np.intp))
+NO_EDGES = Edges(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2), dtype=np.intp),
+                 np.zeros(0))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of a with b (one vector, or one row each).
+
+    The stacked matrix product rounds each row's dot product the way the dot
+    product of two vectors does, and the summed-row forms (a @ b, einsum,
+    (a * b).sum(1)) do not. That last bit matters: an arc between two facet
+    normals can end on a breakpoint of a support function, and there rounding
+    decides whether the breakpoint falls inside the arc."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x, each equal to np.linalg.norm(row)."""
+    return np.sqrt(_row_dots(x, x))
 
 
 class Polytope:
     """Convex polytope given by its extreme points.
 
     Full-dimensional polytopes carry facet and edge combinatorics; polytopes
-    of affine dimension < 3 carry only their extreme points (facets/edges
-    empty) and still support h_K evaluation and Minkowski arithmetic.
+    of affine dimension < 3 carry only their extreme points (facet and edge
+    tables with zero rows) and still support h_K evaluation and Minkowski
+    arithmetic.
     """
 
-    def __init__(self, vertices: np.ndarray, facets: Sequence[Facet],
-                 edges: Sequence[Edge], dim: int, name: str = ""):
+    def __init__(self, vertices: np.ndarray, facets: Facets, edges: Edges,
+                 dim: int, name: str = ""):
         self.vertices = np.asarray(vertices, dtype=float)
         self.vertices.setflags(write=False)
-        self.facets = tuple(facets)
-        self.edges = tuple(edges)
+        self.facets = facets
+        self.edges = edges
         self.dim = int(dim)
         self.name = name
 
@@ -97,8 +128,8 @@ class Polytope:
     def volume(self) -> float:
         if self.dim < 3:
             return 0.0
-        # divergence theorem: (1/3) sum_F h_F * area_F
-        return sum(f.offset * f.area for f in self.facets) / 3.0
+        # divergence theorem: (1/3) sum_F h_F * area_F, summed in facet order
+        return sum((self.facets.offsets * self.facets.areas).tolist()) / 3.0
 
     def support(self, u) -> Union[float, np.ndarray]:
         """h_K(u) = max over vertices of <v, u>; u may be (..., 3)."""
@@ -106,9 +137,6 @@ class Polytope:
         vals = u @ self.vertices.T
         out = vals.max(axis=-1)
         return float(out) if out.ndim == 0 else out
-
-    def support_argmax(self, u) -> int:
-        return int(np.argmax(self.vertices @ np.asarray(u, dtype=float)))
 
     def face(self, u) -> "Polytope":
         """F(K, u): the sub-polytope of maximizers of <., u>."""
@@ -123,16 +151,16 @@ class Polytope:
 
     def translate(self, v) -> "Polytope":
         v = np.asarray(v, dtype=float)
-        facets = [Facet(f.normal, f.offset + float(f.normal @ v), f.vertex_ids, f.area)
-                  for f in self.facets]
+        f = self.facets
+        facets = replace(f, offsets=f.offsets + _row_dots(f.normals, v))
         return Polytope(self.vertices + v, facets, self.edges, self.dim, self.name)
 
     def scaled(self, c: float) -> "Polytope":
         if c <= 0:
             raise BadSpec("scaling factor must be positive")
-        facets = [Facet(f.normal, c * f.offset, f.vertex_ids, c * c * f.area)
-                  for f in self.facets]
-        edges = [Edge(e.facets, e.vertices, c * e.length) for e in self.edges]
+        f, e = self.facets, self.edges
+        facets = replace(f, offsets=c * f.offsets, areas=c * c * f.areas)
+        edges = replace(e, lengths=c * e.lengths)
         return Polytope(c * self.vertices, facets, edges, self.dim, self.name)
 
     def centered(self) -> "Polytope":
@@ -257,7 +285,7 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
 def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
     c = pts.mean(axis=0)
     if dim == 0:
-        return Polytope(pts[:1].copy(), [], [], 0, name)
+        return Polytope(pts[:1].copy(), NO_FACETS, NO_EDGES, 0, name)
     centered = pts - c
     # orthonormal basis of the affine span
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -268,23 +296,13 @@ def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
         verts = pts[idx]
         if np.linalg.norm(verts[0] - verts[1]) < 1e-14:
             verts = verts[:1]
-        return Polytope(verts, [], [], 1 if len(verts) == 2 else 0, name)
+        return Polytope(verts, NO_FACETS, NO_EDGES, 1 if len(verts) == 2 else 0,
+                        name)
     try:
         qh = ConvexHull(coords)
     except QhullError as exc:  # pragma: no cover - guarded by affine_dim
         raise DegenerateInput(str(exc)) from exc
-    return Polytope(pts[qh.vertices], [], [], 2, name)
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of x, each equal to np.linalg.norm(row).
-
-    The stacked matrix product forms each row's dot product the way the norm
-    of one vector does, so a facet's normal is exactly unit(mean of its
-    triangles' normals). That last bit matters: an arc between two facet normals can end
-    on a breakpoint of a support function, and there rounding decides whether
-    the breakpoint falls inside the arc."""
-    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return Polytope(pts[qh.vertices], NO_FACETS, NO_EDGES, 2, name)
 
 
 def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
@@ -316,11 +334,9 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
     areas = np.bincount(facet_of, tri_areas, nf)
     fv = np.unique(facet_of[:, None] * nv + tri)    # (facet, vertex), sorted
     fid, vid = np.divmod(fv, nv)
-    per_facet = np.bincount(fid, minlength=nf)
-    offsets = np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]),
-                          nf) / per_facet
-    facets = [Facet(n, float(o), ids, float(ar)) for n, o, ids, ar in
-              zip(normals, offsets, np.split(vid, np.cumsum(per_facet)[:-1]), areas)]
+    offsets = (np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]), nf)
+               / np.bincount(fid, minlength=nf))
+    facets = Facets(normals, offsets, areas, np.stack([fid, vid], axis=1))
 
     # edges: facet pairs joined by a ridge, in order of first appearance
     fs, ft = facet_of[s], facet_of[t]
@@ -341,14 +357,13 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
                           np.full(len(keys), 2)):
         raise NumericalFailure("facet merge produced a dangling ridge")
     tips = (tips % nv).reshape(-1, 2)
-    lengths = _row_norms(verts[tips[:, 0]] - verts[tips[:, 1]])
-    edges = [Edge(divmod(int(key), nf), (int(i), int(j)), float(ln))
-             for key, (i, j), ln in zip(keys[order], tips, lengths)]
+    edges = Edges(np.stack(np.divmod(keys[order], nf), axis=1), tips,
+                  _row_norms(verts[tips[:, 0]] - verts[tips[:, 1]]))
 
-    if len(verts) - len(edges) + len(facets) != 2:
+    if nv - len(edges) + nf != 2:
         raise NumericalFailure(
             "Euler check failed after facet merging: "
-            f"V={len(verts)} E={len(edges)} F={len(facets)}")
+            f"V={nv} E={len(edges)} F={nf}")
     return Polytope(verts, facets, edges, 3, name)
 
 
@@ -421,7 +436,7 @@ def enclosing_radii(m: Polytope) -> tuple[float, float]:
     if m.dim < 3:
         raise DegenerateInput("enclosing_radii requires a full-dimensional polytope")
     c = m.centroid
-    r = min(f.offset - float(f.normal @ c) for f in m.facets)
+    r = (m.facets.offsets - _row_dots(m.facets.normals, c)).min()
     big_r = float(np.linalg.norm(m.vertices - c, axis=1).max())
     if r <= 0:
         raise NumericalFailure("vertex centroid is not interior")
@@ -457,15 +472,13 @@ def truncate_vertex(p: Polytope, vertex_id: int, depth: float,
         raise BadSpec("truncation depth must be positive")
     if not 0 <= vertex_id < len(p.vertices):
         raise BadSpec(f"vertex id {vertex_id} out of range")
-    v0 = p.vertices[vertex_id]
-    incident = [e for e in p.edges if vertex_id in e.vertices]
-    if not incident:
+    ends = p.edges.vertices
+    at = ends == vertex_id
+    if not at.any():
         raise NumericalFailure("vertex has no incident edges")
-    dirs = []
-    for e in incident:
-        other = e.vertices[0] if e.vertices[1] == vertex_id else e.vertices[1]
-        dirs.append(unit(v0 - p.vertices[other]))
-    u = unit(np.sum(dirs, axis=0))
+    # the other end of each incident edge, in edge order
+    dirs = p.vertices[vertex_id] - p.vertices[ends[at[:, ::-1]]]
+    u = unit((dirs / _row_norms(dirs)[:, None]).sum(axis=0))
     c = float(p.support(u)) - depth
     tol = FACE_TOL * max(p.scale, 1.0)
     vals = p.vertices @ u
@@ -475,14 +488,11 @@ def truncate_vertex(p: Polytope, vertex_id: int, depth: float,
     if vertex_only and set(removed.tolist()) != {vertex_id}:
         raise BadSpec("truncation depth deletes a neighboring vertex")
     kept = p.vertices[vals <= c + tol]
-    cuts = []
-    for e in p.edges:
-        a, b = e.vertices
-        va, vb = vals[a], vals[b]
-        if (va > c + tol) != (vb > c + tol):
-            t = (c - va) / (vb - va)
-            cuts.append(p.vertices[a] + t * (p.vertices[b] - p.vertices[a]))
-    pts = np.vstack([kept] + ([np.array(cuts)] if cuts else []))
+    # the crossing point of each edge with one end on each side of the cut
+    a, b = ends[(vals[ends] > c + tol).sum(axis=1) == 1].T
+    t = (c - vals[a]) / (vals[b] - vals[a])
+    cuts = p.vertices[a] + t[:, None] * (p.vertices[b] - p.vertices[a])
+    pts = np.vstack([kept, cuts])
     return hull(pts, name=f"{p.name}-trunc{depth:g}")
 
 

@@ -22,7 +22,7 @@ from . import lowerdim as LD
 from . import measures as MS
 from .bodies import Polytope, SupportEvaluator
 from .errors import MixedVolError
-from .graph import (GraphEdge, MetricGraph, assemble, build_graph,
+from .graph import (MetricGraph, assemble, build_graph,
                     form_value, kernel_analysis, sbm_and_mu, spectrum,
                     structural_checks)
 from . import quadrature as quad
@@ -134,22 +134,22 @@ def graph_to_json(g: MetricGraph) -> dict:
     return {
         "normals": g.normals.tolist(),
         "areas": g.areas.tolist(),
-        "edges": [{"facets": [int(i) for i in e.facets],
-                   "length": float(e.length), "weight": float(e.weight)}
-                  for e in g.edges],
+        "edges": [{"facets": ij, "length": l, "weight": w}
+                  for ij, l, w in zip(g.edges.tolist(), g.lengths.tolist(),
+                                      g.weights.tolist())],
     }
 
 
 def graph_from_json(doc: dict) -> MetricGraph:
     normals = np.asarray(doc["normals"], dtype=float)
-    areas = np.asarray(doc["areas"], dtype=float)
-    edges = []
-    for e in doc["edges"]:
-        i, j = e["facets"]
-        frame = quad.arc_between(normals[i], normals[j])
-        edges.append(GraphEdge((i, j), float(e["length"]), float(e["weight"]),
-                               frame))
-    return MetricGraph(normals, areas, tuple(edges), None)
+    edges = np.array([e["facets"] for e in doc["edges"]], dtype=np.intp).reshape(-1, 2)
+    starts = normals[edges[:, 0]]
+    tangents, _ = quad.arcs_between(starts, normals[edges[:, 1]])
+    return MetricGraph(
+        normals, np.asarray(doc["areas"], dtype=float), edges,
+        np.array([e["length"] for e in doc["edges"]], dtype=float),
+        np.array([e["weight"] for e in doc["edges"]], dtype=float),
+        starts, tangents)
 
 
 def graph_to_dot(g: MetricGraph) -> str:
@@ -157,10 +157,9 @@ def graph_to_dot(g: MetricGraph) -> str:
     for i, n in enumerate(g.normals):
         label = "({:.6f}, {:.6f}, {:.6f})".format(*n)
         lines.append(f'  v{i} [label="{label}"];')
-    for e in g.edges:
-        i, j = e.facets
-        lines.append(f'  v{i} -- v{j} [label="l={e.length:.6g}, '
-                     f'w={e.weight:.6g}"];')
+    for (i, j), l, w in zip(g.edges.tolist(), g.lengths.tolist(),
+                            g.weights.tolist()):
+        lines.append(f'  v{i} -- v{j} [label="l={l:.6g}, w={w:.6g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

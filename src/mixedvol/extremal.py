@@ -52,8 +52,8 @@ def stability_witness(k: Body, l: Body, m: Polytope) -> StabilityWitness:
     if v_lmm <= 0 or l_is_point:
         raise ZeroDenominator("V(L, M, M) must be positive")
     a = mv3(k, m, m) / v_lmm
-    normals = np.array([f.normal for f in mc.facets])
-    weights = np.array([f.area / f.offset for f in mc.facets])
+    normals = mc.facets.normals
+    weights = mc.facets.areas / mc.facets.offsets
     g_mat = (normals.T * weights) @ normals
     eigs = np.linalg.eigvalsh(g_mat)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-30):
@@ -141,7 +141,7 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator) -> np.ndarray:
 
 def sup_on_sbm(g: MetricGraph, f: SupportEvaluator) -> float:
     """Sup of |f| over quadrature nodes of the arcs of supp S_{B,M}."""
-    return quad.sup_on_arcs(f, [e.frame for e in g.edges])
+    return quad.sup_on_arcs(f, g.frames)
 
 
 def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertificate:

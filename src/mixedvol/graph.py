@@ -13,7 +13,8 @@ are sparse, and only the top of the spectrum is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from functools import cached_property
+from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse
@@ -29,42 +30,41 @@ N_DIM = 3  # ambient dimension; prefactors 1/(n(n-1)) = 1/6 and 1/(n-1) = 1/2
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    facets: tuple[int, int]    # ascending facet indices
-    length: float              # arccos <n_F, n_F'>
-    weight: float              # ridge length H^1(F cap F')
-    frame: quad.ArcFrame       # oriented from facets[0] to facets[1]
-
-
-@dataclass(frozen=True)
 class MetricGraph:
-    normals: np.ndarray                  # (nf, 3) facet normals
-    areas: np.ndarray                    # (nf,) facet areas
-    edges: tuple[GraphEdge, ...]
-    polytope: Polytope
+    """Vertices are facet normals; edge e is the arc from starts[e] =
+    normals[edges[e, 0]] along tangents[e] to normals[edges[e, 1]]."""
+    normals: np.ndarray     # (F, 3) facet normals
+    areas: np.ndarray       # (F,) facet areas
+    edges: np.ndarray       # (E, 2) ascending facet pairs
+    lengths: np.ndarray     # (E,) arccos <n_F, n_F'>
+    weights: np.ndarray     # (E,) ridge lengths H^1(F cap F')
+    starts: np.ndarray      # (E, 3)
+    tangents: np.ndarray    # (E, 3) unit tangents at the starts
+
+    @cached_property
+    def frames(self) -> tuple[quad.ArcFrame, ...]:
+        """The edges as arcs, built once per graph."""
+        return tuple(map(quad.ArcFrame, self.starts, self.tangents,
+                         self.lengths.tolist()))
 
     def vertex_balance_residuals(self) -> np.ndarray:
         """|sum of w_e times the outgoing unit tangent| at each vertex."""
-        ends = np.array([e.facets for e in self.edges], dtype=np.intp)
-        w = np.array([e.weight for e in self.edges])[:, None]
-        start = np.array([e.frame.start for e in self.edges])
-        tangent = np.array([e.frame.tangent for e in self.edges])
-        l = np.array([e.length for e in self.edges])[:, None]
-        # tangent at the far end, pointing back toward facets[0]
-        back = -(-np.sin(l) * start + np.cos(l) * tangent)
+        w, l = self.weights[:, None], self.lengths[:, None]
+        # tangent at the far end, pointing back toward edges[:, 0]
+        back = -(-np.sin(l) * self.starts + np.cos(l) * self.tangents)
         # interleaved in edge order, so each vertex sums its edges in order
         s = np.zeros((len(self.normals), 3))
-        np.add.at(s, ends.ravel(),
-                  np.stack([w * tangent, w * back], axis=1).reshape(-1, 3))
+        np.add.at(s, self.edges.ravel(),
+                  np.stack([w * self.tangents, w * back], axis=1).reshape(-1, 3))
         return np.linalg.norm(s, axis=1)
 
     def total_weight(self) -> float:
-        return sum(e.weight for e in self.edges)
+        return sum(self.weights.tolist())
 
     @property
     def sbm_arcs(self) -> list[tuple[quad.ArcFrame, float]]:
         """The arcs of S_{B,M}: each edge with weight w/2."""
-        return [(e.frame, e.weight / 2.0) for e in self.edges]
+        return list(zip(self.frames, (self.weights / 2.0).tolist()))
 
 
 def build_graph(m: Polytope) -> MetricGraph:
@@ -73,27 +73,21 @@ def build_graph(m: Polytope) -> MetricGraph:
         raise DegenerateInput(
             "metric graph requires a full-dimensional polytope "
             "(use the lower-dimensional pipeline)")
-    normals = np.array([f.normal for f in m.facets])
-    areas = np.array([f.area for f in m.facets])
-    edges = []
-    for e in m.edges:
-        i, j = e.facets
-        frame = quad.arc_between(normals[i], normals[j])
-        edges.append(GraphEdge((i, j), frame.length, e.length, frame))
-    return MetricGraph(normals, areas, tuple(edges), m)
+    normals, edges = m.facets.normals, m.edges.facets
+    starts = normals[edges[:, 0]]
+    tangents, lengths = quad.arcs_between(starts, normals[edges[:, 1]])
+    return MetricGraph(normals, m.facets.areas, edges, lengths, m.edges.lengths,
+                       starts, tangents)
 
 
 def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
     """Realize S_{B,M} (arcs with weight w/2) and mu_M (vertex atoms,
     mu_M({n_F}) = (1/2) sum_{F'~F} w * l for n = 3)."""
+    # both ends of each edge, in edge order
     mu_mass = np.zeros(len(g.normals))
-    for e in g.edges:
-        i, j = e.facets
-        mu_mass[i] += e.weight * e.length / 2.0
-        mu_mass[j] += e.weight * e.length / 2.0
+    np.add.at(mu_mass, g.edges.ravel(), np.repeat(g.weights * g.lengths / 2.0, 2))
     sbm = SphericalMeasure(arcs=g.sbm_arcs)
-    mu = SphericalMeasure(atoms=[(g.normals[i], float(mu_mass[i]))
-                                 for i in range(len(g.normals))])
+    mu = SphericalMeasure(atoms=list(zip(g.normals, mu_mass.tolist())))
     return sbm, mu
 
 
@@ -107,9 +101,9 @@ def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> flo
 
     Equals V(K, L, M) when f = h_K, g = h_L (M the graph's polytope)."""
     total = 0.0
-    for e in g.edges:
-        ifg, idfdg = quad.integrate_pair(f, gg, e.frame)
-        total += e.weight * (ifg - idfdg)
+    for frame, w in zip(g.frames, g.weights.tolist()):
+        ifg, idfdg = quad.integrate_pair(f, gg, frame)
+        total += w * (ifg - idfdg)
     return total / 6.0
 
 
@@ -131,7 +125,6 @@ class DiscretizedForm:
     mass: CSRMatrix            # L^2(S_{B,M}) inner product, SPD
     node_points: np.ndarray    # (N, 3) sphere position of each DOF
     edge_dofs: list[np.ndarray]  # DOF chains per edge (vertex DOFs shared)
-    graph: MetricGraph | None    # None for the lower-dimensional assembly
     h: float
 
     @property
@@ -147,25 +140,21 @@ class DiscretizedForm:
         return self.node_points.copy()
 
 
-# (i, j, length, weight, frame): an edge from vertex i to vertex j
-EdgeSpec = tuple[int, int, float, float, quad.ArcFrame]
-
-
-def assemble_edges(vertex_points: np.ndarray, edges: Sequence[EdgeSpec],
-                   h: float, graph: MetricGraph | None = None) -> DiscretizedForm:
+def assemble_edges(vertex_points: np.ndarray, edges: np.ndarray,
+                   lengths: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+                   tangents: np.ndarray, h: float) -> DiscretizedForm:
     """Hat-function Galerkin matrices of a weighted metric graph, with exact
     per-element integrals.
 
-    Edge (i, j, l, w, frame) runs from vertex i to vertex j along ``frame``
-    and is split into ceil(l/h) uniform elements (at least 2). DOFs
-    0..nv-1 are the vertices, shared by their edges, so continuity holds by
-    construction and the Kirchhoff vertex conditions are natural; the
-    interior DOFs follow edge by edge."""
+    Edge e runs from vertex edges[e, 0] to vertex edges[e, 1] along the arc
+    t -> starts[e] cos t + tangents[e] sin t, t in [0, lengths[e]], with
+    weight weights[e], and is split into ceil(l/h) uniform elements (at
+    least 2). DOFs 0..nv-1 are the vertices, shared by their edges, so
+    continuity holds by construction and the Kirchhoff vertex conditions are
+    natural; the interior DOFs follow edge by edge."""
     if h <= 0:
         raise BadMesh("mesh size must be positive")
-    heads, tails, lengths, weights, frames = zip(*edges)
-    heads, tails = np.array(heads, dtype=np.intp), np.array(tails, dtype=np.intp)
-    lengths, weights = np.array(lengths, dtype=float), np.array(weights, dtype=float)
+    heads, tails = edges.T
     counts = np.ceil(lengths / h).astype(np.intp)
     if (counts < 2).any():
         bad = int(np.argmax(counts < 2))
@@ -184,7 +173,7 @@ def assemble_edges(vertex_points: np.ndarray, edges: Sequence[EdgeSpec],
 
     # elements: element k of edge e joins chain[k] and chain[k + 1], where
     # chain = (i, first, first + 1, ..., first + counts - 2, j)
-    el_edge = np.repeat(np.arange(len(edges)), counts)
+    el_edge = np.repeat(np.arange(len(lengths)), counts)
     k = np.arange(len(el_edge)) - np.repeat(np.cumsum(counts) - counts, counts)
     left = np.where(k == 0, heads[el_edge], first[el_edge] + k - 1)
     right = np.where(k == counts[el_edge] - 1, tails[el_edge], first[el_edge] + k)
@@ -207,25 +196,22 @@ def assemble_edges(vertex_points: np.ndarray, edges: Sequence[EdgeSpec],
         raise NumericalFailure("assembled matrices are not symmetric")
 
     # interior node n = 1..counts-1 of edge e sits at t = n * l / counts
-    node_edge = np.repeat(np.arange(len(edges)), n_int)
+    node_edge = np.repeat(np.arange(len(lengths)), n_int)
     t = ((np.arange(len(node_edge)) - np.repeat(first - nv, n_int) + 1)
          * edge_h[node_edge])
-    starts = np.array([fr.start for fr in frames])
-    tangents = np.array([fr.tangent for fr in frames])
     points = np.concatenate([
         np.asarray(vertex_points, dtype=float),
         np.cos(t)[:, None] * starts[node_edge]
         + np.sin(t)[:, None] * tangents[node_edge]])
     edge_dofs = [np.concatenate(([i], np.arange(f, f + n), [j]))
                  for i, j, f, n in zip(heads, tails, first, n_int)]
-    return DiscretizedForm(e_mat, mass, points, edge_dofs, graph, h)
+    return DiscretizedForm(e_mat, mass, points, edge_dofs, h)
 
 
 def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     """Galerkin matrices on the metric graph of a full-dimensional polytope."""
-    return assemble_edges(
-        g.normals, [(*e.facets, e.length, e.weight, e.frame) for e in g.edges],
-        h, g)
+    return assemble_edges(g.normals, g.edges, g.lengths, g.weights, g.starts,
+                          g.tangents, h)
 
 
 @dataclass
@@ -310,22 +296,16 @@ class StructuralReport:
 def structural_checks(g: MetricGraph, r: float, big_r: float,
                       tol: float = 1e-9) -> StructuralReport:
     """tan(l/2) <= R/r on every edge; weighted tangent balance per vertex."""
-    violations = []
-    length_margins = []
-    for e in g.edges:
-        margin = big_r / r + tol - np.tan(e.length / 2.0)
-        length_margins.append(margin)
-        if margin < 0:
-            violations.append(f"edge {e.facets}: tan(l/2) exceeds R/r by {-margin:g}")
-    wsum = g.total_weight()
-    balance_margins = []
-    for f, res in enumerate(g.vertex_balance_residuals()):
-        margin = tol * wsum - res
-        balance_margins.append(margin)
-        if margin < 0:
-            violations.append(f"vertex {f}: balance residual {res:g}")
-    return StructuralReport(float(min(length_margins)),
-                            float(min(balance_margins)),
+    length_margins = big_r / r + tol - np.tan(g.lengths / 2.0)
+    residuals = g.vertex_balance_residuals()
+    balance_margins = tol * g.total_weight() - residuals
+    long = np.flatnonzero(length_margins < 0)
+    violations = [f"edge ({i}, {j}): tan(l/2) exceeds R/r by {-m:g}"
+                  for (i, j), m in zip(g.edges[long].tolist(), length_margins[long])]
+    violations += [f"vertex {f}: balance residual {residuals[f]:g}"
+                   for f in np.flatnonzero(balance_margins < 0)]
+    return StructuralReport(float(length_margins.min()),
+                            float(balance_margins.min()),
                             tuple(violations))
 
 

@@ -45,15 +45,12 @@ class LowerDimProblem:
     def multiplicity(self) -> int:
         return len(self.atoms)
 
-    def half_circle(self, j: int) -> quad.ArcFrame:
-        """The half great circle theta -> w cos(theta) + z_j sin(theta)."""
-        return quad.ArcFrame(self.w, self.atoms[j][0], np.pi)
-
     @property
     def sbm_arcs(self) -> list[tuple[quad.ArcFrame, float]]:
-        """The arcs of S_{B,M}: each half circle with weight mass_j / 2."""
-        return [(self.half_circle(j), 0.5 * mass)
-                for j, (_, mass) in enumerate(self.atoms)]
+        """The arcs of S_{B,M}: each half circle theta -> w cos(theta) +
+        z_j sin(theta) with weight mass_j / 2."""
+        return [(quad.ArcFrame(self.w, z, np.pi), 0.5 * mass)
+                for z, mass in self.atoms]
 
     def total_mass(self) -> float:
         return sum(mass for _, mass in self.atoms)
@@ -120,10 +117,11 @@ def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
     The bouquet is a metric graph with two vertices, the poles +-w (DOFs 0
     and 1, shared by every half circle), and one edge of length pi and
     weight mass_j per atom."""
+    m = p.multiplicity
     return assemble_edges(
-        np.array([p.w, -p.w]),
-        [(0, 1, np.pi, mass, p.half_circle(j))
-         for j, (_, mass) in enumerate(p.atoms)], h)
+        np.array([p.w, -p.w]), np.tile([0, 1], (m, 1)), np.full(m, np.pi),
+        np.array([mass for _, mass in p.atoms]), np.tile(p.w, (m, 1)),
+        np.array([z for z, _ in p.atoms]), h)
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,10 @@ def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
         raise InsufficientSpectrum(
             f"{form.size} DOFs cannot resolve {needed} requested eigenvalues; "
             "decrease the mesh size")
-    spec = spectrum(form, needed)
-    vals = spec.eigenvalues  # descending
+    # ARPACK can return a multiple eigenvalue at the end of the window with
+    # a copy missing, so the request covers the whole next cluster too
+    spec = spectrum(form, min(needed + p.multiplicity, form.size - 1))
+    vals = spec.eigenvalues[:needed]  # descending
     clusters = []
     worst = 0.0
     pos = 0
@@ -174,7 +174,7 @@ def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
         clusters.append(ClusterReport(k, lam, mult, tuple(float(v) for v in chunk)))
         worst = max(worst, float(np.abs(chunk - lam).max()))
     return LowerSpectrumReport(tuple(clusters), worst, tol,
-                               float(spec.residuals.max()))
+                               float(spec.residuals[:needed].max()))
 
 
 # ---------------------------------------------------------------------------

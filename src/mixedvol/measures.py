@@ -14,8 +14,8 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .bodies import (Ball, Body, Polytope, SupportEvaluator, affine_dim,
-                     minkowski_sum, sum_vertices, unit)
+from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
+                     _row_norms, affine_dim, minkowski_sum, sum_vertices, unit)
 from .errors import DegenerateInput
 from .graph import build_graph, sbm_and_mu
 from .quadrature import SphericalMeasure, integrate_against_measure
@@ -46,14 +46,9 @@ def merge_atoms(raw: Sequence[tuple[np.ndarray, float]]
 # Volumes and polarization
 # ---------------------------------------------------------------------------
 
-def _points_volume(pts: np.ndarray) -> float:
-    if affine_dim(pts) < 3:
-        return 0.0
-    return float(ConvexHull(pts).volume)
-
-
 def _sum_volume(bodies: Sequence[Polytope]) -> float:
-    return _points_volume(sum_vertices(bodies))
+    pts = sum_vertices(bodies)
+    return float(ConvexHull(pts).volume) if affine_dim(pts) == 3 else 0.0
 
 
 def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
@@ -73,14 +68,18 @@ def area_measure(p: Polytope) -> SphericalMeasure:
         raise DegenerateInput(
             "area_measure requires a full-dimensional polytope "
             "(use the lower-dimensional pipeline)")
-    return SphericalMeasure(atoms=[(f.normal, f.area) for f in p.facets])
+    return SphericalMeasure(atoms=_facet_atoms(p))
+
+
+def _facet_atoms(p: Polytope) -> list[tuple[np.ndarray, float]]:
+    return list(zip(p.facets.normals, p.facets.areas.tolist()))
 
 
 def _surface_atoms_any(p: Polytope) -> list[tuple[np.ndarray, float]]:
     """Surface area measure atoms, lower dimensions included (dim 2 gives the
     two-sided planar atoms; dim <= 1 is the zero measure)."""
     if p.dim == 3:
-        return [(f.normal, f.area) for f in p.facets]
+        return _facet_atoms(p)
     if p.dim == 2:
         v = p.vertices
         c = v.mean(axis=0)
@@ -171,47 +170,52 @@ def classical_functionals(k: Polytope) -> tuple[float, float, float]:
 # Independent oracle for V(B, B, M): normal-cone integration of h_M over S^2
 # ---------------------------------------------------------------------------
 
-def _vertex_cone_integral(p: Polytope, vid: int) -> np.ndarray:
-    """Exact int over the vertex's spherical normal-cone polygon of u dsigma."""
-    inc_facets = sorted({fi for e in p.edges if vid in e.vertices for fi in e.facets})
-    adj: dict[int, list[int]] = {fi: [] for fi in inc_facets}
-    for e in p.edges:
-        if vid in e.vertices:
-            a, b = e.facets
-            adj[a].append(b)
-            adj[b].append(a)
-    # walk the facet cycle around the vertex
-    start = inc_facets[0]
+def _facet_cycle(pairs: list[list[int]]) -> list[int]:
+    """The facets around a vertex in cyclic order, from the lowest, given
+    the facet pairs of the vertex's edges in edge order."""
+    adj: dict[int, list[int]] = {}
+    for a, b in pairs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    start = min(adj)
     cycle = [start]
     prev, cur = None, start
     while True:
         nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
         if nxt == start:
-            break
+            return cycle
         cycle.append(nxt)
         prev, cur = cur, nxt
-    normals = [p.facets[fi].normal for fi in cycle]
-    s = np.zeros(3)
-    for i in range(len(normals)):
-        a, b = normals[i], normals[(i + 1) % len(normals)]
-        theta = float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
-        axis = np.cross(a, b)
-        nrm = np.linalg.norm(axis)
-        if nrm > 1e-14:
-            s += theta * axis / nrm
-    s *= 0.5
-    mean_n = np.mean(normals, axis=0)
-    if s @ mean_n < 0:   # fix boundary orientation
-        s = -s
-    return s
 
 
 def vbbm_conewise(m: Polytope) -> float:
     """V(B, B, M) = (1/3) int h_M dsigma, by exact per-vertex normal-cone
-    integration of the sphere. Shares no code with the metric-graph route."""
+    integration of the sphere. Shares no code with the metric-graph route.
+
+    Over the spherical polygon of the facet normals around a vertex,
+    int u dsigma is half the sum over its sides (a, b) of angle(a, b) times
+    the side plane's unit normal, oriented toward the polygon."""
     if m.dim < 3:
         raise DegenerateInput("normal-cone oracle requires a full-dimensional polytope")
-    total = 0.0
-    for vid in range(len(m.vertices)):
-        total += float(m.vertices[vid] @ _vertex_cone_integral(m, vid))
-    return total / 3.0
+    nv = len(m.vertices)
+    # each vertex's edges, in edge order
+    ends = m.edges.vertices.ravel()
+    pairs = m.edges.facets[np.argsort(ends, kind="stable") // 2].tolist()
+    stops = np.cumsum(np.bincount(ends, minlength=nv)).tolist()
+    cycles = [_facet_cycle(pairs[lo:hi]) for lo, hi in zip([0] + stops, stops)]
+    # the sides of all cones, vertex by vertex
+    owner = np.repeat(np.arange(nv), [len(c) for c in cycles])
+    a = m.facets.normals[np.concatenate(cycles)]
+    b = m.facets.normals[np.concatenate([c[1:] + c[:1] for c in cycles])]
+    theta = np.arccos(np.clip(_row_dots(a, b), -1.0, 1.0))
+    axis = np.cross(a, b)
+    nrm = _row_norms(axis)
+    side = nrm > 1e-14
+    s = np.zeros((nv, 3))
+    np.add.at(s, owner[side], theta[side, None] * axis[side] / nrm[side, None])
+    s *= 0.5
+    mean_n = np.zeros((nv, 3))
+    np.add.at(mean_n, owner, a)
+    mean_n /= np.bincount(owner, minlength=nv)[:, None]
+    s[_row_dots(s, mean_n) < 0] *= -1.0
+    return sum(_row_dots(m.vertices, s).tolist()) / 3.0

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import Ball, Polytope, SupportEvaluator
+from .bodies import Ball, Polytope, SupportEvaluator, _row_dots, _row_norms
 from .errors import NegativeMass, QuadratureFailure
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -36,17 +36,22 @@ class ArcFrame:
                 + np.multiply.outer(np.sin(t), self.tangent))
 
 
+def arcs_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit tangents at a and lengths of the shortest geodesics from the rows
+    of a to the rows of b, all unit vectors (no pair equal or antipodal)."""
+    c = np.clip(_row_dots(a, b), -1.0, 1.0)
+    l = np.arccos(c)
+    if ((l < 1e-12) | (l > np.pi - 1e-12)).any():
+        raise QuadratureFailure("arc endpoints coincide or are antipodal")
+    e = b - c[:, None] * a
+    return e / _row_norms(e)[:, None], l
+
+
 def arc_between(a: np.ndarray, b: np.ndarray) -> ArcFrame:
     """Shortest geodesic from unit vector a to unit vector b (not antipodal)."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = float(np.clip(a @ b, -1.0, 1.0))
-    l = float(np.arccos(c))
-    if l < 1e-12 or l > np.pi - 1e-12:
-        raise QuadratureFailure("arc endpoints coincide or are antipodal")
-    e = b - c * a
-    e /= np.linalg.norm(e)
-    return ArcFrame(a, e, l)
+    (e,), (l,) = arcs_between(a[None], np.asarray(b, dtype=float)[None])
+    return ArcFrame(a, e, float(l))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +191,10 @@ def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, frame: ArcFrame) ->
 NODES_PER_SEGMENT = 17   # sample nodes per smooth segment, endpoints included
 
 
-def arc_sample_nodes(frame: ArcFrame, evaluators: list[SupportEvaluator]) -> np.ndarray:
-    """Arc parameters covering every smooth segment (endpoints included),
-    suitable for sup-norm residual scans."""
-    bps = sorted({b for f in evaluators for b in evaluator_breakpoints(f, frame)})
-    cuts = np.array([0.0, *bps, frame.length])
+def arc_sample_nodes(frame: ArcFrame, f: SupportEvaluator) -> np.ndarray:
+    """Arc parameters covering every smooth segment of f (endpoints
+    included), suitable for sup-norm residual scans."""
+    cuts = np.array([0.0, *evaluator_breakpoints(f, frame), frame.length])
     return np.unique(np.linspace(cuts[:-1], cuts[1:], NODES_PER_SEGMENT))
 
 
@@ -198,7 +202,7 @@ def sup_on_arcs(f: SupportEvaluator, frames: Sequence[ArcFrame]) -> float:
     """Sup of |f| over the sample nodes of each arc."""
     worst = 0.0
     for fr in frames:
-        t = arc_sample_nodes(fr, [f])
+        t = arc_sample_nodes(fr, f)
         worst = max(worst, float(np.abs(np.asarray(f(fr.point(t)))).max()))
     return worst
 

@@ -51,8 +51,8 @@ def _cube_plus_ball_volume(t: float) -> float:
     quarter cylinder per edge, and vertex ball sectors that tile a full
     ball. Shares no code with the measure or graph pipelines."""
     c = B.cube()
-    slabs = sum(f.area * t for f in c.facets)
-    quarter_cylinders = sum(0.25 * np.pi * t * t * e.length for e in c.edges)
+    slabs = sum(area * t for area in c.facets.areas)
+    quarter_cylinders = sum(0.25 * np.pi * t * t * length for length in c.edges.lengths)
     vertex_sectors = (4.0 / 3.0) * np.pi * t ** 3   # eight octants
     return c.volume + slabs + quarter_cylinders + vertex_sectors
 

@@ -19,7 +19,7 @@ def test_cube_combinatorics(unit_cube):
 
 
 def test_simplex_facet_areas(std_simplex):
-    areas = sorted(f.area for f in std_simplex.facets)
+    areas = sorted(std_simplex.facets.areas)
     expected = sorted([0.5, 0.5, 0.5, np.sqrt(3) / 2])
     assert np.allclose(areas, expected, atol=1e-12)
     assert abs(std_simplex.volume - 1.0 / 6.0) < 1e-14
@@ -34,9 +34,10 @@ def test_euler_formula_random_hulls():
 
 def test_facet_planes_contain_cycles():
     p = B.random_hull(15, 3)
-    for f in p.facets:
-        pts = p.vertices[f.vertex_ids]
-        assert np.abs(pts @ f.normal - f.offset).max() < 1e-9 * p.scale
+    fid, vid = p.facets.incidence.T
+    for f, (normal, offset) in enumerate(zip(p.facets.normals, p.facets.offsets)):
+        pts = p.vertices[vid[fid == f]]
+        assert np.abs(pts @ normal - offset).max() < 1e-9 * p.scale
 
 
 def test_coplanar_facets_merged():
@@ -56,18 +57,19 @@ def _check_hull(p, pts):
     """Combinatorial and metric invariants of a full-dimensional hull."""
     ref = ConvexHull(pts)
     assert len(p.vertices) - len(p.edges) + len(p.facets) == 2
-    assert rel_err(sum(f.area for f in p.facets), ref.area) < 1e-12
+    assert rel_err(sum(p.facets.areas), ref.area) < 1e-12
     assert rel_err(p.volume, ref.volume) < 1e-12
     tol = 1e-9 * p.scale
-    for f in p.facets:
-        assert len(f.vertex_ids) >= 3
-        assert np.abs(p.vertices[f.vertex_ids] @ f.normal - f.offset).max() < tol
-    for e in p.edges:
-        for fi in e.facets:
-            f = p.facets[fi]
-            assert np.abs(p.vertices[list(e.vertices)] @ f.normal
-                          - f.offset).max() < tol
-    ends = np.array([e.vertices for e in p.edges]).ravel()
+    normals, offsets = p.facets.normals, p.facets.offsets
+    fid, vid = p.facets.incidence.T
+    for f in range(len(p.facets)):
+        assert (fid == f).sum() >= 3
+        assert np.abs(p.vertices[vid[fid == f]] @ normals[f] - offsets[f]).max() < tol
+    for facets, vertices in zip(p.edges.facets, p.edges.vertices):
+        for fi in facets:
+            assert np.abs(p.vertices[vertices] @ normals[fi]
+                          - offsets[fi]).max() < tol
+    ends = p.edges.vertices.ravel()
     assert np.bincount(ends, minlength=len(p.vertices)).min() >= 3
 
 
@@ -171,10 +173,14 @@ def test_hull_matches_reference_loops(name):
     pts = PARITY_INPUTS[name]()
     p = B.hull(pts)
     vsets, normals, offsets, edges = _reference_combinatorics(pts)
-    assert [f.vertex_ids.tolist() for f in p.facets] == [sorted(v) for v in vsets]
-    assert np.array_equal([f.normal for f in p.facets], normals)
-    assert np.abs(np.array([f.offset for f in p.facets]) - offsets).max() < 1e-14 * p.scale
-    assert [(e.facets, set(e.vertices), e.length) for e in p.edges] == edges
+    fid, vid = p.facets.incidence.T
+    assert ([vid[fid == f].tolist() for f in range(len(p.facets))]
+            == [sorted(v) for v in vsets])
+    assert np.array_equal(p.facets.normals, normals)
+    assert np.abs(p.facets.offsets - offsets).max() < 1e-14 * p.scale
+    e = p.edges
+    assert [(tuple(ij), set(v), ln) for ij, v, ln in
+            zip(e.facets.tolist(), e.vertices.tolist(), e.lengths.tolist())] == edges
 
 
 def test_vertex_inside_an_edge_fails_euler_check(unit_cube):

@@ -230,11 +230,11 @@ def test_graph_json_roundtrip(tmp_path, capsys):
     g = cli.graph_from_json(doc)
     orig = build_graph(B.hull(np.array(tetra, dtype=float)))
     assert np.abs(g.normals - orig.normals).max() < 1e-15
-    for e1, e2 in zip(g.edges, orig.edges):
-        assert e1.facets == e2.facets
-        assert abs(e1.length - e2.length) < 1e-15
-        assert abs(e1.weight - e2.weight) < 1e-15
-    lengths = [e.length for e in g.edges]
+    for e in range(len(orig.edges)):
+        assert tuple(g.edges[e]) == tuple(orig.edges[e])
+        assert abs(g.lengths[e] - orig.lengths[e]) < 1e-15
+        assert abs(g.weights[e] - orig.weights[e]) < 1e-15
+    lengths = g.lengths
     assert np.allclose(lengths, np.arccos(-1 / 3), atol=1e-12)
 
 
@@ -269,6 +269,16 @@ def test_lower_spectrum_default_tol_from_mesh_and_kmax(capsys):
     doc = json.loads(out)
     assert doc["params"]["tol"] == 2 * 2 ** 4 * (np.pi / 100) ** 2 / 36
     assert doc["margins"]["worst_deviation"] <= doc["params"]["tol"]
+
+
+def test_lower_spectrum_finds_every_copy_of_a_multiple_eigenvalue(capsys):
+    # at h = pi/40 the k = 2 cluster of the square has four copies of one
+    # eigenvalue; asking ARPACK for exactly nine pairs returned three of them
+    code, out, _ = run(capsys, ["lower-spectrum", "--M", "square",
+                                "--mesh-h", "0.07853981633974483"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [len(c["observed"]) for c in doc["values"]["clusters"]] == [1, 4, 4]
 
 
 def _readme_usage_lines() -> list[str]:

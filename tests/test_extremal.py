@@ -46,8 +46,8 @@ def test_stability_witness_least_squares_optimality(unit_cube, std_simplex):
     k = B.random_hull(10, 3)
     wit = X.stability_witness(k, unit_cube, std_simplex)
     mc = std_simplex.centered()
-    normals = np.array([f.normal for f in mc.facets])
-    weights = np.array([f.area / f.offset for f in mc.facets])
+    normals = mc.facets.normals
+    weights = mc.facets.areas / mc.facets.offsets
     delta = k.support(normals) - wit.a * unit_cube.support(normals)
 
     def resid(v):

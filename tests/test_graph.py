@@ -22,9 +22,9 @@ def test_cube_graph_combinatorics(unit_cube):
     g = G.build_graph(unit_cube)
     assert len(g.normals) == 6
     assert len(g.edges) == 12
-    for e in g.edges:
-        assert e.length == pytest.approx(np.pi / 2)
-        assert e.weight == pytest.approx(1.0)
+    for length, weight in zip(g.lengths, g.weights):
+        assert length == pytest.approx(np.pi / 2)
+        assert weight == pytest.approx(1.0)
 
 
 def test_simplex_graph_lengths(std_simplex):
@@ -33,7 +33,7 @@ def test_simplex_graph_lengths(std_simplex):
     assert len(g.edges) == 6
     # normals of the three axis facets are mutually orthogonal; the slanted
     # facet makes angle arccos(-1/sqrt(3)) with each of them
-    lengths = sorted(e.length for e in g.edges)
+    lengths = sorted(g.lengths)
     assert np.allclose(lengths[:3], np.pi / 2)
     assert np.allclose(lengths[3:], np.arccos(-1 / np.sqrt(3)))
 
@@ -74,13 +74,13 @@ def test_vertex_balance_matches_edge_loop():
     expected = np.zeros(len(g.normals))
     for f in range(len(g.normals)):
         s = np.zeros(3)
-        for e in g.edges:
-            if e.facets[0] == f:
-                s += e.weight * e.frame.tangent
-            elif e.facets[1] == f:
-                l = e.length
-                t = -np.sin(l) * e.frame.start + np.cos(l) * e.frame.tangent
-                s += e.weight * -t
+        for e, (i, j) in enumerate(g.edges):
+            if i == f:
+                s += g.weights[e] * g.tangents[e]
+            elif j == f:
+                l = g.lengths[e]
+                t = -np.sin(l) * g.starts[e] + np.cos(l) * g.tangents[e]
+                s += g.weights[e] * -t
         expected[f] = np.linalg.norm(s)
     assert np.array_equal(g.vertex_balance_residuals(), expected)
 
@@ -287,8 +287,9 @@ def test_spectrum_no_convergence_is_numerical_failure(unit_cube, monkeypatch):
 
 def test_zero_weight_edge_is_numerical_failure(unit_cube):
     g = G.build_graph(unit_cube)
-    edges = (dataclasses.replace(g.edges[0], weight=0.0),) + g.edges[1:]
-    g0 = dataclasses.replace(g, edges=edges)
+    weights = g.weights.copy()
+    weights[0] = 0.0
+    g0 = dataclasses.replace(g, weights=weights)
     with pytest.raises(NumericalFailure):
         G.spectrum(G.assemble(g0, np.pi / 20), 4)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mixedvol import bodies as B
 from mixedvol import lowerdim as LD
@@ -138,6 +139,40 @@ def test_spectrum_hexagon():
     rep = LD.verify_spectrum(p, 2, np.pi / 200, 5e-3)
     assert rep.ok
     assert [len(c.observed) for c in rep.clusters] == [1, 6, 6]
+
+
+def regular_polygon(k: int) -> B.Polytope:
+    ang = np.arange(k) * 2 * np.pi / k
+    return B.hull(np.column_stack([np.cos(ang), np.sin(ang), np.zeros(k)]))
+
+
+LOWER_BODIES = {
+    "square": lambda: B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                       [1, 1, 0]], dtype=float)),
+    "segment": lambda: B.segment([0, 0, 0], [1, 0, 0]),
+    "hexagon": lambda: regular_polygon(6),
+    "12-gon": lambda: regular_polygon(12),
+}
+
+
+# (body, kmax, n) with h = pi/n where asking ARPACK for exactly the predicted
+# number of pairs missed one copy of the last multiple eigenvalue
+@pytest.mark.parametrize("name,kmax,n", [
+    ("square", 2, 24), ("square", 2, 40), ("square", 2, 76), ("square", 2, 116),
+    ("hexagon", 2, 36), ("hexagon", 2, 40), ("hexagon", 3, 28),
+    ("hexagon", 3, 36), ("hexagon", 3, 48), ("hexagon", 3, 56),
+    ("12-gon", 2, 20), ("12-gon", 3, 48), ("12-gon", 3, 80),
+    ("12-gon", 3, 116), ("segment", 3, 40),
+])
+def test_spectrum_matches_dense_eigh(name, kmax, n):
+    p = LD.lowerdim_setup(LOWER_BODIES[name](), W)
+    h = np.pi / n
+    rep = LD.verify_spectrum(p, kmax, h, 1.0)
+    observed = np.concatenate([c.observed for c in rep.clusters])
+    form = LD.assemble_lowerdim(p, h)
+    dense = scipy.linalg.eigh(form.e_matrix.toarray(), form.mass.toarray(),
+                              eigvals_only=True)[::-1]
+    assert np.abs(observed - dense[:len(observed)]).max() <= 1e-9
 
 
 def test_spectrum_insufficient(unit_square):

@@ -176,6 +176,6 @@ def test_integrate_with_breakpoints_kink():
 
 def test_arc_sample_nodes_cover_endpoints():
     fr = quad.arc_between(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-    nodes = quad.arc_sample_nodes(fr, [B.SupportEvaluator.of(B.cube())])
+    nodes = quad.arc_sample_nodes(fr, B.SupportEvaluator.of(B.cube()))
     assert nodes[0] == 0.0
     assert nodes[-1] == pytest.approx(fr.length)
