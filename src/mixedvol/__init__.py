@@ -28,8 +28,8 @@ from .lowerdim import (ClusterReport, CylinderLimitReport, LowerDimProblem,
                        lowerdim_setup, sbm_lowerdim, verify_spectrum)
 from .measures import (DeficitReport, area_measure, classical_functionals,
                        merge_atoms, mixed_area_measure, mixed_volume,
-                       mixed_volume_via_measure, mv3, quadratic_deficit,
-                       vbbm_conewise)
+                       mixed_volume_via_measure, mixed_volume_xpp, mv3,
+                       quadratic_deficit, vbbm_conewise)
 from .quadrature import (ArcFrame, ArcRestriction, SphericalMeasure,
                          adaptive_gauss, arc_between, arc_sample_nodes,
                          integrate_against_measure, integrate_evaluator,

@@ -15,7 +15,7 @@ from .bodies import (Ball, Body, Polytope, SupportEvaluator, classify_trivial,
                      enclosing_radii)
 from .errors import DegenerateInput, SingularGM, ZeroDenominator
 from .graph import MetricGraph, build_graph, sbm_and_mu
-from .measures import DeficitReport, mv3, quadratic_deficit
+from .measures import DeficitReport, mixed_volume_xpp, quadratic_deficit
 
 DEFICIT_THRESHOLD = 1e-9      # relative to max(vKL^2, vKK*vLL)
 RESIDUAL_THRESHOLD = 1e-6     # relative to the instance diameter
@@ -46,12 +46,12 @@ def stability_witness(k: Body, l: Body, m: Polytope) -> StabilityWitness:
     if m.dim < 3:
         raise DegenerateInput("stability witness requires full-dimensional M")
     mc = m.centered()
-    v_lmm = mv3(l, m, m)
+    v_lmm = mixed_volume_xpp(l, m)
     # V(L, M, M) = 0 for full-dimensional M exactly when L is a point
     l_is_point = not isinstance(l, Ball) and l.dim == 0
     if v_lmm <= 0 or l_is_point:
         raise ZeroDenominator("V(L, M, M) must be positive")
-    a = mv3(k, m, m) / v_lmm
+    a = mixed_volume_xpp(k, m) / v_lmm
     normals = mc.facets.normals
     weights = mc.facets.areas / mc.facets.offsets
     g_mat = (normals.T * weights) @ normals

@@ -26,7 +26,7 @@ from .errors import (DimensionError, InsufficientSpectrum,
 from .extremal import DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD, _verdict
 from .graph import (DiscretizedForm, assemble_edges, build_graph,
                     integrate_on_arcs, spectrum)
-from .measures import DeficitReport, mixed_volume
+from .measures import DeficitReport, quadratic_deficit
 
 HYPERPLANE_TOL = 1e-9
 
@@ -198,8 +198,7 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
     """Certify equality through the face criterion: with c = V(K,L,M)/V(L,L,M),
     equality holds iff h_K + h_{F(cL, w)} = h_{cL} + h_{F(K, w)} on supp S_{B,M}."""
     p = lowerdim_setup(m, w)
-    dr = DeficitReport(mixed_volume(k, l, m), mixed_volume(k, k, m),
-                       mixed_volume(l, l, m))
+    dr = quadratic_deficit(k, l, m)
     if dr.v_ll <= 0 or classify_trivial(k, l, m).v_llm_zero:
         raise ZeroDenominator(
             "V(L, L, M) = 0: route through classify_trivial instead")

@@ -3,7 +3,9 @@
 Two independent pipelines: polynomial polarization of hull volumes
 (quadrature-free, the primary route) and integration of support functions
 against atomic/arc measures on the sphere (the oracle route). Ball slots are
-never polarized; they are routed through the measure formulas.
+never polarized; they are routed through the measure formulas. Neither is
+needed when two slots hold the same polytope P: V(X, P, P) is a sum over the
+facets of P.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
-                     _row_norms, affine_dim, minkowski_sum, sum_vertices, unit)
+                     _row_norms, affine_dim, minkowski_sum, unit)
 from .errors import DegenerateInput
 from .graph import build_graph, sbm_and_mu
 from .quadrature import SphericalMeasure, integrate_against_measure
@@ -46,16 +48,40 @@ def merge_atoms(raw: Sequence[tuple[np.ndarray, float]]
 # Volumes and polarization
 # ---------------------------------------------------------------------------
 
-def _sum_volume(bodies: Sequence[Polytope]) -> float:
-    pts = sum_vertices(bodies)
-    return float(ConvexHull(pts).volume) if affine_dim(pts) == 3 else 0.0
+def _hull_volume(pts: np.ndarray, full: bool) -> tuple[float, np.ndarray]:
+    """Volume and extreme points of the hull of pts. full says that pts are
+    the sums of a Minkowski sum with a full-dimensional summand, so they span
+    three dimensions and need no affine_dim test."""
+    if full or affine_dim(pts) == 3:
+        qh = ConvexHull(pts)
+        return float(qh.volume), pts[qh.vertices]
+    return 0.0, pts
+
+
+def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] + b[None, :, :]).reshape(-1, 3)
 
 
 def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
-    """V(K, L, M) by polarization of hull volumes; symmetric, multilinear."""
-    v = (_sum_volume([k, l, m]) - _sum_volume([k, l]) - _sum_volume([k, m])
-         - _sum_volume([l, m]) + k.volume + l.volume + m.volume)
-    return v / 6.0
+    """V(K, L, M) by polarization of hull volumes; symmetric, multilinear.
+
+    Each body is centered on its vertex centroid and scaled to unit diameter,
+    and the product of the diameters is multiplied back in, so rescaling one
+    body costs no digits against the others. The vertices of K+L+M lie among
+    vert(K+L) + vert(M), so Qhull gets those sums, not all |K||L||M|."""
+    bodies = (k, l, m)
+    diams = [p.diameter for p in bodies]
+    if min(diams) == 0.0:
+        return 0.0    # a point in any slot
+    pk, pl, pm = ((p.vertices - p.centroid) / d for p, d in zip(bodies, diams))
+    fk, fl, fm = (p.dim == 3 for p in bodies)
+    v_kl, vert_kl = _hull_volume(_pair_sums(pk, pl), fk or fl)
+    v_klm, _ = _hull_volume(_pair_sums(vert_kl, pm), fk or fl or fm)
+    v_km, _ = _hull_volume(_pair_sums(pk, pm), fk or fm)
+    v_lm, _ = _hull_volume(_pair_sums(pl, pm), fl or fm)
+    v = v_klm - v_kl - v_km - v_lm + sum(p.volume / d ** 3
+                                         for p, d in zip(bodies, diams))
+    return diams[0] * diams[1] * diams[2] * v / 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +121,9 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     raw = ([(u, 0.5 * mass) for u, mass in _surface_atoms_any(minkowski_sum(l, m))]
            + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(l)]
            + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(m)])
-    merged = merge_atoms(raw)
-    out = SphericalMeasure(atoms=[(u, mass) for u, mass in merged])
-    out.validate_nonnegative()
+    out = SphericalMeasure(atoms=merge_atoms(raw))
+    # the masses that cancel, not their small net total, set the rounding
+    out.validate_nonnegative(sum(abs(mass) for _, mass in raw))
     out.atoms = [(u, max(mass, 0.0)) for u, mass in out.atoms if mass > 0.0]
     return out
 
@@ -153,15 +179,36 @@ class DeficitReport:
         return max(self.v_kl ** 2, self.v_kk * self.v_ll, 1e-300)
 
 
+def mixed_volume_xpp(x: Body, p: Polytope) -> float:
+    """V(X, P, P) = (1/3) sum h_X(u) mass over the atoms of the surface area
+    measure S_P: the facets of a full-dimensional P, the two sides of a planar
+    P, none for dim P <= 1. X may be a Ball. This is V(P, P, X) too, so it
+    gives V(K, K, M) = (1/3) sum_F h_M(u_F) |F| without polarization."""
+    atoms = _surface_atoms_any(p)
+    if not atoms:
+        return 0.0
+    h = x.support(np.array([u for u, _ in atoms]))
+    return float(np.dot(h, [mass for _, mass in atoms])) / 3.0
+
+
+def _v_xxm(x: Body, m: Polytope) -> float:
+    """V(X, X, M): a facet sum over X, or the arc measure for a ball X."""
+    return mv3(x, x, m) if isinstance(x, Ball) else mixed_volume_xpp(m, x)
+
+
 def quadratic_deficit(k: Body, l: Body, m: Polytope) -> DeficitReport:
-    """Minkowski quadratic deficit V(K,L,M)^2 - V(K,K,M) V(L,L,M) >= 0."""
-    return DeficitReport(mv3(k, l, m), mv3(k, k, m), mv3(l, l, m))
+    """Minkowski quadratic deficit V(K,L,M)^2 - V(K,K,M) V(L,L,M) >= 0.
+
+    Only V(K,L,M) is polarized; V(K,K,M) and V(L,L,M) are facet sums."""
+    return DeficitReport(mv3(k, l, m), _v_xxm(k, m), _v_xxm(l, m))
 
 
 def classical_functionals(k: Polytope) -> tuple[float, float, float]:
-    """(Vol, surface area, mean width) = (Vol, 3 V(B,K,K), (3/2pi) V(B,B,K))."""
+    """(Vol, surface area, mean width) = (Vol, 3 V(B,K,K), (3/2pi) V(B,B,K)).
+
+    The surface area 3 V(B,K,K) is the total mass of S_K."""
     ball = Ball(np.zeros(3), 1.0)
-    s = 3.0 * mv3(ball, k, k)
+    s = sum(mass for _, mass in _surface_atoms_any(k))
     w = (3.0 / (2.0 * np.pi)) * mv3(ball, ball, k)
     return k.volume, s, w
 

@@ -241,9 +241,12 @@ class SphericalMeasure:
                       + (1 - np.cos(fr.length)) * fr.tangent)
         return float(np.linalg.norm(s))
 
-    def validate_nonnegative(self, tol: float = 1e-9) -> "SphericalMeasure":
-        total = abs(self.total_mass())
-        floor = -tol * max(total, 1e-30)
+    def validate_nonnegative(self, gross: float,
+                             tol: float = 1e-9) -> "SphericalMeasure":
+        """Raise NegativeMass for a mass below -tol * gross, where gross is
+        the total absolute mass the measure was computed from: differences
+        of measures round relative to the masses that cancel."""
+        floor = -tol * max(gross, 1e-30)
         for _, m in self.atoms:
             if m < floor:
                 raise NegativeMass(f"atom mass {m:g} below {floor:g}")

@@ -3,30 +3,15 @@ per-row Python loops, which are kept here as the reference: each loop takes
 one facet or edge at a time, the way these computations were first written,
 and the array forms must agree with it exactly."""
 
-import functools
-
 import numpy as np
 import pytest
 
 from mixedvol import bodies as B
-from mixedvol import cli
 from mixedvol import graph as G
 from mixedvol import measures as MS
 from mixedvol.errors import BadSpec
 
-BODIES = {
-    "cube": B.cube,
-    "simplex": B.simplex,
-    **{f"ball@{k}": functools.partial(B.approximate_ball, k) for k in range(4)},
-    "trunc:0.1": functools.partial(cli.parse_body, "trunc:0.1"),
-    "shear:0.3": functools.partial(cli.parse_body, "shear:0.3"),
-    **{f"rand10s{s}": functools.partial(B.random_hull, 10, s) for s in range(20)},
-}
-
-
-@functools.cache
-def body(name):
-    return BODIES[name]()
+from conftest import BODIES, body
 
 
 def assert_same_polytope(p, q):

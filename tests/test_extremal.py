@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from mixedvol import bodies as B
 from mixedvol import extremal as X
@@ -80,13 +81,22 @@ def test_weak_stability_random_suite():
 
 
 def test_weak_stability_inscribed_ball_strict(unit_cube):
-    # a ball-like body inside the cube: the deficit strictly dominates the
-    # correction term
-    k = B.approximate_ball(2, radius=0.5).translate([0.5, 0.5, 0.5])
+    # a ball-like body inside the cube, in a generic rotation: the deficit
+    # strictly dominates the correction term
+    ball = B.approximate_ball(2, radius=0.5)
+    turn = Rotation.from_euler("xyz", [1.0, 0.4, 0.2]).as_matrix()
+    k = B.hull(ball.vertices @ turn.T + 0.5)
     rep = X.weak_stability_check(k, unit_cube, unit_cube)
     assert rep.holds
     assert rep.deficit.deficit > rep.witness.c_m * rep.deficit.v_ll \
         * rep.witness.residual > 0
+    assert rep.witness.residual > 1e-6
+    # axis-aligned, this K has width 1 along every facet normal of the cube,
+    # so the exact witness is a = 1, v = 0 with residual 0
+    rep = X.weak_stability_check(ball.translate([0.5, 0.5, 0.5]),
+                                 unit_cube, unit_cube)
+    assert rep.witness.residual <= 1e-25
+    assert rep.deficit.deficit > 0
 
 
 def test_certify_homothety_equality():
@@ -181,3 +191,14 @@ def test_rigidity_dominance_on_equality_instances(unit_cube):
         rep = X.rigidity_check(k, l, m)
         bound = (8 * rep.big_r ** 4 / rep.r ** 4) * rep.mu_integral + 1e-9
         assert rep.sbm_integral <= bound
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("s", [1e-4, 1e-6])
+def test_certify_small_homothetic_copy(seed, s):
+    # L = s K + t: equality at every scale s
+    k, m = B.random_hull(10, seed), B.random_hull(10, seed + 10)
+    l = B.hull(s * k.vertices + np.array([0.3, -0.2, 0.1]))
+    dr = MS.quadratic_deficit(k, l, m)
+    assert abs(dr.deficit) <= 1e-10 * dr.scale
+    assert X.certify_equality_fulldim(k, l, m).verdict == "equality"

@@ -208,3 +208,51 @@ def test_merge_atoms_matches_reference_loop(name):
         assert np.array_equal(u, v) and m == n
     if name == "chain":
         assert [m for _, m in got] == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+def test_mixed_volume_homogeneous_under_one_body_rescaled(c):
+    k, l, m = B.random_hull(10, 1), B.random_hull(10, 2), B.random_hull(10, 3)
+    v = MS.mixed_volume(k, l, m)
+    assert abs(MS.mixed_volume(k, l, m.scaled(c)) / c - v) <= 1e-14 * abs(v)
+
+
+def test_mixed_area_measure_small_summand_within_floor():
+    # S(L+M) - S(L) cancels to about 1e-7 of the masses involved; rounding
+    # in those masses must not count as negative mass
+    k, l, m = B.random_hull(10, 1), B.random_hull(10, 2), B.random_hull(10, 3)
+    v = MS.mixed_volume(k, l, m)
+    got = MS.mixed_volume_via_measure(k, l, m.scaled(1e-7))
+    assert rel_err(got / 1e-7, v) <= 1e-8
+
+
+class _Counted:
+    """Wraps a callable and records the first argument of each call."""
+
+    def __init__(self, fn):
+        self.fn, self.args = fn, []
+
+    def __call__(self, *args, **kwargs):
+        self.args.append(args[0])
+        return self.fn(*args, **kwargs)
+
+
+def test_quadratic_deficit_polarizes_once(monkeypatch):
+    k, l, m = B.random_hull(10, 4), B.random_hull(12, 5), B.random_hull(9, 6)
+    qhull = _Counted(MS.ConvexHull)
+    monkeypatch.setattr(MS, "ConvexHull", qhull)
+    MS.quadratic_deficit(k, l, m)
+    # K+L, K+L+M, K+M, L+M
+    assert len(qhull.args) == 4
+    n_kl = len(B.minkowski_sum(k, l).vertices)
+    assert max(len(pts) for pts in qhull.args) <= n_kl * len(m.vertices)
+
+
+def test_classical_functionals_builds_no_minkowski_sum(monkeypatch):
+    summed = _Counted(B.minkowski_sum)
+    qhull = _Counted(MS.ConvexHull)
+    for mod in (B, MS):
+        monkeypatch.setattr(mod, "minkowski_sum", summed)
+    monkeypatch.setattr(MS, "ConvexHull", qhull)
+    MS.classical_functionals(B.random_hull(30, 7))
+    assert summed.args == [] and qhull.args == []
