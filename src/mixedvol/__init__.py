@@ -31,10 +31,9 @@ from .measures import (DeficitReport, area_measure, classical_functionals,
                        mixed_volume_via_measure, mixed_volume_xpp, mv3,
                        quadratic_deficit, vbbm_conewise)
 from .quadrature import (ArcFrame, ArcRestriction, SphericalMeasure,
-                         adaptive_gauss, arc_between, arc_sample_nodes,
+                         arc_between, arc_sample_nodes,
                          integrate_against_measure, integrate_evaluator,
                          integrate_pair, integrate_weighted_arcs,
-                         integrate_with_breakpoints, product_integral,
-                         sup_on_arcs)
+                         product_integral, sup_on_arcs)
 
 __version__ = "0.1.0"

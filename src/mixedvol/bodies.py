@@ -12,8 +12,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import BadSpec, DegenerateInput, NumericalFailure
@@ -22,6 +20,8 @@ from .errors import BadSpec, DegenerateInput, NumericalFailure
 MERGE_TOL = 1e-9
 # Relative tolerance for "vertex attains the support value" decisions.
 FACE_TOL = 1e-12
+# The two ends of the ridge across from corner k of a triangle, k = 0, 1, 2.
+RIDGE_ENDS = np.array([[1, 2], [2, 0], [0, 1]])
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -314,50 +314,56 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
     old2new[qh.vertices] = np.arange(nv)
     verts = pts[qh.vertices]
     tri = old2new[qh.simplices]
+    nb, n = qh.neighbors, eqs[:, :3]    # slot k of nb[s]: across from tri[s, k]
 
     # facets: components of the graph joining neighbouring triangles whose
-    # normals agree within MERGE_TOL, labelled in order of their lowest
-    # triangle. (s, t) runs over (triangle, neighbour slot) in row-major order;
-    # slot k is the ridge opposite tri[s, k].
-    s = np.repeat(np.arange(nt), 3)
-    t = qh.neighbors.ravel()
-    close = np.linalg.norm(eqs[s, :3] - eqs[t, :3], axis=1) <= MERGE_TOL
-    nf, facet_of = connected_components(
-        scipy.sparse.coo_array((np.ones(close.sum()), (s[close], t[close])),
-                               shape=(nt, nt)), directed=False)
+    # normals agree within MERGE_TOL, numbered in order of their lowest
+    # triangle. Each round lowers every label to its close neighbours'
+    # minimum and then jumps it to its label's label; a fixed point holds one
+    # label, the lowest triangle, per component.
+    ids = np.arange(nt)
+    close_nb = np.where(np.linalg.norm(n[:, None, :] - n[nb], axis=2) <= MERGE_TOL,
+                        nb, ids[:, None])
+    label, prev = ids, None
+    while not np.array_equal(label, prev):
+        prev = label
+        label = np.minimum(label, label[close_nb].min(axis=1))
+        label = label[label]
+    rank = np.cumsum(label == ids)
+    nf, facet_of = int(rank[-1]), rank[label] - 1
     normals = np.zeros((nf, 3))
-    np.add.at(normals, facet_of, eqs[:, :3])
+    np.add.at(normals, facet_of, n)
     normals /= np.bincount(facet_of, minlength=nf)[:, None]
     normals /= _row_norms(normals)[:, None]
-    a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
-    tri_areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    areas = np.bincount(facet_of, tri_areas, nf)
+    # |(b - a) x (c - a)| / 2, the products and differences in np.cross's order
+    (x1, y1, z1), (x2, y2, z2) = (verts[tri[:, 1:]]
+                                  - verts[tri[:, :1]]).transpose(1, 2, 0)
+    cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    areas = np.bincount(facet_of, 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz), nf)
     fv = np.unique(facet_of[:, None] * nv + tri)    # (facet, vertex), sorted
     fid, vid = np.divmod(fv, nv)
     offsets = (np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]), nf)
                / np.bincount(fid, minlength=nf))
     facets = Facets(normals, offsets, areas, np.stack([fid, vid], axis=1))
 
-    # edges: facet pairs joined by a ridge, in order of first appearance
-    fs, ft = facet_of[s], facet_of[t]
+    # edges: facet pairs joined by a ridge, in order of first appearance over
+    # the (triangle, slot) pairs in row-major order
+    fs, ft = facet_of[:, None], facet_of[nb]
     ridge = fs != ft
-    pair = np.minimum(fs, ft)[ridge] * nf + np.maximum(fs, ft)[ridge]
-    keys, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    edge_of = np.argsort(order)[inverse]
+    pairs = np.stack([np.minimum(fs, ft)[ridge], np.maximum(fs, ft)[ridge]], axis=1)
+    key = pairs[:, 0] * nf + pairs[:, 1]
+    keys, first = np.unique(key, return_index=True)
     # an edge's endpoints are the vertices in exactly one ridge of its chain
     # (each ridge taken once, from its lower facet's side)
-    k = np.tile(np.arange(3), nt)
-    ends = np.stack([tri[s, (k + 1) % 3], tri[s, (k + 2) % 3]], axis=1)[ridge]
-    once = (fs < ft)[ridge]
-    ev, count = np.unique(edge_of[once][:, None] * nv + ends[once],
+    lower = fs < ft
+    ev, count = np.unique(key[lower[ridge], None] * nv + tri[:, RIDGE_ENDS][lower],
                           return_counts=True)
     tips = ev[count == 1]
-    if not np.array_equal(np.bincount(tips // nv, minlength=len(keys)),
-                          np.full(len(keys), 2)):
+    if not np.array_equal(tips // nv, np.repeat(keys, 2)):
         raise NumericalFailure("facet merge produced a dangling ridge")
-    tips = (tips % nv).reshape(-1, 2)
-    edges = Edges(np.stack(np.divmod(keys[order], nf), axis=1), tips,
+    order = np.argsort(first)
+    tips = (tips % nv).reshape(-1, 2)[order]
+    edges = Edges(pairs[first[order]], tips,
                   _row_norms(verts[tips[:, 0]] - verts[tips[:, 1]]))
 
     if nv - len(edges) + nf != 2:

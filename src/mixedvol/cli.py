@@ -252,15 +252,18 @@ def cmd_spectrum(args):
     g = build_graph(m)
     form = assemble(g, args.mesh_h)
     spec = spectrum(form, args.kmax)
-    tau = 10 * args.mesh_h ** 2
+    # twice the a-priori P1 eigenvalue error k^4 h^2 / 36 at k = 1, the rule
+    # of lower-spectrum: the kernel's discrete eigenvalues lie within h^2 / 36
+    # of 0, and the next ones are of order 1
+    tau = 2.0 * args.mesh_h ** 2 / 36.0
     ker = kernel_analysis(spec, tau)
     rep = base_report(args, "spectrum",
-                      {"M": args.M, "mesh_h": args.mesh_h, "kmax": args.kmax})
+                      {"M": args.M, "mesh_h": args.mesh_h, "kmax": args.kmax,
+                       "kernel_window": tau})
     rep["values"].update({
         "eigenvalues": [float(v) for v in spec.eigenvalues],
         "kernel_dimension": ker.dimension,
         "kernel_principal_angle_residual": ker.principal_angle_residual,
-        "kernel_window": ker.window,
         "eigen_residual_max": float(spec.residuals.max()),
         "dofs": form.size,
     })

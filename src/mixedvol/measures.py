@@ -117,14 +117,24 @@ def _surface_atoms_any(p: Polytope) -> list[tuple[np.ndarray, float]]:
 
 
 def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
-    """S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)], merged and verified nonnegative."""
+    """S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)], merged and verified nonnegative.
+
+    S_{L,M} is bilinear and translation invariant, so it is taken between L
+    and M centered and scaled to unit diameter, and its masses are multiplied
+    by d_L d_M: the difference then cancels between masses of one size
+    whatever the bodies' sizes. A point in either slot gives the zero
+    measure."""
+    dl, dm = l.diameter, m.diameter
+    if dl == 0.0 or dm == 0.0:
+        return SphericalMeasure()
+    l, m = l.centered().scaled(1.0 / dl), m.centered().scaled(1.0 / dm)
     raw = ([(u, 0.5 * mass) for u, mass in _surface_atoms_any(minkowski_sum(l, m))]
            + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(l)]
            + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(m)])
     out = SphericalMeasure(atoms=merge_atoms(raw))
     # the masses that cancel, not their small net total, set the rounding
     out.validate_nonnegative(sum(abs(mass) for _, mass in raw))
-    out.atoms = [(u, max(mass, 0.0)) for u, mass in out.atoms if mass > 0.0]
+    out.atoms = [(u, dl * dm * mass) for u, mass in out.atoms if mass > 0.0]
     return out
 
 

@@ -6,8 +6,7 @@ combination is a piecewise trig polynomial A cos t + B sin t + C (C from
 balls), cut where some polytope term switches active vertex. An
 ``ArcRestriction`` holds the cuts and the per-segment coefficients, so
 integrals of products (and of derivative products) are closed-form sums over
-its segments. An adaptive composite Gauss-Legendre rule is kept as an
-independent check of the closed forms.
+its segments.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import numpy as np
 
 from .bodies import Ball, Polytope, SupportEvaluator, _row_dots, _row_norms
 from .errors import NegativeMass, QuadratureFailure
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -260,38 +257,3 @@ def integrate_against_measure(f: SupportEvaluator, mu: SphericalMeasure) -> floa
     """sum over atoms of f(u) * mass plus the exact arc integrals of f dH^1."""
     return (sum(float(f(u)) * mass for u, mass in mu.atoms)
             + integrate_weighted_arcs(f, mu.arcs))
-
-
-# ---------------------------------------------------------------------------
-# Generic adaptive composite Gauss-Legendre
-# ---------------------------------------------------------------------------
-
-def adaptive_gauss(fun, t0: float, t1: float, tol: float, max_depth: int = 30) -> float:
-    """Adaptive bisected 16-point Gauss-Legendre for a vectorized integrand."""
-
-    def gl(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return half * float(_GL_WEIGHTS @ fun(mid + half * _GL_NODES))
-
-    def recurse(lo, hi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        left, right = gl(lo, mid), gl(mid, hi)
-        if abs(left + right - whole) <= tol * max(1.0, abs(left + right)):
-            return left + right
-        if depth >= max_depth:
-            raise QuadratureFailure(
-                f"adaptive quadrature exceeded depth {max_depth} without "
-                f"meeting tolerance {tol:g}")
-        return (recurse(lo, mid, left, depth + 1)
-                + recurse(mid, hi, right, depth + 1))
-
-    if t1 <= t0:
-        return 0.0
-    return recurse(t0, t1, gl(t0, t1), 0)
-
-
-def integrate_with_breakpoints(fun, breakpoints: list[float], t0: float, t1: float,
-                               tol: float) -> float:
-    """Adaptive Gauss-Legendre split at the given interior breakpoints."""
-    cuts = [t0] + [b for b in sorted(breakpoints) if t0 < b < t1] + [t1]
-    return sum(adaptive_gauss(fun, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))

@@ -11,14 +11,7 @@ from mixedvol import graph as G
 from mixedvol import measures as MS
 from mixedvol.errors import BadSpec
 
-from conftest import BODIES, body
-
-
-def assert_same_polytope(p, q):
-    assert np.array_equal(p.vertices, q.vertices)
-    for a, b in ((p.facets, q.facets), (p.edges, q.edges)):
-        for field in a.__dataclass_fields__:
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+from conftest import BODIES, assert_same_polytope, body
 
 
 # -- reference loops -----------------------------------------------------------

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
+
 from mixedvol import bodies as B
 from mixedvol.errors import BadSpec, DegenerateInput, NumericalFailure
 
-from conftest import rel_err
+from conftest import assert_same_polytope, rel_err
 
 
 def test_cube_combinatorics(unit_cube):
@@ -73,6 +76,17 @@ def _check_hull(p, pts):
     assert np.bincount(ends, minlength=len(p.vertices)).min() >= 3
 
 
+def _prism(k):
+    t = 2 * np.pi * np.arange(k) / k
+    ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return np.vstack([np.c_[ring, np.zeros(k)], np.c_[ring, np.ones(k)]])
+
+
+def _sphere_points(n):
+    x = np.random.default_rng(0).standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
 HULL_INPUTS = {
     "grid-3x3x3": lambda: _grid(3, 3, 3),
     "grid-4x2x3": lambda: _grid(4, 2, 3),
@@ -81,6 +95,9 @@ HULL_INPUTS = {
     **{f"ball@{k}": (lambda k=k: B.approximate_ball(k).vertices) for k in range(4)},
     "deep-truncation": lambda: B.truncate_vertex(
         B.cube(), 0, 0.9, vertex_only=False).vertices,
+    # each cap is a fan of 48 triangles: many rounds of label propagation
+    "prism-50": lambda: _prism(50),
+    "sphere1000": lambda: _sphere_points(1000),
 }
 
 
@@ -154,11 +171,6 @@ def _reference_combinatorics(pts):
     return vsets, normals, offsets, edges
 
 
-def _sphere_points(n):
-    x = np.random.default_rng(0).standard_normal((n, 3))
-    return x / np.linalg.norm(x, axis=1)[:, None]
-
-
 PARITY_INPUTS = {
     **{name: make for name, make in HULL_INPUTS.items() if name != "ball@3"},
     **{f"rand10s{s}": (lambda s=s: B.random_hull(10, s).vertices) for s in range(10)},
@@ -181,6 +193,72 @@ def test_hull_matches_reference_loops(name):
     e = p.edges
     assert [(tuple(ij), set(v), ln) for ij, v, ln in
             zip(e.facets.tolist(), e.vertices.tolist(), e.lengths.tolist())] == edges
+
+
+def _sparse_merge_hull(pts):
+    """The hull as built before label propagation: facets are the connected
+    components of a scipy.sparse graph of close neighbouring triangles, and
+    the edges come from np.cross, np.tile/np.stack ridge tables and a
+    unique/argsort relabelling."""
+    qh = ConvexHull(pts)
+    eqs = qh.equations
+    nt, nv = len(qh.simplices), len(qh.vertices)
+    old2new = np.empty(len(pts), dtype=np.intp)
+    old2new[qh.vertices] = np.arange(nv)
+    verts = pts[qh.vertices]
+    tri = old2new[qh.simplices]
+    s = np.repeat(np.arange(nt), 3)
+    t = qh.neighbors.ravel()
+    close = np.linalg.norm(eqs[s, :3] - eqs[t, :3], axis=1) <= B.MERGE_TOL
+    nf, facet_of = connected_components(
+        scipy.sparse.coo_array((np.ones(close.sum()), (s[close], t[close])),
+                               shape=(nt, nt)), directed=False)
+    normals = np.zeros((nf, 3))
+    np.add.at(normals, facet_of, eqs[:, :3])
+    normals /= np.bincount(facet_of, minlength=nf)[:, None]
+    normals /= B._row_norms(normals)[:, None]
+    a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
+    tri_areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    areas = np.bincount(facet_of, tri_areas, nf)
+    fv = np.unique(facet_of[:, None] * nv + tri)
+    fid, vid = np.divmod(fv, nv)
+    offsets = (np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]), nf)
+               / np.bincount(fid, minlength=nf))
+    facets = B.Facets(normals, offsets, areas, np.stack([fid, vid], axis=1))
+    fs, ft = facet_of[s], facet_of[t]
+    ridge = fs != ft
+    pair = np.minimum(fs, ft)[ridge] * nf + np.maximum(fs, ft)[ridge]
+    keys, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    edge_of = np.argsort(order)[inverse]
+    k = np.tile(np.arange(3), nt)
+    ends = np.stack([tri[s, (k + 1) % 3], tri[s, (k + 2) % 3]], axis=1)[ridge]
+    once = (fs < ft)[ridge]
+    ev, count = np.unique(edge_of[once][:, None] * nv + ends[once],
+                          return_counts=True)
+    tips = ev[count == 1]
+    assert np.array_equal(np.bincount(tips // nv, minlength=len(keys)),
+                          np.full(len(keys), 2))
+    tips = (tips % nv).reshape(-1, 2)
+    edges = B.Edges(np.stack(np.divmod(keys[order], nf), axis=1), tips,
+                    B._row_norms(verts[tips[:, 0]] - verts[tips[:, 1]]))
+    assert nv - len(edges) + nf == 2
+    return B.Polytope(verts, facets, edges, 3)
+
+
+SPARSE_PARITY_INPUTS = {
+    **HULL_INPUTS,
+    **{f"gauss10s{s}": (lambda s=s: np.random.default_rng(s).standard_normal((10, 3)))
+       for s in range(100)},
+}
+
+
+@pytest.mark.parametrize("name", list(SPARSE_PARITY_INPUTS))
+def test_hull_matches_sparse_graph_merge(name):
+    # bit for bit, in every field of the vertex, facet and edge tables; the
+    # gauss10 inputs are the points of random_hull(10, s), interior ones too
+    pts = SPARSE_PARITY_INPUTS[name]()
+    assert_same_polytope(B.hull(pts), _sparse_merge_hull(pts))
 
 
 def test_vertex_inside_an_edge_fails_euler_check(unit_cube):

@@ -136,6 +136,28 @@ def test_spectrum_reports_eigen_residual(capsys):
     assert 0 <= values["eigen_residual_max"] < 1e-8
 
 
+@pytest.mark.parametrize("h, kmax", [(0.2, 8), (0.3, 5)])
+def test_spectrum_kernel_window_is_the_p1_bound(capsys, h, kmax):
+    # a window of 10 h^2 took in the cube's constants at 1/3 and its pair at
+    # -0.26 (kernel dimension 6 at h = 0.2), or reached the end of the
+    # computed spectrum (exit 2 at h = 0.3, kmax = 5)
+    code, out, err = run(capsys, ["spectrum", "--M", "cube", "--mesh-h", str(h),
+                                  "--kmax", str(kmax)])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["params"]["kernel_window"] == 2 * h ** 2 / 36
+    assert doc["values"]["kernel_dimension"] == 3
+
+
+def test_spectrum_refuses_a_spectrum_that_ends_in_the_kernel(capsys):
+    # kmax = 4 computes 1/3 and the three kernel eigenvalues only: nothing
+    # shows where the kernel ends
+    code, _, err = run(capsys, ["spectrum", "--M", "cube", "--mesh-h", "0.3",
+                                "--kmax", "4"])
+    assert code == 2
+    assert "kernel window" in err
+
+
 def test_lower_spectrum_reports_eigen_residual(capsys):
     code, out, _ = run(capsys, ["lower-spectrum", "--M", "square"])
     assert code == 0

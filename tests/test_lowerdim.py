@@ -5,13 +5,12 @@ import scipy.linalg
 from mixedvol import bodies as B
 from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
-from mixedvol import quadrature as quad
 from mixedvol.bodies import SupportEvaluator
 from mixedvol.errors import (BadMesh, DimensionError, InsufficientSpectrum,
                              ZeroDenominator)
 from mixedvol.graph import kernel_analysis, spectrum
 
-from conftest import rel_err
+from conftest import adaptive_gauss, rel_err
 
 W = np.array([0.0, 0.0, 1.0])
 
@@ -83,8 +82,8 @@ def test_sbm_callable_matches_evaluator(unit_square, unit_cube):
     p = LD.lowerdim_setup(unit_square, W)
     ev = SupportEvaluator.of(unit_cube)
     exact = LD.sbm_lowerdim(p, ev)
-    numeric = sum(w * quad.adaptive_gauss(lambda t: np.asarray(ev(fr.point(t))),
-                                          0.0, fr.length, 1e-11)
+    numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(fr.point(t))),
+                                     0.0, fr.length, 1e-11)
                   for fr, w in p.sbm_arcs)
     assert rel_err(exact, numeric) < 1e-9
 

@@ -226,6 +226,26 @@ def test_mixed_area_measure_small_summand_within_floor():
     assert rel_err(got / 1e-7, v) <= 1e-8
 
 
+@pytest.mark.parametrize("slot", ["L", "M"])
+@pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1e4, 1e6, 1e8])
+def test_mixed_volume_via_measure_homogeneous_under_one_body_rescaled(slot, c):
+    # S(L+M) - S(L) - S(M) cancels to the size of the smaller body; taken
+    # between bodies of unit diameter it keeps its digits
+    k, l, m = B.random_hull(10, 1), B.random_hull(10, 2), B.random_hull(10, 3)
+    v = MS.mixed_volume(k, l, m)
+    if slot == "L":
+        got = MS.mixed_volume_via_measure(k, l.scaled(c), m)
+    else:
+        got = MS.mixed_volume_via_measure(k, l, m.scaled(c))
+    assert rel_err(got / c, v) <= 1e-12
+
+
+def test_mixed_area_measure_of_a_point_is_zero():
+    point = B.hull(np.array([[0.5, -1.0, 2.0]]))
+    assert MS.mixed_area_measure(point, B.cube()).atoms == []
+    assert MS.mixed_area_measure(B.cube(), point).atoms == []
+
+
 class _Counted:
     """Wraps a callable and records the first argument of each call."""
 

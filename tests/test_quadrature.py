@@ -5,7 +5,7 @@ from mixedvol import bodies as B
 from mixedvol import quadrature as quad
 from mixedvol.errors import QuadratureFailure
 
-from conftest import rel_err
+from conftest import adaptive_gauss, integrate_with_breakpoints, rel_err
 
 
 def test_arc_between_basic():
@@ -108,23 +108,23 @@ def test_integrate_pair_matches_adaptive_gauss(case):
     b = np.array([0.3, 0.9, np.sqrt(1 - 0.09 - 0.81)])
     fr = quad.arc_between(a, b)
     exact = quad.integrate_pair(f, g, fr)[0]
-    numeric = quad.adaptive_gauss(
+    numeric = adaptive_gauss(
         lambda t: np.asarray(f(fr.point(t))) * np.asarray(g(fr.point(t))),
         0.0, fr.length, 1e-12)
     assert rel_err(exact, numeric) < 1e-10
     # the same function twice shares one restriction
     exact_ff = quad.integrate_pair(f, f, fr)[0]
-    numeric_ff = quad.adaptive_gauss(
+    numeric_ff = adaptive_gauss(
         lambda t: np.asarray(f(fr.point(t))) ** 2, 0.0, fr.length, 1e-12)
     assert rel_err(exact_ff, numeric_ff) < 1e-10
     # single integrals
-    assert rel_err(quad.integrate_evaluator(f, fr), quad.adaptive_gauss(
+    assert rel_err(quad.integrate_evaluator(f, fr), adaptive_gauss(
         lambda t: np.asarray(f(fr.point(t))), 0.0, fr.length, 1e-12)) < 1e-10
     # derivative products jump at the breakpoints: split the adaptive rule there
     bps = sorted(set(quad.evaluator_breakpoints(f, fr))
                  | set(quad.evaluator_breakpoints(g, fr)))
     df, dg = _arc_derivative(f, fr), _arc_derivative(g, fr)
-    numeric_d = quad.integrate_with_breakpoints(
+    numeric_d = integrate_with_breakpoints(
         lambda t: df(t) * dg(t), bps, 0.0, fr.length, 1e-12)
     assert rel_err(quad.integrate_pair(f, g, fr)[1], numeric_d) < 1e-10
 
@@ -157,20 +157,20 @@ def test_product_integral_polynomial_identity():
 
 
 def test_adaptive_gauss_known_integral():
-    val = quad.adaptive_gauss(np.sin, 0.0, np.pi, 1e-12)
+    val = adaptive_gauss(np.sin, 0.0, np.pi, 1e-12)
     assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_adaptive_gauss_depth_failure():
     with pytest.raises(QuadratureFailure):
-        quad.adaptive_gauss(lambda t: np.sign(np.sin(1.0 / (t + 1e-12))),
-                            0.0, 1.0, 1e-15, max_depth=4)
+        adaptive_gauss(lambda t: np.sign(np.sin(1.0 / (t + 1e-12))),
+                       0.0, 1.0, 1e-15, max_depth=4)
 
 
 def test_integrate_with_breakpoints_kink():
     # |t - 0.5| on [0, 1]: exact 0.25, breakpoint at the kink
-    val = quad.integrate_with_breakpoints(lambda t: np.abs(t - 0.5), [0.5],
-                                          0.0, 1.0, 1e-12)
+    val = integrate_with_breakpoints(lambda t: np.abs(t - 0.5), [0.5],
+                                     0.0, 1.0, 1e-12)
     assert val == pytest.approx(0.25, abs=1e-12)
 
 
