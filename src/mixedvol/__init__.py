@@ -19,8 +19,7 @@ from .extremal import (EqualityCertificate, RigidityReport, StabilityReport,
 from .graph import (DiscretizedForm, KernelReport, MetricGraph,
                     PoincareReport, SpectrumResult, StructuralReport,
                     assemble, build_graph, edge_poincare_check, form_value,
-                    integrate_on_arcs, kernel_analysis, sbm_and_mu, spectrum,
-                    structural_checks)
+                    kernel_analysis, sbm_and_mu, spectrum, structural_checks)
 from .lowerdim import (ClusterReport, CylinderLimitReport, LowerDimProblem,
                        LowerEqualityCertificate, LowerSpectrumReport,
                        assemble_lowerdim, certify_equality_lowerdim,
@@ -33,7 +32,6 @@ from .measures import (DeficitReport, area_measure, classical_functionals,
 from .quadrature import (ArcFrame, ArcRestriction, SphericalMeasure,
                          arc_between, arc_sample_nodes,
                          integrate_against_measure, integrate_evaluator,
-                         integrate_pair, integrate_weighted_arcs,
-                         product_integral, sup_on_arcs)
+                         integrate_pair, product_integral, sup_on_arcs)
 
 __version__ = "0.1.0"

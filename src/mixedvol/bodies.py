@@ -13,6 +13,7 @@ from typing import Sequence, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from .errors import BadSpec, DegenerateInput, NumericalFailure
 
@@ -117,8 +118,7 @@ class Polytope:
         v = self.vertices
         if len(v) == 1:
             return 0.0
-        d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
-        return float(np.sqrt(d2.max()))
+        return float(pdist(v).max())
 
     @cached_property
     def scale(self) -> float:

@@ -233,7 +233,8 @@ def cmd_deficit(args):
     rep = base_report(args, "deficit", {"K": args.K, "L": args.L, "M": args.M})
     rep["values"].update({"V_KL": dr.v_kl, "V_KK": dr.v_kk, "V_LL": dr.v_ll,
                           "deficit": dr.deficit, "scale": dr.scale})
-    ok = dr.deficit >= -args.tol * dr.scale
+    ok = dr.deficit >= -X.DEFICIT_THRESHOLD * dr.scale
+    rep["params"]["deficit_threshold"] = X.DEFICIT_THRESHOLD
     rep["margins"]["deficit_over_scale"] = dr.deficit / dr.scale
     rep["verdicts"]["nonnegative"] = bool(ok)
     return rep, 0 if ok else 1
@@ -531,7 +532,8 @@ FLAGS = {
     "L": dict(default="cube"),
     "M": dict(default="cube"),
     "w": dict(default="0,0,1"),
-    "tol": dict(type=float, default=1e-9),
+    # None: derived from kmax and the mesh size
+    "tol": dict(type=float, default=None),
     "mesh-h": dict(dest="mesh_h", type=float, default=float(np.pi) / 100),
     "kmax": dict(type=int, default=8),
     "suite": dict(default="mixvol"),
@@ -543,7 +545,7 @@ FLAGS = {
 # --format dot|json and --out.
 COMMAND_FLAGS = {
     "mixvol": "K L M",
-    "deficit": "K L M tol",
+    "deficit": "K L M",
     "graph": "M",
     "spectrum": "M mesh-h kmax",
     "certify-full": "K L M",
@@ -575,8 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **FLAGS[flag])
-    # tol=None: derived from kmax and the mesh size
-    sub.choices["lower-spectrum"].set_defaults(kmax=2, tol=None)
+    sub.choices["lower-spectrum"].set_defaults(kmax=2)
     return ap
 
 

@@ -126,9 +126,10 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator) -> np.ndarray:
     segment coefficients (a_i, e_i, 0), so the normal equations need one
     restriction of delta per arc and the closed-form Gram matrix
     int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc."""
+    sbm, _ = sbm_and_mu(g)
     a_mat = np.zeros((3, 3))
     b_vec = np.zeros(3)
-    for fr, w in g.sbm_arcs:
+    for fr, w in zip(sbm.frames, sbm.weights.tolist()):
         coords = np.column_stack([fr.start, fr.tangent, np.zeros(3)])  # (3, 3)
         a_mat += w * quad.product_integral(coords[:, None, :], coords[None, :, :],
                                            0.0, fr.length)
@@ -197,12 +198,12 @@ def rigidity_check(k: Body, l: Body, m: Polytope) -> RigidityReport:
     mc = m.centered()
     r, big_r = enclosing_radii(mc)
     g = build_graph(mc)
-    _, mu = sbm_and_mu(g)
+    sbm, mu = sbm_and_mu(g)
     f = SupportEvaluator.of(k) + SupportEvaluator.of(l, -1.0)
     sbm_int = 0.0
-    for fr, w in g.sbm_arcs:
+    for fr, w in zip(sbm.frames, sbm.weights.tolist()):
         sbm_int += w * quad.integrate_pair(f, f, fr)[0]
-    mu_int = sum(float(f(u)) ** 2 * mass for u, mass in mu.atoms)
+    mu_int = float(f(mu.directions) ** 2 @ mu.masses)
     dr = quadratic_deficit(k, l, m)
     correction = (r * r / (6.0 * big_r * big_r)) * sbm_int \
         - (4.0 * big_r * big_r / (3.0 * r * r)) * mu_int

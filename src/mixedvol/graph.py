@@ -61,11 +61,6 @@ class MetricGraph:
     def total_weight(self) -> float:
         return sum(self.weights.tolist())
 
-    @property
-    def sbm_arcs(self) -> list[tuple[quad.ArcFrame, float]]:
-        """The arcs of S_{B,M}: each edge with weight w/2."""
-        return list(zip(self.frames, (self.weights / 2.0).tolist()))
-
 
 def build_graph(m: Polytope) -> MetricGraph:
     """Metric graph of a full-dimensional polytope."""
@@ -86,14 +81,8 @@ def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
     # both ends of each edge, in edge order
     mu_mass = np.zeros(len(g.normals))
     np.add.at(mu_mass, g.edges.ravel(), np.repeat(g.weights * g.lengths / 2.0, 2))
-    sbm = SphericalMeasure(arcs=g.sbm_arcs)
-    mu = SphericalMeasure(atoms=list(zip(g.normals, mu_mass.tolist())))
-    return sbm, mu
-
-
-def integrate_on_arcs(f: SupportEvaluator, g: MetricGraph) -> float:
-    """sum_e (w_e/2) int_e f dH^1, exact."""
-    return quad.integrate_weighted_arcs(f, g.sbm_arcs)
+    return (SphericalMeasure(frames=g.frames, weights=g.weights / 2.0),
+            SphericalMeasure(g.normals, mu_mass))
 
 
 def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> float:

@@ -12,20 +12,21 @@ number of support atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import quadrature as quad
-from .bodies import (Polytope, SupportEvaluator, affine_dim, as_unit_vector,
-                     classify_trivial, minkowski_sum, segment, support_data,
-                     unit)
-from .errors import (DimensionError, InsufficientSpectrum,
+from .bodies import (Polytope, SupportEvaluator, _row_norms, affine_dim,
+                     as_unit_vector, classify_trivial, minkowski_sum, segment,
+                     support_data, unit)
+from .errors import (BadParam, DimensionError, InsufficientSpectrum,
                      NumericalFailure, ZeroDenominator)
 from .extremal import DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD, _verdict
-from .graph import (DiscretizedForm, assemble_edges, build_graph,
-                    integrate_on_arcs, spectrum)
+from .graph import (DiscretizedForm, assemble_edges, build_graph, sbm_and_mu,
+                    spectrum)
 from .measures import DeficitReport, quadratic_deficit
 
 HYPERPLANE_TOL = 1e-9
@@ -33,31 +34,32 @@ HYPERPLANE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LowerDimProblem:
-    """M in w^perp together with the atoms (z_j, mass_j) of its surface
-    measure inside the hyperplane (edge normals for a polygon, the two
-    endpoint directions for a segment)."""
+    """M in w^perp together with the atoms of its surface measure inside the
+    hyperplane: mass masses[j] at the unit direction directions[j] (edge
+    normals for a polygon, the two endpoint directions for a segment)."""
     w: np.ndarray
     m: Polytope
     dim_m: int
-    atoms: tuple[tuple[np.ndarray, float], ...]
+    directions: np.ndarray   # (j, 3), in w^perp
+    masses: np.ndarray       # (j,)
 
     @property
     def multiplicity(self) -> int:
-        return len(self.atoms)
+        return len(self.masses)
 
-    @property
-    def sbm_arcs(self) -> list[tuple[quad.ArcFrame, float]]:
-        """The arcs of S_{B,M}: each half circle theta -> w cos(theta) +
-        z_j sin(theta) with weight mass_j / 2."""
-        return [(quad.ArcFrame(self.w, z, np.pi), 0.5 * mass)
-                for z, mass in self.atoms]
+    @cached_property
+    def sbm(self) -> quad.SphericalMeasure:
+        """S_{B,M}: each half circle theta -> w cos(theta) + z_j sin(theta)
+        with weight mass_j / 2."""
+        return quad.SphericalMeasure(
+            frames=tuple(quad.ArcFrame(self.w, z, np.pi) for z in self.directions),
+            weights=0.5 * self.masses)
 
     def total_mass(self) -> float:
-        return sum(mass for _, mass in self.atoms)
+        return sum(self.masses.tolist())
 
     def balance_residual(self) -> float:
-        s = sum((mass * z for z, mass in self.atoms), np.zeros(3))
-        return float(np.linalg.norm(s))
+        return float(np.linalg.norm(self.masses @ self.directions))
 
 
 def _plane_basis(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,22 +86,19 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
         d = ends[1] - ends[0]
         length = float(np.linalg.norm(d))
         z = unit(np.cross(w, d))  # in-plane normal perpendicular to the segment
-        atoms = ((z, length), (-z, length))
         # normals of the degenerate "polygon": the two in-plane directions
         # orthogonal to the segment carry no ridge mass, so only the endpoint
         # directions appear (each with mass = segment length).
-        return LowerDimProblem(w, m, 1, atoms)
+        return LowerDimProblem(w, m, 1, np.array([z, -z]),
+                               np.array([length, length]))
     b1, b2 = _plane_basis(w)
     pts2 = np.column_stack([verts @ b1, verts @ b2])
     ch = ConvexHull(pts2)
     cyc = pts2[ch.vertices]  # counterclockwise
-    atoms = []
-    for i in range(len(cyc)):
-        d = cyc[(i + 1) % len(cyc)] - cyc[i]
-        ln = float(np.linalg.norm(d))
-        n2 = np.array([d[1], -d[0]]) / ln  # outward normal of a ccw polygon
-        atoms.append((n2[0] * b1 + n2[1] * b2, ln))
-    p = LowerDimProblem(w, m, 2, tuple(atoms))
+    d = np.roll(cyc, -1, axis=0) - cyc
+    ln = _row_norms(d)
+    n2 = np.column_stack([d[:, 1], -d[:, 0]]) / ln[:, None]  # outward, ccw
+    p = LowerDimProblem(w, m, 2, n2[:, :1] * b1 + n2[:, 1:] * b2, ln)
     if p.balance_residual() > 1e-9 * p.total_mass():
         raise NumericalFailure("edge-normal atoms do not balance")
     return p
@@ -108,7 +107,7 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
 def sbm_lowerdim(p: LowerDimProblem, f: SupportEvaluator) -> float:
     """int f dS_{B,M} = (1/2) sum_j mass_j int_0^pi f(iota(theta, z_j)) dtheta,
     exact. Equals 3 V(B, K, M) when f = h_K."""
-    return quad.integrate_weighted_arcs(f, p.sbm_arcs)
+    return quad.integrate_against_measure(f, p.sbm)
 
 
 def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
@@ -120,8 +119,7 @@ def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
     m = p.multiplicity
     return assemble_edges(
         np.array([p.w, -p.w]), np.tile([0, 1], (m, 1)), np.full(m, np.pi),
-        np.array([mass for _, mass in p.atoms]), np.tile(p.w, (m, 1)),
-        np.array([z for z, _ in p.atoms]), h)
+        p.masses, np.tile(p.w, (m, 1)), p.directions, h)
 
 
 @dataclass(frozen=True)
@@ -154,6 +152,8 @@ def explicit_spectrum(k_max: int, multiplicity: int) -> list[tuple[float, int]]:
 def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
                     tol: float) -> LowerSpectrumReport:
     """Compare the discretized spectrum against the explicit clusters."""
+    if k_max < 1:
+        raise BadParam(f"need at least the k = 1 cluster, got k_max={k_max}")
     form = assemble_lowerdim(p, h)
     predicted = explicit_spectrum(k_max, p.multiplicity)
     needed = sum(mult for _, mult in predicted)
@@ -208,7 +208,7 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
     _, face_k = support_data(k, p.w)
     resid = (SupportEvaluator.of(k) + SupportEvaluator.of(face_lt)
              + SupportEvaluator.of(lt, -1.0) + SupportEvaluator.of(face_k, -1.0))
-    sup_res = quad.sup_on_arcs(resid, [fr for fr, _ in p.sbm_arcs])
+    sup_res = quad.sup_on_arcs(resid, p.sbm.frames)
     diam = max(k.diameter, abs(c) * l.diameter, 1e-30)
     verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
     return LowerEqualityCertificate(dr, float(c), sup_res, verdict,
@@ -245,7 +245,8 @@ def cylinder_limit_check(p: LowerDimProblem, f: SupportEvaluator,
     values = []
     for eps in eps_seq:
         cyl = minkowski_sum(p.m, segment(np.zeros(3), eps * p.w))
-        values.append(integrate_on_arcs(f, build_graph(cyl)))
+        sbm, _ = sbm_and_mu(build_graph(cyl))
+        values.append(quad.integrate_against_measure(f, sbm))
     errors = [abs(v - limit) for v in values]
     ratios = tuple(errors[i] / errors[i + 1] if errors[i + 1] > 1e-300 else np.inf
                    for i in range(len(errors) - 1))

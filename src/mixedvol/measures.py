@@ -11,7 +11,7 @@ facets of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -25,23 +25,25 @@ from .quadrature import SphericalMeasure, integrate_against_measure
 ATOM_MERGE_ANGLE = 1e-9   # angular tolerance for merging atoms by direction
 
 
-def merge_atoms(raw: Sequence[tuple[np.ndarray, float]]
-                ) -> list[tuple[np.ndarray, float]]:
+def merge_atoms(directions: np.ndarray, masses: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Sum masses of directions that agree within ATOM_MERGE_ANGLE.
 
     Greedy in input order: the first unclaimed atom becomes a representative
     and claims every unclaimed atom within the tolerance of it; the claimed
     masses are summed in input order."""
-    dirs = np.array([u for u, _ in raw], dtype=float)
-    free = np.ones(len(raw), dtype=bool)
-    merged = []
-    for i in range(len(raw)):
+    free = np.ones(len(directions), dtype=bool)
+    group = np.empty(len(directions), dtype=np.intp)
+    reps = []
+    for i in range(len(directions)):
         if free[i]:
-            claim = np.flatnonzero(free & (np.linalg.norm(dirs - dirs[i], axis=1)
-                                           <= ATOM_MERGE_ANGLE))
+            claim = np.flatnonzero(free & (np.linalg.norm(directions - directions[i],
+                                                          axis=1) <= ATOM_MERGE_ANGLE))
             free[claim] = False
-            merged.append((dirs[i], sum(raw[j][1] for j in claim)))
-    return merged
+            group[claim] = len(reps)
+            reps.append(i)
+    # bincount adds the weights one by one in input order
+    return directions[reps], np.bincount(group, masses, len(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -94,26 +96,23 @@ def area_measure(p: Polytope) -> SphericalMeasure:
         raise DegenerateInput(
             "area_measure requires a full-dimensional polytope "
             "(use the lower-dimensional pipeline)")
-    return SphericalMeasure(atoms=_facet_atoms(p))
+    return SphericalMeasure(p.facets.normals, p.facets.areas)
 
 
-def _facet_atoms(p: Polytope) -> list[tuple[np.ndarray, float]]:
-    return list(zip(p.facets.normals, p.facets.areas.tolist()))
-
-
-def _surface_atoms_any(p: Polytope) -> list[tuple[np.ndarray, float]]:
-    """Surface area measure atoms, lower dimensions included (dim 2 gives the
-    two-sided planar atoms; dim <= 1 is the zero measure)."""
+def _surface_atoms_any(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and masses of the surface area measure's atoms, lower
+    dimensions included (dim 2 gives the two-sided planar atoms; dim <= 1 is
+    the zero measure)."""
     if p.dim == 3:
-        return _facet_atoms(p)
+        return p.facets.normals, p.facets.areas
     if p.dim == 2:
         v = p.vertices
         c = v.mean(axis=0)
         vec = 0.5 * np.sum(np.cross(v - c, np.roll(v, -1, axis=0) - c), axis=0)
         area = float(np.linalg.norm(vec))
         n = unit(vec)
-        return [(n, area), (-n, area)]
-    return []
+        return np.array([n, -n]), np.array([area, area])
+    return np.zeros((0, 3)), np.zeros(0)
 
 
 def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
@@ -128,14 +127,13 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     if dl == 0.0 or dm == 0.0:
         return SphericalMeasure()
     l, m = l.centered().scaled(1.0 / dl), m.centered().scaled(1.0 / dm)
-    raw = ([(u, 0.5 * mass) for u, mass in _surface_atoms_any(minkowski_sum(l, m))]
-           + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(l)]
-           + [(u, -0.5 * mass) for u, mass in _surface_atoms_any(m)])
-    out = SphericalMeasure(atoms=merge_atoms(raw))
+    parts = [_surface_atoms_any(b) for b in (minkowski_sum(l, m), l, m)]
+    raw = np.concatenate([c * a for c, (_, a) in zip((0.5, -0.5, -0.5), parts)])
+    dirs, masses = merge_atoms(np.concatenate([u for u, _ in parts]), raw)
     # the masses that cancel, not their small net total, set the rounding
-    out.validate_nonnegative(sum(abs(mass) for _, mass in raw))
-    out.atoms = [(u, dl * dm * mass) for u, mass in out.atoms if mass > 0.0]
-    return out
+    SphericalMeasure(dirs, masses).validate_nonnegative(sum(np.abs(raw).tolist()))
+    keep = masses > 0.0
+    return SphericalMeasure(dirs[keep], dl * dm * masses[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +192,8 @@ def mixed_volume_xpp(x: Body, p: Polytope) -> float:
     measure S_P: the facets of a full-dimensional P, the two sides of a planar
     P, none for dim P <= 1. X may be a Ball. This is V(P, P, X) too, so it
     gives V(K, K, M) = (1/3) sum_F h_M(u_F) |F| without polarization."""
-    atoms = _surface_atoms_any(p)
-    if not atoms:
-        return 0.0
-    h = x.support(np.array([u for u, _ in atoms]))
-    return float(np.dot(h, [mass for _, mass in atoms])) / 3.0
+    dirs, masses = _surface_atoms_any(p)
+    return float(x.support(dirs) @ masses) / 3.0
 
 
 def _v_xxm(x: Body, m: Polytope) -> float:
@@ -218,7 +213,7 @@ def classical_functionals(k: Polytope) -> tuple[float, float, float]:
 
     The surface area 3 V(B,K,K) is the total mass of S_K."""
     ball = Ball(np.zeros(3), 1.0)
-    s = sum(mass for _, mass in _surface_atoms_any(k))
+    s = sum(_surface_atoms_any(k)[1].tolist())
     w = (3.0 / (2.0 * np.pi)) * mv3(ball, ball, k)
     return k.volume, s, w
 

@@ -204,35 +204,28 @@ def sup_on_arcs(f: SupportEvaluator, frames: Sequence[ArcFrame]) -> float:
     return worst
 
 
-def integrate_weighted_arcs(f: SupportEvaluator,
-                            arcs: Sequence[tuple[ArcFrame, float]]) -> float:
-    """sum over (frame, w) of w * int f dH^1 along the arc, exact."""
-    total = 0.0
-    for fr, w in arcs:
-        total += w * integrate_evaluator(f, fr)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Measures on the sphere: atoms plus weighted arcs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SphericalMeasure:
-    """Measure on S^2 with an atomic part and a weighted-arc part."""
-    atoms: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    arcs: list[tuple[ArcFrame, float]] = field(default_factory=list)
+    """Measure on S^2: mass masses[i] at directions[i], plus weights[j]
+    times arclength on the arc frames[j]."""
+    directions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    masses: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    frames: tuple[ArcFrame, ...] = ()
+    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def total_mass(self) -> float:
-        return (sum(m for _, m in self.atoms)
-                + sum(w * fr.length for fr, w in self.arcs))
+        lengths = np.array([fr.length for fr in self.frames])
+        return (sum(self.masses.tolist())
+                + sum((self.weights * lengths).tolist()))
 
     def barycenter_residual(self) -> float:
         """Norm of int u dmu; vanishes for area measures of closed bodies."""
-        s = np.zeros(3)
-        for u, m in self.atoms:
-            s += m * u
-        for fr, w in self.arcs:
+        s = self.masses @ self.directions
+        for fr, w in zip(self.frames, self.weights.tolist()):
             # int over arc of u dH^1 = sin(l) * a + (1 - cos(l)) * e, per axis
             s += w * (np.sin(fr.length) * fr.start
                       + (1 - np.cos(fr.length)) * fr.tangent)
@@ -244,16 +237,14 @@ class SphericalMeasure:
         the total absolute mass the measure was computed from: differences
         of measures round relative to the masses that cancel."""
         floor = -tol * max(gross, 1e-30)
-        for _, m in self.atoms:
-            if m < floor:
-                raise NegativeMass(f"atom mass {m:g} below {floor:g}")
-        for _, w in self.arcs:
-            if w < floor:
-                raise NegativeMass(f"arc weight {w:g} below {floor:g}")
+        for kind, m in (("atom mass", self.masses), ("arc weight", self.weights)):
+            if len(m) and m.min() < floor:
+                raise NegativeMass(f"{kind} {m.min():g} below {floor:g}")
         return self
 
 
 def integrate_against_measure(f: SupportEvaluator, mu: SphericalMeasure) -> float:
     """sum over atoms of f(u) * mass plus the exact arc integrals of f dH^1."""
-    return (sum(float(f(u)) * mass for u, mass in mu.atoms)
-            + integrate_weighted_arcs(f, mu.arcs))
+    return (float(f(mu.directions) @ mu.masses)
+            + sum(w * integrate_evaluator(f, fr)
+                  for fr, w in zip(mu.frames, mu.weights.tolist())))

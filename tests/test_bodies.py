@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,3 +427,44 @@ def test_minkowski_sum_cube_segment(unit_cube, unit_segment):
     s = B.minkowski_sum(unit_cube, unit_segment)
     assert abs(s.volume - 2.0) < 1e-12   # 2x1x1 box
     assert len(s.facets) == 6
+
+
+def _diameter_reference(p):
+    """The all-pairs formula Polytope.diameter is checked against: it
+    builds an (n, n, 3) array of vertex differences."""
+    v = p.vertices
+    if len(v) == 1:
+        return 0.0
+    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
+    return float(np.sqrt(d2.max()))
+
+
+DIAMETER_INPUTS = {
+    **{name: (lambda make=make: B.hull(make())) for name, make in HULL_INPUTS.items()},
+    **{f"rand{n}s{s}": (lambda n=n, s=s: B.random_hull(n, s))
+       for n in (4, 10, 60) for s in range(5)},
+    "square": lambda: B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                       [1, 1, 0]], dtype=float)),
+    "segment": lambda: B.segment(np.zeros(3), np.array([1.0, 2.0, 3.0])),
+    "point": lambda: B.hull(np.array([[0.5, -1.0, 2.0]])),
+}
+
+
+@pytest.mark.parametrize("name", list(DIAMETER_INPUTS))
+def test_diameter_matches_all_pairs_reference(name):
+    p = DIAMETER_INPUTS[name]()
+    assert p.diameter == _diameter_reference(p)
+
+
+def test_diameter_memory_is_one_float_per_pair():
+    # 1000 vertices: 499500 pair distances take 4 MB; an (n, n, 3) array of
+    # differences takes 24 MB
+    p = B.hull(_sphere_points(1000))
+    assert len(p.vertices) == 1000
+    tracemalloc.start()
+    try:
+        p.diameter
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

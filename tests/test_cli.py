@@ -173,6 +173,17 @@ def test_spectrum_kmax_below_1_gives_exit_2(capsys, kmax):
     assert "BadParam" in err
 
 
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_lower_spectrum_kmax_below_1_gives_exit_2(capsys, kmax):
+    # kmax 0 derived a zero tolerance and failed a correct spectrum; kmax -1
+    # asked for the maximum of an empty residual array
+    code, out, err = run(capsys, ["lower-spectrum", "--M", "square",
+                                  "--kmax", kmax])
+    assert code == 2
+    assert out == ""
+    assert "BadParam" in err
+
+
 def test_randtest_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, ["randtest", "--suite", "mixvol", "--n", "3",
                                 "--seed", "11"])

@@ -25,10 +25,10 @@ def test_setup_square_atoms(unit_square):
     p = LD.lowerdim_setup(unit_square, W)
     assert p.dim_m == 2
     assert p.multiplicity == 4
-    dirs = sorted(tuple(np.round(z, 9)) for z, _ in p.atoms)
+    dirs = sorted(tuple(np.round(z, 9)) for z in p.directions)
     assert dirs == [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
                     (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
-    assert all(mass == pytest.approx(1.0) for _, mass in p.atoms)
+    assert all(mass == pytest.approx(1.0) for mass in p.masses)
     assert p.balance_residual() < 1e-12 * p.total_mass()
 
 
@@ -36,7 +36,7 @@ def test_setup_segment_atoms(unit_segment):
     p = LD.lowerdim_setup(unit_segment, W)
     assert p.dim_m == 1
     assert p.multiplicity == 2
-    for z, mass in p.atoms:
+    for z, mass in zip(p.directions, p.masses):
         assert abs(abs(z[1]) - 1.0) < 1e-12   # +-e2, perpendicular to e1
         assert mass == pytest.approx(1.0)
 
@@ -45,7 +45,7 @@ def test_setup_hexagon_atoms():
     s = 0.8
     p = LD.lowerdim_setup(hexagon(s), W)
     assert p.multiplicity == 6
-    assert all(mass == pytest.approx(s, rel=1e-12) for _, mass in p.atoms)
+    assert all(mass == pytest.approx(s, rel=1e-12) for mass in p.masses)
     assert p.balance_residual() < 1e-12 * p.total_mass()
 
 
@@ -84,7 +84,7 @@ def test_sbm_callable_matches_evaluator(unit_square, unit_cube):
     exact = LD.sbm_lowerdim(p, ev)
     numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(fr.point(t))),
                                      0.0, fr.length, 1e-11)
-                  for fr, w in p.sbm_arcs)
+                  for fr, w in zip(p.sbm.frames, p.sbm.weights))
     assert rel_err(exact, numeric) < 1e-9
 
 

@@ -53,7 +53,7 @@ def test_cube_segment_mixed_volume(unit_cube, unit_segment):
 
 def test_area_measure_cube(unit_cube):
     mu = MS.area_measure(unit_cube)
-    assert len(mu.atoms) == 6
+    assert len(mu.masses) == 6
     assert mu.total_mass() == pytest.approx(6.0)
     assert mu.barycenter_residual() < 1e-12
 
@@ -66,9 +66,9 @@ def test_area_measure_rejects_lower_dim(unit_square):
 def test_mixed_area_measure_cube_segment(unit_cube, unit_segment):
     s = MS.mixed_area_measure(unit_cube, unit_segment)
     # atoms at +-e2, +-e3 with mass 1/2 each
-    assert len(s.atoms) == 4
+    assert len(s.masses) == 4
     assert s.total_mass() == pytest.approx(2.0)
-    for u, mass in s.atoms:
+    for u, mass in zip(s.directions, s.masses):
         assert abs(u[0]) < 1e-12
         assert mass == pytest.approx(0.5)
 
@@ -144,11 +144,10 @@ def test_integrate_constant_against_sbm(unit_cube):
 
 def test_merge_atoms():
     e1 = np.array([1.0, 0, 0])
-    merged = MS.merge_atoms([(e1, 1.0), (e1 + 1e-12, 2.0),
-                             (np.array([0, 1.0, 0]), 3.0)])
-    assert len(merged) == 2
-    masses = sorted(m for _, m in merged)
-    assert masses == pytest.approx([3.0, 3.0])
+    dirs, masses = MS.merge_atoms(np.array([e1, e1 + 1e-12, [0, 1.0, 0]]),
+                                  np.array([1.0, 2.0, 3.0]))
+    assert len(dirs) == len(masses) == 2
+    assert sorted(masses) == pytest.approx([3.0, 3.0])
 
 
 def _merge_atoms_reference(raw):
@@ -168,9 +167,9 @@ def _merge_atoms_reference(raw):
 
 def _raw_mixed_atoms(l, m):
     """The unmerged atoms of S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)]."""
-    return ([(u, 0.5 * a) for u, a in MS._surface_atoms_any(B.minkowski_sum(l, m))]
-            + [(u, -0.5 * a) for u, a in MS._surface_atoms_any(l)]
-            + [(u, -0.5 * a) for u, a in MS._surface_atoms_any(m)])
+    return ([(u, 0.5 * a) for u, a in zip(*MS._surface_atoms_any(B.minkowski_sum(l, m)))]
+            + [(u, -0.5 * a) for u, a in zip(*MS._surface_atoms_any(l))]
+            + [(u, -0.5 * a) for u, a in zip(*MS._surface_atoms_any(m))])
 
 
 def _chain_atoms():
@@ -202,12 +201,15 @@ MERGE_CASES = {
 @pytest.mark.parametrize("name", list(MERGE_CASES))
 def test_merge_atoms_matches_reference_loop(name):
     raw = MERGE_CASES[name]()
-    got, ref = MS.merge_atoms(raw), _merge_atoms_reference(raw)
-    assert len(got) == len(ref)
-    for (u, m), (v, n) in zip(got, ref):
+    dirs, masses = MS.merge_atoms(
+        np.array([u for u, _ in raw], dtype=float).reshape(-1, 3),
+        np.array([m for _, m in raw], dtype=float))
+    ref = _merge_atoms_reference(raw)
+    assert len(dirs) == len(masses) == len(ref)
+    for u, m, (v, n) in zip(dirs, masses.tolist(), ref):
         assert np.array_equal(u, v) and m == n
     if name == "chain":
-        assert [m for _, m in got] == [3.0, 4.0]
+        assert masses.tolist() == [3.0, 4.0]
 
 
 @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
@@ -242,8 +244,8 @@ def test_mixed_volume_via_measure_homogeneous_under_one_body_rescaled(slot, c):
 
 def test_mixed_area_measure_of_a_point_is_zero():
     point = B.hull(np.array([[0.5, -1.0, 2.0]]))
-    assert MS.mixed_area_measure(point, B.cube()).atoms == []
-    assert MS.mixed_area_measure(B.cube(), point).atoms == []
+    assert len(MS.mixed_area_measure(point, B.cube()).masses) == 0
+    assert len(MS.mixed_area_measure(B.cube(), point).masses) == 0
 
 
 class _Counted:
