@@ -29,9 +29,10 @@ from .measures import (DeficitReport, area_measure, classical_functionals,
                        merge_atoms, mixed_area_measure, mixed_volume,
                        mixed_volume_via_measure, mixed_volume_xpp, mv3,
                        quadratic_deficit, vbbm_conewise)
-from .quadrature import (ArcFrame, ArcRestriction, SphericalMeasure,
+from .quadrature import (ArcFrame, ArcRestriction, Arcs, SphericalMeasure,
                          arc_between, arc_sample_nodes,
                          integrate_against_measure, integrate_evaluator,
-                         integrate_pair, product_integral, sup_on_arcs)
+                         integrate_pair, product_integral, restrict,
+                         sup_on_arcs)
 
 __version__ = "0.1.0"

@@ -131,6 +131,37 @@ class Polytope:
         # divergence theorem: (1/3) sum_F h_F * area_F, summed in facet order
         return sum((self.facets.offsets * self.facets.areas).tolist()) / 3.0
 
+    @cached_property
+    def fan(self) -> np.ndarray:
+        """(E', 2, 3) end normals of the arcs of the normal fan, where the
+        maximizing vertex is not unique (Ziegler, Lectures on Polytopes,
+        7.1); every arc is shorter than pi.
+
+        dim 3: the facet normals of each edge. dim 2: per polygon edge, the
+        quarter circles (n_P, o_i) and (o_i, -n_P), with n_P the plane normal
+        about which the vertices run counterclockwise and o_i the edge's
+        outward normal in the plane. dim 1: four quarter circles of the great
+        circle perpendicular to the segment. dim 0: none."""
+        if self.dim == 3:
+            return self.facets.normals[self.edges.facets]
+        if self.dim == 0:
+            return np.zeros((0, 2, 3))
+        # centered and at unit size, so that unit()'s absolute floor is far
+        v = self.vertices - self.centroid
+        v = v / np.abs(v).max()
+        if self.dim == 2:
+            d = np.roll(v, -1, axis=0) - v
+            pole = unit(np.cross(v, d).sum(axis=0))
+            out = np.cross(d, pole)
+            out /= _row_norms(out)[:, None]
+            poles = np.broadcast_to(pole, out.shape)
+            return np.concatenate([np.stack([poles, out], axis=1),
+                                   np.stack([out, -poles], axis=1)])
+        d = unit(v[1] - v[0])
+        p = unit(np.cross(d, np.eye(3)[int(np.argmin(np.abs(d)))]))
+        ring = np.array([p, np.cross(d, p), -p, -np.cross(d, p)])
+        return np.stack([ring, np.roll(ring, -1, axis=0)], axis=1)
+
     def support(self, u) -> Union[float, np.ndarray]:
         """h_K(u) = max over vertices of <v, u>; u may be (..., 3)."""
         u = np.asarray(u, dtype=float)

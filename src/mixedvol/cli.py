@@ -527,17 +527,33 @@ def cmd_randtest(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
+    return value
+
+
 FLAGS = {
     "K": dict(default="cube"),
     "L": dict(default="cube"),
     "M": dict(default="cube"),
     "w": dict(default="0,0,1"),
     # None: derived from kmax and the mesh size
-    "tol": dict(type=float, default=None),
-    "mesh-h": dict(dest="mesh_h", type=float, default=float(np.pi) / 100),
+    "tol": dict(type=positive_float, default=None),
+    "mesh-h": dict(dest="mesh_h", type=positive_float,
+                   default=float(np.pi) / 100),
     "kmax": dict(type=int, default=8),
     "suite": dict(default="mixvol"),
-    "n": dict(type=int, default=10),
+    "n": dict(type=nonnegative_int, default=10),
 }
 
 # The flags each subcommand reads. Every command except graph writes a report
@@ -572,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "graph":
             p.add_argument("--format", choices=["dot", "json"], default="json")
         else:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=nonnegative_int, default=0)
             p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None)
         for flag in flags.split():

@@ -124,25 +124,24 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator) -> np.ndarray:
 
     On an arc u(t) = a cos t + e sin t the coordinate x_i has the single
     segment coefficients (a_i, e_i, 0), so the normal equations need one
-    restriction of delta per arc and the closed-form Gram matrix
-    int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc."""
+    restriction of delta and the closed-form Gram matrices
+    int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc of the arcs."""
     sbm, _ = sbm_and_mu(g)
-    a_mat = np.zeros((3, 3))
-    b_vec = np.zeros(3)
-    for fr, w in zip(sbm.frames, sbm.weights.tolist()):
-        coords = np.column_stack([fr.start, fr.tangent, np.zeros(3)])  # (3, 3)
-        a_mat += w * quad.product_integral(coords[:, None, :], coords[None, :, :],
-                                           0.0, fr.length)
-        r = quad.ArcRestriction.of(delta, fr)
-        b_vec += w * quad.product_integral(r.coef[:, None, :], coords[None, :, :],
-                                           r.cuts[:-1, None], r.cuts[1:, None]
-                                           ).sum(axis=0)
+    arcs, w = sbm.arcs, sbm.weights
+    # coords[j, i]: the coefficients of x_i on arc j
+    coords = np.stack([arcs.starts, arcs.tangents, np.zeros_like(arcs.starts)],
+                      axis=2)
+    a_mat = np.tensordot(w, quad.product_integral(
+        coords[:, :, None], coords[:, None], 0.0, arcs.lengths[:, None, None]), 1)
+    (r,) = quad.restrict(arcs, delta)
+    b_vec = w[r.arc] @ quad.product_integral(r.coef[:, None], coords[r.arc],
+                                             r.t0[:, None], r.t1[:, None])
     return np.linalg.solve(a_mat, b_vec)
 
 
 def sup_on_sbm(g: MetricGraph, f: SupportEvaluator) -> float:
     """Sup of |f| over quadrature nodes of the arcs of supp S_{B,M}."""
-    return quad.sup_on_arcs(f, g.frames)
+    return quad.sup_on_arcs(f, g.arcs)
 
 
 def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertificate:
@@ -200,9 +199,8 @@ def rigidity_check(k: Body, l: Body, m: Polytope) -> RigidityReport:
     g = build_graph(mc)
     sbm, mu = sbm_and_mu(g)
     f = SupportEvaluator.of(k) + SupportEvaluator.of(l, -1.0)
-    sbm_int = 0.0
-    for fr, w in zip(sbm.frames, sbm.weights.tolist()):
-        sbm_int += w * quad.integrate_pair(f, f, fr)[0]
+    (rf,) = quad.restrict(sbm.arcs, f)
+    sbm_int = sum((sbm.weights * rf.pair(rf)[0]).tolist())
     mu_int = float(f(mu.directions) ** 2 @ mu.masses)
     dr = quadratic_deficit(k, l, m)
     correction = (r * r / (6.0 * big_r * big_r)) * sbm_int \

@@ -42,10 +42,9 @@ class MetricGraph:
     tangents: np.ndarray    # (E, 3) unit tangents at the starts
 
     @cached_property
-    def frames(self) -> tuple[quad.ArcFrame, ...]:
-        """The edges as arcs, built once per graph."""
-        return tuple(map(quad.ArcFrame, self.starts, self.tangents,
-                         self.lengths.tolist()))
+    def arcs(self) -> quad.Arcs:
+        """The edges as an arc table, built once per graph."""
+        return quad.Arcs(self.starts, self.tangents, self.lengths)
 
     def vertex_balance_residuals(self) -> np.ndarray:
         """|sum of w_e times the outgoing unit tangent| at each vertex."""
@@ -81,7 +80,7 @@ def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
     # both ends of each edge, in edge order
     mu_mass = np.zeros(len(g.normals))
     np.add.at(mu_mass, g.edges.ravel(), np.repeat(g.weights * g.lengths / 2.0, 2))
-    return (SphericalMeasure(frames=g.frames, weights=g.weights / 2.0),
+    return (SphericalMeasure(arcs=g.arcs, weights=g.weights / 2.0),
             SphericalMeasure(g.normals, mu_mass))
 
 
@@ -89,11 +88,9 @@ def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> flo
     """E(f, g) = (1/6) sum_e w_e int (fg - f'g'), exact piecewise evaluation.
 
     Equals V(K, L, M) when f = h_K, g = h_L (M the graph's polytope)."""
-    total = 0.0
-    for frame, w in zip(g.frames, g.weights.tolist()):
-        ifg, idfdg = quad.integrate_pair(f, gg, frame)
-        total += w * (ifg - idfdg)
-    return total / 6.0
+    rf, rg = quad.restrict(g.arcs, f, gg)
+    ifg, idfdg = rf.pair(rg)
+    return sum((g.weights * (ifg - idfdg)).tolist()) / 6.0
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,10 @@ class LowerDimProblem:
     def sbm(self) -> quad.SphericalMeasure:
         """S_{B,M}: each half circle theta -> w cos(theta) + z_j sin(theta)
         with weight mass_j / 2."""
+        m = self.multiplicity
         return quad.SphericalMeasure(
-            frames=tuple(quad.ArcFrame(self.w, z, np.pi) for z in self.directions),
+            arcs=quad.Arcs(np.tile(self.w, (m, 1)), self.directions,
+                           np.full(m, np.pi)),
             weights=0.5 * self.masses)
 
     def total_mass(self) -> float:
@@ -208,7 +210,7 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
     _, face_k = support_data(k, p.w)
     resid = (SupportEvaluator.of(k) + SupportEvaluator.of(face_lt)
              + SupportEvaluator.of(lt, -1.0) + SupportEvaluator.of(face_k, -1.0))
-    sup_res = quad.sup_on_arcs(resid, p.sbm.frames)
+    sup_res = quad.sup_on_arcs(resid, p.sbm.arcs)
     diam = max(k.diameter, abs(c) * l.diameter, 1e-30)
     verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
     return LowerEqualityCertificate(dr, float(c), sup_res, verdict,

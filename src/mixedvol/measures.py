@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 
 from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
                      _row_norms, affine_dim, minkowski_sum, unit)
@@ -31,19 +31,21 @@ def merge_atoms(directions: np.ndarray, masses: np.ndarray
 
     Greedy in input order: the first unclaimed atom becomes a representative
     and claims every unclaimed atom within the tolerance of it; the claimed
-    masses are summed in input order."""
-    free = np.ones(len(directions), dtype=bool)
-    group = np.empty(len(directions), dtype=np.intp)
-    reps = []
-    for i in range(len(directions)):
-        if free[i]:
-            claim = np.flatnonzero(free & (np.linalg.norm(directions - directions[i],
-                                                          axis=1) <= ATOM_MERGE_ANGLE))
-            free[claim] = False
-            group[claim] = len(reps)
-            reps.append(i)
+    masses are summed in input order. Only the pairs within the tolerance,
+    found by a k-d tree, are visited."""
+    n = len(directions)
+    owner = np.arange(n)
+    if n > 1:
+        pairs = cKDTree(directions).query_pairs(ATOM_MERGE_ANGLE,
+                                                output_type="ndarray")
+        # i < j in each pair; visiting them by i, then j, replays the claims
+        for i, j in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist():
+            if owner[i] == i and owner[j] == j:
+                owner[j] = i
+    rep = owner == np.arange(n)
+    group = (np.cumsum(rep) - 1)[owner]
     # bincount adds the weights one by one in input order
-    return directions[reps], np.bincount(group, masses, len(reps))
+    return directions[rep], np.bincount(group, masses, int(rep.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,33 @@ the sphere made of atoms and weighted arcs.
 
 On an arc u(t) = a cos t + e sin t the restriction of a support-function
 combination is a piecewise trig polynomial A cos t + B sin t + C (C from
-balls), cut where some polytope term switches active vertex. An
-``ArcRestriction`` holds the cuts and the per-segment coefficients, so
-integrals of products (and of derivative products) are closed-form sums over
-its segments.
+balls), cut where some polytope term switches active vertex. Those cuts are
+the crossings of the arc with the polytope's normal fan, so they are found
+for every arc of an ``Arcs`` table at once. An ``ArcRestriction`` holds the
+smooth segments of all arcs as rows, with their coefficients, so integrals
+of products (and of derivative products) are closed-form sums over segments,
+reduced per arc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bodies import Ball, Polytope, SupportEvaluator, _row_dots, _row_norms
 from .errors import NegativeMass, QuadratureFailure
+
+# |<n, pole>| at or below this puts a fan vertex n on an arc's great circle
+PLANE_TOL = 1e-12
+# interior cuts lie in (CUT_TOL, length - CUT_TOL); closer cuts are one cut
+CUT_TOL = 1e-12
+NODES_PER_SEGMENT = 17   # sample nodes per smooth segment, endpoints included
+# entries (8 bytes each) of the sign tables, midpoint argmax and sup scan of
+# one block of arcs, per smooth segment of an arc (8 MB)
+BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -31,6 +43,39 @@ class ArcFrame:
         t = np.asarray(t, dtype=float)
         return (np.multiply.outer(np.cos(t), self.start)
                 + np.multiply.outer(np.sin(t), self.tangent))
+
+
+@dataclass(frozen=True)
+class Arcs:
+    """Great-circle arcs as rows: arc i is u(t) = starts[i] cos t +
+    tangents[i] sin t, t in [0, lengths[i]], with starts[i] and tangents[i]
+    orthonormal."""
+    starts: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    tangents: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    lengths: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @classmethod
+    def of(cls, frame: ArcFrame) -> "Arcs":
+        """The table of one arc."""
+        return cls(np.asarray(frame.start, dtype=float)[None],
+                   np.asarray(frame.tangent, dtype=float)[None],
+                   np.array([frame.length], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, rows: slice) -> "Arcs":
+        return Arcs(self.starts[rows], self.tangents[rows], self.lengths[rows])
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """(n, 3) unit normals of the arcs' planes."""
+        return np.cross(self.starts, self.tangents)
+
+    def points(self, arc: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """u(t) on arc arc, elementwise over the broadcast of arc and t."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.cos(t) * self.starts[arc] + np.sin(t) * self.tangents[arc]
 
 
 def arcs_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -52,52 +97,83 @@ def arc_between(a: np.ndarray, b: np.ndarray) -> ArcFrame:
 
 
 # ---------------------------------------------------------------------------
-# Breakpoints of the active-vertex envelope
+# Breakpoints: crossings with the normal fans of the polytope terms
 # ---------------------------------------------------------------------------
 
-def _envelope_breakpoints(alpha: np.ndarray, beta: np.ndarray, l: float) -> list[float]:
-    """Switch points of argmax_i(alpha_i cos t + beta_i sin t) on (0, l)."""
-    m = len(alpha)
-    if m <= 1:
-        return []
-    vals0 = alpha
-    top = vals0.max()
-    cand = np.flatnonzero(vals0 >= top - 1e-13 * max(1.0, abs(top)))
-    i = int(cand[np.argmax(beta[cand])])
-    bps: list[float] = []
-    t = 0.0
-    for _ in range(8 * m + 16):
-        big_a = alpha[i] - alpha
-        big_b = beta[i] - beta
-        # zeros of big_a cos t + big_b sin t, normalized into (t, t + pi]
-        tstar = np.arctan2(-big_a, big_b)
-        tstar = np.where(tstar <= t + 1e-12, tstar + np.pi, tstar)
-        tstar = np.where(tstar <= t + 1e-12, tstar + np.pi, tstar)
-        tstar[i] = np.inf
-        tstar = np.where(tstar < l - 1e-12, tstar, np.inf)
-        j = int(np.argmin(tstar))
-        tn = float(tstar[j])
-        if not np.isfinite(tn):
-            break
-        t = tn
-        eps = min(1e-9, (l - t) / 2)
-        vals = alpha * np.cos(t + eps) + beta * np.sin(t + eps)
-        ni = int(np.argmax(vals))
-        if ni != i:
-            bps.append(t)
-            i = ni
-    return bps
+def _polytopes(evaluators: Sequence[SupportEvaluator]) -> list[Polytope]:
+    """The distinct polytope terms of the evaluators, by identity."""
+    return list({id(b): b for f in evaluators for _, b in f.terms
+                 if isinstance(b, Polytope)}.values())
+
+
+def _fan_crossings(fan: np.ndarray, arcs: Arcs
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(arc, t) of the crossings of the fan arcs with the interiors of the arcs.
+
+    The fan arc from n0 to n1 crosses the plane of an arc where the signed
+    distances s0, s1 of its ends change sign, at x = |s1| n0 + |s0| n1. A fan
+    arc with both ends on the plane runs along the arc and switches nothing."""
+    s = fan @ arcs.poles.T                        # (E, 2, arcs)
+    s[np.abs(s) <= PLANE_TOL] = 0.0
+    s0, s1 = s[:, 0], s[:, 1]
+    fi, ai = np.nonzero((s0 * s1 <= 0.0) & ((s0 != 0.0) | (s1 != 0.0)))
+    x = (np.abs(s1[fi, ai])[:, None] * fan[fi, 0]
+         + np.abs(s0[fi, ai])[:, None] * fan[fi, 1])
+    t = np.arctan2(_row_dots(x, arcs.tangents[ai]),
+                   _row_dots(x, arcs.starts[ai]))
+    inside = (t > CUT_TOL) & (t < arcs.lengths[ai] - CUT_TOL)
+    return ai[inside], t[inside]
+
+
+def breakpoints(arcs: Arcs, *evaluators: SupportEvaluator
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(arc, t) of the interior parameters where some polytope term of the
+    evaluators switches active vertex, sorted by arc and then by t."""
+    found = [_fan_crossings(p.fan, arcs) for p in _polytopes(evaluators)]
+    arc = np.concatenate([np.zeros(0, dtype=np.intp)] + [a for a, _ in found])
+    t = np.concatenate([np.zeros(0)] + [t for _, t in found])
+    order = np.lexsort((t, arc))
+    arc, t = arc[order], t[order]
+    keep = np.ones(len(t), dtype=bool)
+    keep[1:] = (arc[1:] != arc[:-1]) | (t[1:] - t[:-1] > CUT_TOL)
+    return arc[keep], t[keep]
+
+
+def segments(arcs: Arcs, *evaluators: SupportEvaluator
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(arc, t0, t1): the smooth segments of the evaluators on all arcs, in
+    arc order and ascending along each arc."""
+    cut_arc, cut_t = breakpoints(arcs, *evaluators)
+    per_arc = np.bincount(cut_arc, minlength=len(arcs)) + 1
+    arc = np.repeat(np.arange(len(arcs)), per_arc)
+    t0, t1 = np.zeros(len(arc)), np.empty(len(arc))
+    ends = np.arange(len(cut_t)) + cut_arc       # the segment each cut ends
+    t1[ends] = cut_t
+    t0[ends + 1] = cut_t
+    t1[np.cumsum(per_arc) - 1] = arcs.lengths
+    return arc, t0, t1
+
+
+def _segment_blocks(arcs: Arcs, evaluators: Sequence[SupportEvaluator]
+                    ) -> Iterator[tuple[int, Arcs, tuple[np.ndarray, ...]]]:
+    """(first, block, segments(block)) for the arcs in consecutive blocks, at
+    least one. A block is sized so that its sign tables, midpoint argmax and
+    sup scan against the polytope terms hold about BLOCK_ENTRIES entries per
+    smooth segment of an arc, however many arcs and vertices there are."""
+    width = sum(2 * len(p.fan) + NODES_PER_SEGMENT * len(p.vertices)
+                for p in _polytopes(evaluators))
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    if step >= len(arcs):           # one block: keep the table's cached poles
+        yield 0, arcs, segments(arcs, *evaluators)
+        return
+    for lo in range(0, len(arcs), step):
+        block = arcs[lo:lo + step]
+        yield lo, block, segments(block, *evaluators)
 
 
 def evaluator_breakpoints(f: SupportEvaluator, frame: ArcFrame) -> list[float]:
     """Interior arc parameters where some polytope term switches active vertex."""
-    bps: list[float] = []
-    for _, body in f.terms:
-        if isinstance(body, Polytope) and len(body.vertices) > 1:
-            alpha = body.vertices @ frame.start
-            beta = body.vertices @ frame.tangent
-            bps += _envelope_breakpoints(alpha, beta, frame.length)
-    return sorted(set(bps))
+    return breakpoints(Arcs.of(frame), f)[1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -128,52 +204,75 @@ _ONE = np.array([0.0, 0.0, 1.0])
 
 @dataclass(frozen=True)
 class ArcRestriction:
-    """A support-function combination along an arc: A cos t + B sin t + C
-    with (A, B, C) = coef[i] on the segment [cuts[i], cuts[i + 1]]."""
-    cuts: np.ndarray     # (s + 1,) ascending, from 0 to the arc length
-    coef: np.ndarray     # (s, 3)
+    """A support-function combination on every arc of a table: on segment
+    i, the part [t0[i], t1[i]] of arc arc[i], it is A cos t + B sin t + C
+    with (A, B, C) = coef[i]."""
+    arcs: Arcs
+    arc: np.ndarray      # (S,) ascending
+    t0: np.ndarray       # (S,)
+    t1: np.ndarray       # (S,)
+    coef: np.ndarray     # (S, 3)
 
-    @classmethod
-    def of(cls, f: SupportEvaluator, frame: ArcFrame) -> "ArcRestriction":
-        """Cut f at its active-vertex breakpoints; each polytope term looks
-        up its active vertex at all segment midpoints at once."""
-        cuts = np.array([0.0, *evaluator_breakpoints(f, frame), frame.length])
-        mid = 0.5 * (cuts[:-1] + cuts[1:])
-        trig = np.array([np.cos(mid), np.sin(mid)])     # (2, s)
-        plane = np.array([frame.start, frame.tangent])  # (2, 3)
-        coef = np.zeros((len(mid), 3))
-        coef[:, :2] = plane @ f.shift
-        for c, body in f.terms:
-            if isinstance(body, Ball):
-                coef += c * np.array([*(plane @ body.center), body.radius])
-            else:
-                ab = body.vertices @ plane.T            # (m, 2)
-                coef[:, :2] += c * ab[np.argmax(ab @ trig, axis=0)]
-        return cls(cuts, coef)
+    def integral(self) -> np.ndarray:
+        """int f dt over each arc."""
+        return np.bincount(self.arc, product_integral(self.coef, _ONE, self.t0,
+                                                      self.t1),
+                           minlength=len(self.arcs))
 
-    def on(self, cuts: np.ndarray) -> "ArcRestriction":
-        """The same function on a refinement of its cuts."""
-        seg = np.searchsorted(self.cuts, 0.5 * (cuts[:-1] + cuts[1:])) - 1
-        return ArcRestriction(cuts, self.coef[seg])
-
-    def integral(self) -> float:
-        """int f dt over the arc."""
-        return float(product_integral(self.coef, _ONE, self.cuts[:-1],
-                                      self.cuts[1:]).sum())
-
-    def pair(self, other: "ArcRestriction") -> tuple[float, float]:
-        """(int f g, int f' g') over the arc, f = self and g = other."""
-        cuts = np.union1d(self.cuts, other.cuts)
-        p, q = self.on(cuts).coef, other.on(cuts).coef
+    def pair(self, other: "ArcRestriction") -> tuple[np.ndarray, np.ndarray]:
+        """(int f g, int f' g') over each arc, f = self and g = other; the
+        two must come from one ``restrict`` call, so that they share
+        segments."""
+        if other.t0 is not self.t0:
+            raise ValueError("restrictions from different restrict calls")
+        p, q = self.coef, other.coef
         ifg, idfdg = product_integral(np.stack([p, p @ _DERIVATIVE]),
                                       np.stack([q, q @ _DERIVATIVE]),
-                                      cuts[:-1], cuts[1:]).sum(axis=-1)
-        return float(ifg), float(idfdg)
+                                      self.t0, self.t1)
+        n = len(self.arcs)
+        return (np.bincount(self.arc, ifg, minlength=n),
+                np.bincount(self.arc, idfdg, minlength=n))
+
+
+def _coefficients(arcs: Arcs, arc: np.ndarray, t0: np.ndarray,
+                  t1: np.ndarray, evaluators: Sequence[SupportEvaluator]
+                  ) -> np.ndarray:
+    """(evaluators, S, 3) coefficients of the evaluators on the segments.
+    Each polytope term looks up its active vertex at all segment midpoints
+    at once."""
+    plane = np.stack([arcs.starts[arc], arcs.tangents[arc]], axis=1)  # (S, 2, 3)
+    u = arcs.points(arc, 0.5 * (t0 + t1))
+    ab = {id(p): (plane @ p.vertices[np.argmax(u @ p.vertices.T, axis=1), :,
+                                     None])[:, :, 0]
+          for p in _polytopes(evaluators)}
+    coef = np.zeros((len(evaluators), len(arc), 3))
+    for cf, f in zip(coef, evaluators):
+        cf[:, :2] = plane @ f.shift
+        for c, body in f.terms:
+            if isinstance(body, Ball):
+                cf[:, :2] += c * (plane @ body.center)
+                cf[:, 2] += c * body.radius
+            else:
+                cf[:, :2] += c * ab[id(body)]
+    return coef
+
+
+def restrict(arcs: Arcs, *evaluators: SupportEvaluator
+             ) -> tuple[ArcRestriction, ...]:
+    """One restriction per evaluator, all cut at the union of their
+    breakpoints, built a block of arcs at a time."""
+    arc, t0, t1, coef = zip(*(
+        (lo + a, a0, a1, _coefficients(block, a, a0, a1, evaluators))
+        for lo, block, (a, a0, a1) in _segment_blocks(arcs, evaluators)))
+    arc, t0, t1 = map(np.concatenate, (arc, t0, t1))
+    return tuple(ArcRestriction(arcs, arc, t0, t1, c)
+                 for c in np.concatenate(coef, axis=1))
 
 
 def integrate_evaluator(f: SupportEvaluator, frame: ArcFrame) -> float:
     """Exact integral of f along the arc with respect to arclength."""
-    return ArcRestriction.of(f, frame).integral()
+    (r,) = restrict(Arcs.of(frame), f)
+    return float(r.integral()[0])
 
 
 def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, frame: ArcFrame) -> tuple[float, float]:
@@ -181,27 +280,27 @@ def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, frame: ArcFrame) ->
 
     The arc derivative of a polytope support function is taken from the
     active vertex on each smooth segment."""
-    rf = ArcRestriction.of(f, frame)
-    return rf.pair(rf if g is f else ArcRestriction.of(g, frame))
-
-
-NODES_PER_SEGMENT = 17   # sample nodes per smooth segment, endpoints included
+    rf, rg = restrict(Arcs.of(frame), f, g)
+    ifg, idfdg = rf.pair(rg)
+    return float(ifg[0]), float(idfdg[0])
 
 
 def arc_sample_nodes(frame: ArcFrame, f: SupportEvaluator) -> np.ndarray:
     """Arc parameters covering every smooth segment of f (endpoints
     included), suitable for sup-norm residual scans."""
-    cuts = np.array([0.0, *evaluator_breakpoints(f, frame), frame.length])
-    return np.unique(np.linspace(cuts[:-1], cuts[1:], NODES_PER_SEGMENT))
+    _, t0, t1 = segments(Arcs.of(frame), f)
+    return np.unique(np.linspace(t0, t1, NODES_PER_SEGMENT))
 
 
-def sup_on_arcs(f: SupportEvaluator, frames: Sequence[ArcFrame]) -> float:
-    """Sup of |f| over the sample nodes of each arc."""
-    worst = 0.0
-    for fr in frames:
-        t = arc_sample_nodes(fr, f)
-        worst = max(worst, float(np.abs(np.asarray(f(fr.point(t)))).max()))
-    return worst
+def sup_on_arcs(f: SupportEvaluator, arcs: Arcs) -> float:
+    """Sup of |f| over the sample nodes of every smooth segment of f on the
+    arcs, a block of arcs at a time."""
+    sup = 0.0
+    for _, block, (arc, t0, t1) in _segment_blocks(arcs, [f]):
+        t = np.linspace(t0, t1, NODES_PER_SEGMENT, axis=1)      # (S, nodes)
+        sup = max(sup, float(np.abs(f(block.points(arc[:, None], t)))
+                             .max(initial=0.0)))
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +310,22 @@ def sup_on_arcs(f: SupportEvaluator, frames: Sequence[ArcFrame]) -> float:
 @dataclass(frozen=True)
 class SphericalMeasure:
     """Measure on S^2: mass masses[i] at directions[i], plus weights[j]
-    times arclength on the arc frames[j]."""
+    times arclength on arc j of arcs."""
     directions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     masses: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    frames: tuple[ArcFrame, ...] = ()
+    arcs: Arcs = field(default_factory=Arcs)
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def total_mass(self) -> float:
-        lengths = np.array([fr.length for fr in self.frames])
         return (sum(self.masses.tolist())
-                + sum((self.weights * lengths).tolist()))
+                + sum((self.weights * self.arcs.lengths).tolist()))
 
     def barycenter_residual(self) -> float:
         """Norm of int u dmu; vanishes for area measures of closed bodies."""
-        s = self.masses @ self.directions
-        for fr, w in zip(self.frames, self.weights.tolist()):
-            # int over arc of u dH^1 = sin(l) * a + (1 - cos(l)) * e, per axis
-            s += w * (np.sin(fr.length) * fr.start
-                      + (1 - np.cos(fr.length)) * fr.tangent)
+        # int over an arc of u dH^1 = sin(l) * a + (1 - cos(l)) * e
+        l, w = self.arcs.lengths, self.weights
+        s = (self.masses @ self.directions + (w * np.sin(l)) @ self.arcs.starts
+             + (w * (1 - np.cos(l))) @ self.arcs.tangents)
         return float(np.linalg.norm(s))
 
     def validate_nonnegative(self, gross: float,
@@ -245,6 +342,6 @@ class SphericalMeasure:
 
 def integrate_against_measure(f: SupportEvaluator, mu: SphericalMeasure) -> float:
     """sum over atoms of f(u) * mass plus the exact arc integrals of f dH^1."""
+    (r,) = restrict(mu.arcs, f)
     return (float(f(mu.directions) @ mu.masses)
-            + sum(w * integrate_evaluator(f, fr)
-                  for fr, w in zip(mu.frames, mu.weights.tolist())))
+            + sum((mu.weights * r.integral()).tolist()))

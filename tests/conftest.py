@@ -90,3 +90,72 @@ def integrate_with_breakpoints(fun, breakpoints: list[float], t0: float, t1: flo
     """Adaptive Gauss-Legendre split at the given interior breakpoints."""
     cuts = [t0] + [b for b in sorted(breakpoints) if t0 < b < t1] + [t1]
     return sum(adaptive_gauss(fun, lo, hi, tol) for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+# The per-arc active-vertex loop that found breakpoints before the normal-fan
+# crossings did; the batch in mixedvol.quadrature is checked against it.
+
+def _envelope_breakpoints(alpha: np.ndarray, beta: np.ndarray, l: float) -> list[float]:
+    """Switch points of argmax_i(alpha_i cos t + beta_i sin t) on (0, l)."""
+    m = len(alpha)
+    if m <= 1:
+        return []
+    vals0 = alpha
+    top = vals0.max()
+    cand = np.flatnonzero(vals0 >= top - 1e-13 * max(1.0, abs(top)))
+    i = int(cand[np.argmax(beta[cand])])
+    bps: list[float] = []
+    t = 0.0
+    for _ in range(8 * m + 16):
+        big_a = alpha[i] - alpha
+        big_b = beta[i] - beta
+        # zeros of big_a cos t + big_b sin t, normalized into (t, t + pi]
+        tstar = np.arctan2(-big_a, big_b)
+        tstar = np.where(tstar <= t + 1e-12, tstar + np.pi, tstar)
+        tstar = np.where(tstar <= t + 1e-12, tstar + np.pi, tstar)
+        tstar[i] = np.inf
+        tstar = np.where(tstar < l - 1e-12, tstar, np.inf)
+        j = int(np.argmin(tstar))
+        tn = float(tstar[j])
+        if not np.isfinite(tn):
+            break
+        t = tn
+        eps = min(1e-9, (l - t) / 2)
+        vals = alpha * np.cos(t + eps) + beta * np.sin(t + eps)
+        ni = int(np.argmax(vals))
+        if ni != i:
+            bps.append(t)
+            i = ni
+    return bps
+
+
+def loop_breakpoints(f: B.SupportEvaluator, frame) -> list[float]:
+    """Interior arc parameters where some polytope term switches active
+    vertex, by walking the active-vertex envelope of each term."""
+    bps: list[float] = []
+    for _, body in f.terms:
+        if isinstance(body, B.Polytope) and len(body.vertices) > 1:
+            alpha = body.vertices @ frame.start
+            beta = body.vertices @ frame.tangent
+            bps += _envelope_breakpoints(alpha, beta, frame.length)
+    return sorted(set(bps))
+
+
+def loop_restriction(f: B.SupportEvaluator, frame, cuts=None):
+    """(cuts, coef): f on one arc as A cos t + B sin t + C with (A, B, C) =
+    coef[i] on [cuts[i], cuts[i + 1]], cut at loop_breakpoints unless cuts
+    are given."""
+    if cuts is None:
+        cuts = np.array([0.0, *loop_breakpoints(f, frame), frame.length])
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    trig = np.array([np.cos(mid), np.sin(mid)])
+    plane = np.array([frame.start, frame.tangent])
+    coef = np.zeros((len(mid), 3))
+    coef[:, :2] = plane @ f.shift
+    for c, b in f.terms:
+        if isinstance(b, B.Ball):
+            coef += c * np.array([*(plane @ b.center), b.radius])
+        else:
+            ab = b.vertices @ plane.T
+            coef[:, :2] += c * ab[np.argmax(ab @ trig, axis=0)]
+    return cuts, coef

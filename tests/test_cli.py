@@ -293,6 +293,25 @@ def test_flag_the_command_does_not_read_gives_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["randtest", "--n", "-3"],
+    ["randtest", "--seed", "-1"],
+    ["lower-spectrum", "--M", "square", "--tol", "-1"],
+    ["lower-spectrum", "--M", "square", "--tol", "0"],
+    ["lower-spectrum", "--M", "square", "--tol", "nan"],
+    # an infinite tolerance would pass any spectrum
+    ["lower-spectrum", "--M", "square", "--tol", "inf"],
+    ["spectrum", "--M", "cube", "--mesh-h", "nan"],
+    ["spectrum", "--M", "cube", "--mesh-h", "inf"],
+    ["demo", "--mesh-h", "-0.1"],
+])
+def test_out_of_range_number_gives_exit_2_naming_the_flag(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}" in err
+
+
 def test_lower_spectrum_default_tol_from_mesh_and_kmax(capsys):
     # P1 eigenvalue error is about k^4 h^2 / 36; the default tolerance is
     # twice that bound at the requested kmax and mesh size

@@ -15,6 +15,7 @@ from scipy.stats import special_ortho_group
 
 from mixedvol import bodies as B
 from mixedvol import extremal as X
+from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
 
 from conftest import body, rel_err
@@ -97,3 +98,108 @@ def test_certify_verdict_invariant_under_one_body_rescaled(case, slot, c):
     bodies = [body(n) for n in case]
     bodies[slot] = B.hull(c * bodies[slot].vertices)
     assert X.certify_equality_fulldim(*bodies).verdict == CERT_CASES[case]
+
+
+# ---------------------------------------------------------------------------
+# Ball slots, the S_{L,M} oracle and the lower-dimensional certificate
+# ---------------------------------------------------------------------------
+
+def _moved_ball(ball, q, t, c):
+    return B.Ball(c * (q @ ball.center + t), c * ball.radius)
+
+
+BALL = B.Ball([0.3, -0.2, 0.1], 0.7)
+
+
+def _ball_slot_cases(seed):
+    k, l, m = _random_bodies(seed)
+    other = B.Ball([-0.1, 0.4, 0.2], 1.3)
+    return [(BALL, l, m), (k, BALL, m), (BALL, other, m)]
+
+
+def _similar(body_, q, t, c):
+    if isinstance(body_, B.Ball):
+        return _moved_ball(body_, q, t, c)
+    return B.hull(c * (body_.vertices @ q.T + t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, seeds, factors)
+def test_mv3_with_a_ball_slot_under_one_similarity(seed, rot_seed, c):
+    q, t = _rotation(rot_seed), _shift(rot_seed, 0)
+    for case in _ball_slot_cases(seed):
+        moved = [_similar(b, q, t, c) for b in case]
+        assert rel_err(MS.mv3(*moved) / c ** 3, MS.mv3(*case)) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(0, 2), factors)
+def test_mv3_with_a_ball_slot_under_one_body_rescaled(seed, slot, c):
+    for case in _ball_slot_cases(seed):
+        moved = list(case)
+        moved[slot] = _similar(case[slot], np.eye(3), np.zeros(3), c)
+        assert rel_err(MS.mv3(*moved) / c, MS.mv3(*case)) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, seeds, st.integers(0, 2), factors, st.booleans())
+def test_mixed_volume_via_measure_similar_and_homogeneous(seed, rot_seed, slot, c,
+                                                          ball_l):
+    k, l, m = _random_bodies(seed)
+    bodies = [k, BALL if ball_l else l, m]
+    v = MS.mixed_volume_via_measure(*bodies)
+    q, t = _rotation(rot_seed), _shift(rot_seed, 0)
+    moved = [_similar(b, q, t, c) for b in bodies]
+    assert rel_err(MS.mixed_volume_via_measure(*moved) / c ** 3, v) <= TOL
+    rescaled = list(bodies)
+    rescaled[slot] = _similar(bodies[slot], np.eye(3), np.zeros(3), c)
+    assert rel_err(MS.mixed_volume_via_measure(*rescaled) / c, v) <= TOL
+
+
+W = np.array([0.0, 0.0, 1.0])
+SQUARE = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+SEGMENT = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
+CUBE = B.cube().vertices
+
+
+def _lower_cases():
+    """(K, L, M) vertex arrays, M in W-perp, and the verdict they read."""
+    rng = np.random.default_rng(7)
+    polygon = np.column_stack([rng.standard_normal((6, 2)), np.zeros(6)])
+    sheared = B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 0.3).vertices
+    plus_y = B.minkowski_sum(B.cube(), B.segment([0, 0, 0], [0, 1, 0])).vertices
+    return {
+        "translate": ((CUBE + [0.4, -0.7, 2.0], CUBE, SQUARE), "equality"),
+        "shear": ((CUBE, sheared, SEGMENT), "equality"),
+        "segment-sum": ((CUBE, plus_y, SEGMENT), "strict"),
+        "random": ((body("rand10s1").vertices, body("rand10s2").vertices,
+                    polygon), "strict"),
+    }
+
+
+LOWER_CASES = _lower_cases()
+
+
+@pytest.mark.parametrize("case", list(LOWER_CASES))
+def test_lower_certify_cases_have_their_verdicts(case):
+    verts, verdict = LOWER_CASES[case]
+    cert = LD.certify_equality_lowerdim(*map(B.hull, verts), W)
+    assert cert.verdict == verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(LOWER_CASES)), seeds, factors)
+def test_lower_certify_verdict_invariant_under_one_similarity(case, seed, c):
+    verts, verdict = LOWER_CASES[case]
+    q, t = _rotation(seed), _shift(seed, 0)
+    moved = [B.hull(c * (v @ q.T + t)) for v in verts]
+    assert LD.certify_equality_lowerdim(*moved, q @ W).verdict == verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(LOWER_CASES)), st.integers(0, 2), factors)
+def test_lower_certify_verdict_invariant_under_one_body_rescaled(case, slot, c):
+    verts, verdict = LOWER_CASES[case]
+    bodies = [B.hull(v) for v in verts]
+    bodies[slot] = B.hull(c * verts[slot])
+    assert LD.certify_equality_lowerdim(*bodies, W).verdict == verdict

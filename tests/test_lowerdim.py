@@ -5,6 +5,7 @@ import scipy.linalg
 from mixedvol import bodies as B
 from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
+from mixedvol import quadrature as quad
 from mixedvol.bodies import SupportEvaluator
 from mixedvol.errors import (BadMesh, DimensionError, InsufficientSpectrum,
                              ZeroDenominator)
@@ -82,9 +83,11 @@ def test_sbm_callable_matches_evaluator(unit_square, unit_cube):
     p = LD.lowerdim_setup(unit_square, W)
     ev = SupportEvaluator.of(unit_cube)
     exact = LD.sbm_lowerdim(p, ev)
+    arcs = p.sbm.arcs
     numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(fr.point(t))),
                                      0.0, fr.length, 1e-11)
-                  for fr, w in zip(p.sbm.frames, p.sbm.weights))
+                  for fr, w in zip(map(quad.ArcFrame, arcs.starts, arcs.tangents,
+                                       arcs.lengths), p.sbm.weights))
     assert rel_err(exact, numeric) < 1e-9
 
 

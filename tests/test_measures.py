@@ -179,6 +179,13 @@ def _chain_atoms():
     return [(a, 1.0), (a + step, 2.0), (a + 2 * step, 4.0)]
 
 
+def _arc_chain_atoms():
+    # unit directions 0.9 ATOM_MERGE_ANGLE apart along a great circle
+    theta = 0.9 * MS.ATOM_MERGE_ANGLE * np.arange(3)
+    dirs = np.column_stack([np.sin(theta), np.zeros(3), np.cos(theta)])
+    return list(zip(dirs, [1.0, 2.0, 4.0]))
+
+
 def _jittered_atoms():
     rng = np.random.default_rng(5)
     base = rng.standard_normal((40, 3))
@@ -189,6 +196,7 @@ def _jittered_atoms():
 
 MERGE_CASES = {
     "chain": _chain_atoms,
+    "chain-0.9": _arc_chain_atoms,
     "jittered": _jittered_atoms,
     "rand20-ball1": lambda: _raw_mixed_atoms(B.random_hull(20, 3), B.approximate_ball(1)),
     "trunc-shear": lambda: _raw_mixed_atoms(
@@ -208,7 +216,7 @@ def test_merge_atoms_matches_reference_loop(name):
     assert len(dirs) == len(masses) == len(ref)
     for u, m, (v, n) in zip(dirs, masses.tolist(), ref):
         assert np.array_equal(u, v) and m == n
-    if name == "chain":
+    if name.startswith("chain"):
         assert masses.tolist() == [3.0, 4.0]
 
 

@@ -132,18 +132,20 @@ def test_integrate_pair_matches_adaptive_gauss(case):
 def test_restriction_on_merged_cuts_of_large_sphere_hulls():
     fr = quad.arc_between(np.array([1.0, 0, 0]),
                           np.array([0.3, 0.9, np.sqrt(1 - 0.09 - 0.81)]))
+    arcs = quad.Arcs.of(fr)
     f = B.SupportEvaluator.of(_sphere_hull(300, 1))
     g = B.SupportEvaluator.of(_sphere_hull(300, 2))
-    rf, rg = quad.ArcRestriction.of(f, fr), quad.ArcRestriction.of(g, fr)
-    assert len(rf.coef) >= 5 and len(rg.coef) >= 5
-    cuts = np.union1d(rf.cuts, rg.cuts)
-    assert len(cuts) == len(rf.cuts) + len(rg.cuts) - 2
-    # the refined coefficients reproduce f at every merged segment midpoint
-    r = rf.on(cuts)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    nf, ng = (len(quad.breakpoints(arcs, h)[1]) for h in (f, g))
+    assert nf >= 4 and ng >= 4
+    # f and g are cut at the union of their breakpoints and share segments
+    rf, rg = quad.restrict(arcs, f, g)
+    assert rf.t0 is rg.t0 and len(rf.coef) == nf + ng + 1
+    # the coefficients reproduce each function at every segment midpoint
+    mid = 0.5 * (rf.t0 + rf.t1)
     trig = np.column_stack([np.cos(mid), np.sin(mid), np.ones_like(mid)])
-    vals = np.sum(r.coef * trig, axis=1)
-    assert np.abs(vals - f(fr.point(mid))).max() < 1e-14
+    for r, h in ((rf, f), (rg, g)):
+        vals = np.sum(r.coef * trig, axis=1)
+        assert np.abs(vals - h(fr.point(mid))).max() < 1e-14
 
 
 def test_product_integral_polynomial_identity():
