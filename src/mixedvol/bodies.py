@@ -428,10 +428,14 @@ def support_data(body: Body, u) -> tuple[float, Polytope]:
 
 
 def _sum_dim(bodies: Sequence[Body]) -> int:
-    if any(isinstance(b, Ball) for b in bodies):
+    """Affine dimension of the Minkowski sum: the rank of the summands'
+    direction spans together. Each summand's span is taken at unit size, so
+    that a small summand is not lost against a large one."""
+    if any(isinstance(b, Ball) or b.dim == 3 for b in bodies):
         return 3
     diffs = [b.vertices - b.vertices[0] for b in bodies]
-    return affine_dim(np.vstack([np.zeros((1, 3))] + diffs))
+    return affine_dim(np.vstack([np.zeros((1, 3))]
+                                + [d / np.abs(d).max() for d in diffs if d.any()]))
 
 
 @dataclass(frozen=True)

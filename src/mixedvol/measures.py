@@ -1,9 +1,9 @@
 """Mixed volumes and (mixed) area measures of 3-polytopes.
 
-Two independent pipelines: polynomial polarization of hull volumes
+Two independent pipelines: the hull volume of K+L+M less facet sums
 (quadrature-free, the primary route) and integration of support functions
-against atomic/arc measures on the sphere (the oracle route). Ball slots are
-never polarized; they are routed through the measure formulas. Neither is
+against atomic/arc measures on the sphere (the oracle route). Ball slots
+never reach a hull; they are routed through the measure formulas. No hull is
 needed when two slots hold the same polytope P: V(X, P, P) is a sum over the
 facets of P.
 """
@@ -11,7 +11,7 @@ facets of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
@@ -52,14 +52,11 @@ def merge_atoms(directions: np.ndarray, masses: np.ndarray
 # Volumes and polarization
 # ---------------------------------------------------------------------------
 
-def _hull_volume(pts: np.ndarray, full: bool) -> tuple[float, np.ndarray]:
-    """Volume and extreme points of the hull of pts. full says that pts are
-    the sums of a Minkowski sum with a full-dimensional summand, so they span
-    three dimensions and need no affine_dim test."""
-    if full or affine_dim(pts) == 3:
-        qh = ConvexHull(pts)
-        return float(qh.volume), pts[qh.vertices]
-    return 0.0, pts
+def _full_hull(pts: np.ndarray, full: bool) -> Optional[ConvexHull]:
+    """Qhull of pts, or None when they span fewer than three dimensions. full
+    says that pts are the sums of a Minkowski sum with a full-dimensional
+    summand, so they span three dimensions and need no affine_dim test."""
+    return ConvexHull(pts) if full or affine_dim(pts) == 3 else None
 
 
 def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,24 +64,33 @@ def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
-    """V(K, L, M) by polarization of hull volumes; symmetric, multilinear.
+    """V(K, L, M) from vol(K+L+M) and facet sums; symmetric, multilinear.
 
-    Each body is centered on its vertex centroid and scaled to unit diameter,
-    and the product of the diameters is multiplied back in, so rescaling one
-    body costs no digits against the others. The vertices of K+L+M lie among
-    vert(K+L) + vert(M), so Qhull gets those sums, not all |K||L||M|."""
+    By multilinearity vol(K+L+M) = sum_X vol X + 3 sum_{X != Y} V(X, X, Y)
+    + 6 V(K, L, M), and 3 V(X, X, Y) = sum_F h_Y(u_F) |F| over the atoms of
+    S_X (Schneider, Convex Bodies, 5.1). So Qhull runs twice: once for
+    vert(K+L), and once on vert(K+L) + vert(M), among which the vertices of
+    K+L+M lie. Each body is centered on its vertex centroid and scaled to
+    unit diameter, and the product of the diameters is multiplied back in,
+    so rescaling one body costs no digits against the others."""
     bodies = (k, l, m)
     diams = [p.diameter for p in bodies]
     if min(diams) == 0.0:
         return 0.0    # a point in any slot
-    pk, pl, pm = ((p.vertices - p.centroid) / d for p, d in zip(bodies, diams))
+    pts = [(p.vertices - p.centroid) / d for p, d in zip(bodies, diams)]
     fk, fl, fm = (p.dim == 3 for p in bodies)
-    v_kl, vert_kl = _hull_volume(_pair_sums(pk, pl), fk or fl)
-    v_klm, _ = _hull_volume(_pair_sums(vert_kl, pm), fk or fl or fm)
-    v_km, _ = _hull_volume(_pair_sums(pk, pm), fk or fm)
-    v_lm, _ = _hull_volume(_pair_sums(pl, pm), fl or fm)
-    v = v_klm - v_kl - v_km - v_lm + sum(p.volume / d ** 3
-                                         for p, d in zip(bodies, diams))
+    kl = _pair_sums(pts[0], pts[1])
+    qh = _full_hull(kl, fk or fl)
+    if qh is not None:
+        kl = kl[qh.vertices]
+    qh = _full_hull(_pair_sums(kl, pts[2]), fk or fl or fm)
+    if qh is None:
+        return 0.0    # K+L+M spans fewer than three dimensions
+    v = float(qh.volume)
+    for i, (x, d) in enumerate(zip(bodies, diams)):
+        dirs, masses = _surface_atoms_any(x)
+        h = sum(np.max(dirs @ pts[j].T, axis=1) for j in range(3) if j != i)
+        v -= x.volume / d ** 3 + float(h @ masses) / d ** 2
     return diams[0] * diams[1] * diams[2] * v / 6.0
 
 
@@ -108,10 +114,12 @@ def _surface_atoms_any(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
     if p.dim == 3:
         return p.facets.normals, p.facets.areas
     if p.dim == 2:
-        v = p.vertices
-        c = v.mean(axis=0)
-        vec = 0.5 * np.sum(np.cross(v - c, np.roll(v, -1, axis=0) - c), axis=0)
-        area = float(np.linalg.norm(vec))
+        # centered and at unit size, so that unit()'s absolute floor is far
+        v = p.vertices - p.centroid
+        s = np.abs(v).max()
+        v = v / s
+        vec = 0.5 * np.sum(np.cross(v, np.roll(v, -1, axis=0)), axis=0)
+        area = s * s * float(np.linalg.norm(vec))
         n = unit(vec)
         return np.array([n, -n]), np.array([area, area])
     return np.zeros((0, 3)), np.zeros(0)

@@ -417,6 +417,17 @@ def test_classify_trivial_dimension_rules(unit_cube, unit_segment):
     assert "dim(K+L) <= 1" in rep4.reasons
 
 
+def test_classify_trivial_sum_dims_do_not_depend_on_summand_size(unit_cube):
+    # each summand's span counts at unit size, however small it is; here
+    # V(K, L, M) = 1/3
+    k, l = unit_cube.scaled(1e-8), B.segment([0, 0, 0], [1e8, 0, 0])
+    rep = B.classify_trivial(k, l, unit_cube)
+    assert rep.dims["K+L"] == 3 and not rep.equality_trivial
+    k, l = B.segment([0, 0, 0], [1e-8, 0, 0]), B.segment([0, 0, 0], [0, 1e8, 0])
+    rep = B.classify_trivial(k, l, unit_cube)
+    assert rep.dims["K+L"] == 2 and not rep.equality_trivial
+
+
 def test_classify_trivial_planar_sum(unit_square):
     rep = B.classify_trivial(unit_square, unit_square, unit_square)
     assert rep.v_llm_zero and rep.equality_trivial

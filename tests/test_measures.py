@@ -250,6 +250,19 @@ def test_mixed_volume_via_measure_homogeneous_under_one_body_rescaled(slot, c):
     assert rel_err(got / c, v) <= 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+def test_planar_atoms_homogeneous_under_rescaling(unit_square, unit_cube, c):
+    # the planar area vector is taken at unit size: at c = 1e-8 it is about
+    # 1e-16 long, below unit()'s absolute floor
+    small = B.hull(c * unit_square.vertices)
+    assert rel_err(MS.mixed_volume_xpp(unit_cube, small) / c ** 2,
+                   MS.mixed_volume_xpp(unit_cube, unit_square)) <= 1e-14
+    dr, ref = (MS.quadratic_deficit(sq, unit_cube, unit_cube)
+               for sq in (small, unit_square))
+    assert rel_err(dr.v_kl / c, ref.v_kl) <= 1e-14
+    assert rel_err(dr.v_kk / c ** 2, ref.v_kk) <= 1e-14
+
+
 def test_mixed_area_measure_of_a_point_is_zero():
     point = B.hull(np.array([[0.5, -1.0, 2.0]]))
     assert len(MS.mixed_area_measure(point, B.cube()).masses) == 0
@@ -272,8 +285,8 @@ def test_quadratic_deficit_polarizes_once(monkeypatch):
     qhull = _Counted(MS.ConvexHull)
     monkeypatch.setattr(MS, "ConvexHull", qhull)
     MS.quadratic_deficit(k, l, m)
-    # K+L, K+L+M, K+M, L+M
-    assert len(qhull.args) == 4
+    # K+L, then K+L+M; V(K,K,M) and V(L,L,M) are facet sums
+    assert len(qhull.args) == 2
     n_kl = len(B.minkowski_sum(k, l).vertices)
     assert max(len(pts) for pts in qhull.args) <= n_kl * len(m.vertices)
 
