@@ -89,6 +89,15 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(x, x))
 
 
+def _triangle_areas(corners: np.ndarray) -> np.ndarray:
+    """|(b - a) x (c - a)| / 2 for each (a, b, c) of an (n, 3, 3) array, the
+    products and differences in np.cross's order."""
+    (x1, y1, z1), (x2, y2, z2) = (corners[:, 1:]
+                                  - corners[:, :1]).transpose(1, 2, 0)
+    cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
 class Polytope:
     """Convex polytope given by its extreme points.
 
@@ -366,11 +375,7 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
     np.add.at(normals, facet_of, n)
     normals /= np.bincount(facet_of, minlength=nf)[:, None]
     normals /= _row_norms(normals)[:, None]
-    # |(b - a) x (c - a)| / 2, the products and differences in np.cross's order
-    (x1, y1, z1), (x2, y2, z2) = (verts[tri[:, 1:]]
-                                  - verts[tri[:, :1]]).transpose(1, 2, 0)
-    cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-    areas = np.bincount(facet_of, 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz), nf)
+    areas = np.bincount(facet_of, _triangle_areas(verts[tri]), nf)
     fv = np.unique(facet_of[:, None] * nv + tri)    # (facet, vertex), sorted
     fid, vid = np.divmod(fv, nv)
     offsets = (np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]), nf)

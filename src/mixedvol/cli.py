@@ -114,9 +114,10 @@ def parse_direction(text: str) -> np.ndarray:
         v = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InputError(f"bad direction {text!r}: expected x,y,z") from exc
-    if v.shape != (3,) or not np.all(np.isfinite(v)) or np.linalg.norm(v) == 0:
+    if v.shape != (3,) or not np.all(np.isfinite(v)) or not v.any():
         raise InputError(f"bad direction {text!r}: expected a nonzero 3-vector")
-    return B.unit(v)
+    # at unit max-abs the norm neither overflows nor falls below unit()'s floor
+    return B.unit(v / np.abs(v).max())
 
 
 def require_full_dim(p: Polytope, slot: str) -> Polytope:

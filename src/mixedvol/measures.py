@@ -1,23 +1,32 @@
 """Mixed volumes and (mixed) area measures of 3-polytopes.
 
-Two independent pipelines: the hull volume of K+L+M less facet sums
-(quadrature-free, the primary route) and integration of support functions
-against atomic/arc measures on the sphere (the oracle route). Ball slots
-never reach a hull; they are routed through the measure formulas. No hull is
-needed when two slots hold the same polytope P: V(X, P, P) is a sum over the
-facets of P.
+Both routes to V(K, L, M) integrate a support function against the mixed
+area measure S_{A,B} = (1/2)[S(A+B) - S(A) - S(B)] (Schneider, Convex Bodies,
+5.1). The primary route, mixed_volume, sums h_X over the raw Qhull triangles
+of hull(A+B), with X the body with the most vertices, and subtracts the facet
+sums of A and B: one Qhull call, no facet merge, no quadrature. The oracle
+route, mixed_volume_via_measure, integrates h_K in the slot it is given
+against S_{L,M} built from merged hulls (bodies.hull), merged atoms and a
+nonnegativity check, or against arc measures for Ball slots. The two routes
+share that identity and nothing else: they differ in the hull (raw triangles
+against merged facets), in the atoms and, in general, in the slot that holds
+the support function. The all-sums polarization of hull volumes in the tests
+is independent of both. Ball slots never reach a hull. No hull is needed
+when two slots hold the same polytope P: V(X, P, P) is a sum over the facets
+of P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
 from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
-                     _row_norms, affine_dim, minkowski_sum, unit)
+                     _row_norms, _sum_dim, _triangle_areas, hull,
+                     minkowski_sum, unit)
 from .errors import DegenerateInput
 from .graph import build_graph, sbm_and_mu
 from .quadrature import SphericalMeasure, integrate_against_measure
@@ -52,46 +61,49 @@ def merge_atoms(directions: np.ndarray, masses: np.ndarray
 # Volumes and polarization
 # ---------------------------------------------------------------------------
 
-def _full_hull(pts: np.ndarray, full: bool) -> Optional[ConvexHull]:
-    """Qhull of pts, or None when they span fewer than three dimensions. full
-    says that pts are the sums of a Minkowski sum with a full-dimensional
-    summand, so they span three dimensions and need no affine_dim test."""
-    return ConvexHull(pts) if full or affine_dim(pts) == 3 else None
-
-
 def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] + b[None, :, :]).reshape(-1, 3)
 
 
 def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
-    """V(K, L, M) from vol(K+L+M) and facet sums; symmetric, multilinear.
+    """V(K, L, M) by one Qhull call and facet sums; symmetric, multilinear.
 
-    By multilinearity vol(K+L+M) = sum_X vol X + 3 sum_{X != Y} V(X, X, Y)
-    + 6 V(K, L, M), and 3 V(X, X, Y) = sum_F h_Y(u_F) |F| over the atoms of
-    S_X (Schneider, Convex Bodies, 5.1). So Qhull runs twice: once for
-    vert(K+L), and once on vert(K+L) + vert(M), among which the vertices of
-    K+L+M lie. Each body is centered on its vertex centroid and scaled to
-    unit diameter, and the product of the diameters is multiplied back in,
-    so rescaling one body costs no digits against the others."""
+    V(X, A, B) = (1/3) int h_X dS_{A,B} with S_{A,B} = (1/2)[S(A+B) - S(A)
+    - S(B)] (Schneider, Convex Bodies, 5.1), so
+
+        6 V = sum_{T in A+B} h_X(n_T) |T| - sum_{F in A} h_X(u_F) |F|
+              - sum_{F in B} h_X(u_F) |F|.
+
+    V is symmetric, so X is the body with the most vertices (the first in
+    slot order on a tie), and Qhull runs once, on the vertex sums of the
+    other two. The integral is linear in the measure, so the triangles of
+    hull(A+B) enter as they are, with no facet merge. Each body is centered
+    on its vertex centroid and scaled to unit max-abs, and the product of the
+    scales is multiplied back in, so rescaling one body costs no digits
+    against the others. A flat K+L+M gives exactly 0. A flat A+B enters
+    through its two planar atoms, or none."""
     bodies = (k, l, m)
-    diams = [p.diameter for p in bodies]
-    if min(diams) == 0.0:
+    if _sum_dim(bodies) < 3:
+        return 0.0
+    pts = [p.vertices - p.centroid for p in bodies]
+    scales = [float(np.abs(v).max()) for v in pts]
+    if min(scales) == 0.0:
         return 0.0    # a point in any slot
-    pts = [(p.vertices - p.centroid) / d for p, d in zip(bodies, diams)]
-    fk, fl, fm = (p.dim == 3 for p in bodies)
-    kl = _pair_sums(pts[0], pts[1])
-    qh = _full_hull(kl, fk or fl)
-    if qh is not None:
-        kl = kl[qh.vertices]
-    qh = _full_hull(_pair_sums(kl, pts[2]), fk or fl or fm)
-    if qh is None:
-        return 0.0    # K+L+M spans fewer than three dimensions
-    v = float(qh.volume)
-    for i, (x, d) in enumerate(zip(bodies, diams)):
-        dirs, masses = _surface_atoms_any(x)
-        h = sum(np.max(dirs @ pts[j].T, axis=1) for j in range(3) if j != i)
-        v -= x.volume / d ** 3 + float(h @ masses) / d ** 2
-    return diams[0] * diams[1] * diams[2] * v / 6.0
+    pts = [v / s for v, s in zip(pts, scales)]
+    i = max(range(3), key=lambda j: len(pts[j]))
+    ia, ib = (j for j in range(3) if j != i)
+    x, sums = pts[i], _pair_sums(pts[ia], pts[ib])
+    if _sum_dim((bodies[ia], bodies[ib])) == 3:
+        # one atom (n_T, |T|) per Qhull triangle, coplanar ones unmerged
+        qh = ConvexHull(sums)
+        dirs, masses = qh.equations[:, :3], _triangle_areas(sums[qh.simplices])
+    else:
+        dirs, masses = _surface_atoms_any(hull(sums))
+    v = float(np.max(dirs @ x.T, axis=1) @ masses)
+    for j in (ia, ib):
+        dirs, masses = _surface_atoms_any(bodies[j])
+        v -= float(np.max(dirs @ x.T, axis=1) @ masses) / scales[j] ** 2
+    return scales[0] * scales[1] * scales[2] * v / 6.0
 
 
 # ---------------------------------------------------------------------------

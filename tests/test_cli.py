@@ -108,6 +108,29 @@ def test_certify_lower_shear(capsys):
     assert json.loads(out)["verdicts"]["verdict"] == "equality"
 
 
+@pytest.mark.parametrize("w, axis", [
+    ("0,0,1e-15", "0,0,1"),
+    ("0,0,1e-300", "0,0,1"),
+    ("0,0,-1e300", "0,0,-1"),
+    ("1e300,0,0", "1,0,0"),
+])
+def test_certify_lower_direction_at_any_scale(capsys, w, axis):
+    outcomes = []
+    for text in (w, axis):
+        code, out, err = run(capsys, ["certify-lower", "--K", "cube", "--L", "cube",
+                                      "--M", "square", "--w", text])
+        doc = json.loads(out) if out else {}
+        outcomes.append((code, doc.get("values"), doc.get("verdicts"), err))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_parse_direction_keeps_unit_input_and_rejects_zero(capsys):
+    assert np.array_equal(cli.parse_direction("0,0,1"), [0.0, 0.0, 1.0])
+    code, out, _ = run(capsys, ["certify-lower", "--K", "cube", "--L", "cube",
+                                "--M", "square", "--w", "0,0,0"])
+    assert code == 2 and out == ""
+
+
 def test_stability_and_rigidity_hold(capsys):
     for cmd in ("stability", "rigidity"):
         code, out, _ = run(capsys, [cmd, "--K", "trunc:0.3", "--L", "cube",

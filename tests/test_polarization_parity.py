@@ -7,6 +7,7 @@ route they took before. Both sides round differently, so they must agree to
 TOL, not exactly."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -70,10 +71,21 @@ def partners():
 # -- tests -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_mixed_volume_matches_all_sums(name):
+def test_mixed_volume_matches_all_sums(name, unit_square, unit_segment):
+    # mixed_volume hulls the two bodies with the fewest vertices, so every
+    # order of each trio is checked, to reach every choice of the hulled pair
     x = case(name)
     l, m = partners()
-    for k3 in ((x, l, m), (l, x, m), (l, m, x)):
+    for trio in ((x, l, m), (x, unit_square, unit_segment), (x, unit_segment, m)):
+        ref = ref_mixed_volume(*trio)
+        for k3 in itertools.permutations(trio):
+            assert rel_err(MS.mixed_volume(*k3), ref) <= TOL
+
+
+def test_mixed_volume_matches_all_sums_on_random_triples():
+    # suite-mix's inputs: three random 10-point hulls
+    for seed in range(100):
+        k3 = [B.random_hull(10, 3 * seed + i) for i in range(3)]
         assert rel_err(MS.mixed_volume(*k3), ref_mixed_volume(*k3)) <= TOL
 
 
@@ -110,7 +122,7 @@ def test_surface_area_matches_mixed_area_measure(name):
 
 
 def test_lower_dimensional_sums_match_all_sums(unit_square, unit_segment):
-    # K + L below dimension 3: Qhull gets all sums of K+L+M, not vert(K+L)+M
+    # flat pairs: their atoms come from the planar hull of their sums
     hexagon = case("planar")
     _, m = partners()
     seg = B.segment([0.1, 0.2, 0.0], [0.4, -0.3, 0.5])
