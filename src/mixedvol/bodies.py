@@ -1,6 +1,10 @@
 """3D convex bodies: polytopes with full facet/edge combinatorics, balls,
 support evaluation, Minkowski sums, and constructors for test bodies.
 
+A full-dimensional hull is read off Qhull's output in one pass: Qhull merges
+coplanar triangles (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996, centrum
+pre-merge C-n), and the triangles of a merged facet share its plane row.
+
 All geometry is IEEE-754 binary64; equalities are tolerance checks. Polytopes
 are immutable after construction and safe to share between workers.
 """
@@ -17,8 +21,6 @@ from scipy.spatial.distance import pdist
 
 from .errors import BadSpec, DegenerateInput, NumericalFailure
 
-# Facet-normal deviation tolerance for merging coplanar Qhull triangles.
-MERGE_TOL = 1e-9
 # Relative tolerance for "vertex attains the support value" decisions.
 FACE_TOL = 1e-12
 # The two ends of the ridge across from corner k of a triangle, k = 0, 1, 2.
@@ -50,7 +52,6 @@ class Facets:
     normals: np.ndarray     # (F, 3) outward unit normals
     offsets: np.ndarray     # (F,) support values h(normal)
     areas: np.ndarray       # (F,)
-    incidence: np.ndarray   # (I, 2) sorted (facet, vertex) pairs
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -67,8 +68,7 @@ class Edges:
         return len(self.lengths)
 
 
-NO_FACETS = Facets(np.zeros((0, 3)), np.zeros(0), np.zeros(0),
-                   np.zeros((0, 2), dtype=np.intp))
+NO_FACETS = Facets(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
 NO_EDGES = Edges(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2), dtype=np.intp),
                  np.zeros(0))
 
@@ -305,8 +305,14 @@ def affine_dim(points: np.ndarray, tol: float = 1e-9) -> int:
 def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     """Convex hull with merged coplanar facets and full combinatorics.
 
-    Lower-dimensional input yields a combinatorics-free polytope (extreme
-    points only) unless require_full_dim is set.
+    Qhull merges the facets (option C-1e-12 on the points centered and
+    scaled to unit max-abs), so a point within about 1e-12 * scale of the
+    hull is not a vertex, and each facet's normal and offset are those of
+    Qhull's merged plane. Lower-dimensional input (affine_dim < 3) yields a
+    combinatorics-free polytope (extreme points only) unless
+    require_full_dim is set. Raises NumericalFailure when Qhull's output does
+    not form a polytope: one plane split into two facets, a vertex on fewer
+    than 3 edges, or a failed Euler check.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -346,66 +352,42 @@ def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
 
 
 def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
-    qh = ConvexHull(pts)
-    eqs = qh.equations          # normal . x + d <= 0, normal unit outward
-    nt, nv = len(qh.simplices), len(qh.vertices)
-    # reindex vertices to extreme points only
-    old2new = np.empty(len(pts), dtype=np.intp)
-    old2new[qh.vertices] = np.arange(nv)
-    verts = pts[qh.vertices]
-    tri = old2new[qh.simplices]
-    nb, n = qh.neighbors, eqs[:, :3]    # slot k of nb[s]: across from tri[s, k]
+    # Qhull merges coplanar triangles into facets (centrum pre-merge C-n, an
+    # absolute distance, hence the unit max-abs frame) and then triangulates
+    # them again (Qt): every triangle of a facet carries the facet's equation
+    # row, and the triangles of a facet come out as one run.
+    c = pts.mean(axis=0)
+    s = np.abs(pts - c).max()
+    qh = ConvexHull((pts - c) / s, qhull_options="Qc C-1e-12")
+    eqs, nb = qh.equations, qh.neighbors   # slot k of nb[t]: across from tri[t, k]
+    vid, tri = np.unique(qh.simplices, return_inverse=True)
+    tri = tri.reshape(-1, 3)
+    verts, nv = pts[vid], len(vid)
 
-    # facets: components of the graph joining neighbouring triangles whose
-    # normals agree within MERGE_TOL, numbered in order of their lowest
-    # triangle. Each round lowers every label to its close neighbours'
-    # minimum and then jumps it to its label's label; a fixed point holds one
-    # label, the lowest triangle, per component.
-    ids = np.arange(nt)
-    close_nb = np.where(np.linalg.norm(n[:, None, :] - n[nb], axis=2) <= MERGE_TOL,
-                        nb, ids[:, None])
-    label, prev = ids, None
-    while not np.array_equal(label, prev):
-        prev = label
-        label = np.minimum(label, label[close_nb].min(axis=1))
-        label = label[label]
-    rank = np.cumsum(label == ids)
-    nf, facet_of = int(rank[-1]), rank[label] - 1
-    normals = np.zeros((nf, 3))
-    np.add.at(normals, facet_of, n)
-    normals /= np.bincount(facet_of, minlength=nf)[:, None]
-    normals /= _row_norms(normals)[:, None]
-    areas = np.bincount(facet_of, _triangle_areas(verts[tri]), nf)
-    fv = np.unique(facet_of[:, None] * nv + tri)    # (facet, vertex), sorted
-    fid, vid = np.divmod(fv, nv)
-    offsets = (np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]), nf)
-               / np.bincount(fid, minlength=nf))
-    facets = Facets(normals, offsets, areas, np.stack([fid, vid], axis=1))
+    # facets: runs of identical rows, numbered in run order
+    first = np.ones(len(eqs), dtype=bool)
+    first[1:] = (eqs[1:] != eqs[:-1]).any(axis=1)
+    facet_of = np.cumsum(first) - 1
+    normals = eqs[first, :3] + 0.0          # + 0.0 clears -0.0
+    facets = Facets(normals, s * -eqs[first, 3] + _row_dots(normals, c),
+                    np.bincount(facet_of, _triangle_areas(verts[tri])))
 
-    # edges: facet pairs joined by a ridge, in order of first appearance over
-    # the (triangle, slot) pairs in row-major order
+    # edges: one ridge each, taken from its lower facet's side in (triangle,
+    # slot) order
     fs, ft = facet_of[:, None], facet_of[nb]
-    ridge = fs != ft
-    pairs = np.stack([np.minimum(fs, ft)[ridge], np.maximum(fs, ft)[ridge]], axis=1)
-    key = pairs[:, 0] * nf + pairs[:, 1]
-    keys, first = np.unique(key, return_index=True)
-    # an edge's endpoints are the vertices in exactly one ridge of its chain
-    # (each ridge taken once, from its lower facet's side)
-    lower = fs < ft
-    ev, count = np.unique(key[lower[ridge], None] * nv + tri[:, RIDGE_ENDS][lower],
-                          return_counts=True)
-    tips = ev[count == 1]
-    if not np.array_equal(tips // nv, np.repeat(keys, 2)):
-        raise NumericalFailure("facet merge produced a dangling ridge")
-    order = np.argsort(first)
-    tips = (tips % nv).reshape(-1, 2)[order]
-    edges = Edges(pairs[first[order]], tips,
-                  _row_norms(verts[tips[:, 0]] - verts[tips[:, 1]]))
-
-    if nv - len(edges) + nf != 2:
+    if ((fs != ft) & (eqs[:, None] == eqs[nb]).all(axis=2)).any():
+        raise NumericalFailure("one facet plane came out as two runs")
+    t, k = np.nonzero(fs < ft)
+    ends = tri[t[:, None], RIDGE_ENDS[k]]
+    edges = Edges(np.stack([facet_of[t], ft[t, k]], axis=1), ends,
+                  _row_norms(verts[ends[:, 0]] - verts[ends[:, 1]]))
+    if np.bincount(ends.ravel(), minlength=nv).min() < 3:
+        raise NumericalFailure("a vertex lies on fewer than 3 edges "
+                               "(a facet pair shares a chain of ridges)")
+    if nv - len(edges) + len(normals) != 2:
         raise NumericalFailure(
             "Euler check failed after facet merging: "
-            f"V={nv} E={len(edges)} F={nf}")
+            f"V={nv} E={len(edges)} F={len(normals)}")
     return Polytope(verts, facets, edges, 3, name)
 
 

@@ -6,7 +6,7 @@ quantitative rigidity inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,13 +119,16 @@ def _verdict(deficit: float, scale: float, sup_res: float, diam: float) -> str:
     return "inconclusive"
 
 
-def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator) -> np.ndarray:
-    """Least-squares linear witness: argmin_v int (delta - <v,.>)^2 dS_{B,M}.
+def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator
+                      ) -> tuple[np.ndarray, quad.ArcRestriction]:
+    """Least-squares linear witness v = argmin_v int (delta - <v,.>)^2
+    dS_{B,M}, and the residual delta - <v,.> restricted to the arcs.
 
     On an arc u(t) = a cos t + e sin t the coordinate x_i has the single
     segment coefficients (a_i, e_i, 0), so the normal equations need one
     restriction of delta and the closed-form Gram matrices
-    int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc of the arcs."""
+    int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc of the arcs. The
+    linear term adds no cut, so the residual keeps delta's segments."""
     sbm, _ = sbm_and_mu(g)
     arcs, w = sbm.arcs, sbm.weights
     # coords[j, i]: the coefficients of x_i on arc j
@@ -136,12 +139,16 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator) -> np.ndarray:
     (r,) = quad.restrict(arcs, delta)
     b_vec = w[r.arc] @ quad.product_integral(r.coef[:, None], coords[r.arc],
                                              r.t0[:, None], r.t1[:, None])
-    return np.linalg.solve(a_mat, b_vec)
+    v = np.linalg.solve(a_mat, b_vec)
+    return v, replace(r, coef=r.coef - v @ coords[r.arc])
 
 
-def sup_on_sbm(g: MetricGraph, f: SupportEvaluator) -> float:
-    """Sup of |f| over quadrature nodes of the arcs of supp S_{B,M}."""
-    return quad.sup_on_arcs(f, g.arcs)
+def sup_on_sbm(resid: quad.ArcRestriction) -> float:
+    """Sup of |resid| over quad.NODES_PER_SEGMENT nodes of each of its
+    segments on the arcs of supp S_{B,M}, endpoints included."""
+    t = np.linspace(resid.t0, resid.t1, quad.NODES_PER_SEGMENT, axis=1)
+    a, b, c = resid.coef.T[:, :, None]
+    return float(np.abs(a * np.cos(t) + b * np.sin(t) + c).max(initial=0.0))
 
 
 def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertificate:
@@ -156,9 +163,8 @@ def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertifica
     a = dr.v_kl / dr.v_ll
     g = build_graph(m)
     delta = SupportEvaluator.of(k) + SupportEvaluator.of(l, -a)
-    v = fit_linear_on_sbm(g, delta)
-    resid = delta + SupportEvaluator.linear(-v)
-    sup_res = sup_on_sbm(g, resid)
+    v, resid = fit_linear_on_sbm(g, delta)
+    sup_res = sup_on_sbm(resid)
     diam = max(_diameter(k), abs(a) * _diameter(l), 1e-30)
     verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
     return EqualityCertificate(dr, float(a), v, sup_res, verdict,

@@ -35,6 +35,16 @@ def assert_same_polytope(p, q):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+def facet_vertices(p) -> list[list[int]]:
+    """The sorted vertex indices of each facet of a 3-polytope: the ends of
+    the facet's edges."""
+    out = [set() for _ in range(len(p.facets))]
+    for pair, ends in zip(p.edges.facets.tolist(), p.edges.vertices.tolist()):
+        for f in pair:
+            out[f].update(ends)
+    return [sorted(v) for v in out]
+
+
 @pytest.fixture
 def unit_cube():
     return B.cube()

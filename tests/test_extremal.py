@@ -202,3 +202,38 @@ def test_certify_small_homothetic_copy(seed, s):
     dr = MS.quadratic_deficit(k, l, m)
     assert abs(dr.deficit) <= 1e-10 * dr.scale
     assert X.certify_equality_fulldim(k, l, m).verdict == "equality"
+
+
+CERT_TRIPLES = [
+    lambda: (B.truncate_vertex(B.cube(), 0, 0.1), B.cube(), B.cube()),
+    lambda: (B.truncate_vertex(B.cube(), 0, 0.8, vertex_only=False), B.cube(),
+             B.cube()),
+    lambda: (B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 1e-8), B.cube(), B.simplex()),
+    lambda: (B.approximate_ball(2), B.cube(), B.approximate_ball(1)),
+    *[(lambda s=s: tuple(B.random_hull(n, s + i) for i, n in
+                         enumerate((30, 30, 12)))) for s in range(6)],
+]
+
+
+@pytest.mark.parametrize("make", CERT_TRIPLES)
+def test_certify_finds_the_cuts_once(monkeypatch, make):
+    k, l, m = make()
+    calls = []
+    breakpoints = X.quad.breakpoints
+
+    def counted(*args):
+        calls.append(args)
+        return breakpoints(*args)
+
+    monkeypatch.setattr(X.quad, "breakpoints", counted)
+    cert = X.certify_equality_fulldim(k, l, m)
+    assert len(calls) == 1
+    # the residual's sup over the fit's segments against a scan of the
+    # residual itself, which finds its own cuts
+    g = X.build_graph(m)
+    resid = (B.SupportEvaluator.of(k) + B.SupportEvaluator.of(l, -cert.a)
+             + B.SupportEvaluator.linear(-cert.v))
+    ref = X.quad.sup_on_arcs(resid, g.arcs)
+    assert abs(cert.sup_residual - ref) <= 1e-12 * cert.diameter
+    dr = cert.deficit_report
+    assert cert.verdict == X._verdict(dr.deficit, dr.scale, ref, cert.diameter)

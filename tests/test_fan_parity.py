@@ -227,7 +227,7 @@ def test_linear_fit_matches_the_loop(names):
         b_vec += w * quad.product_integral(coef[:, None], coords[None],
                                            cuts[:-1, None], cuts[1:, None]).sum(axis=0)
     ref = np.linalg.solve(a_mat, b_vec)
-    v = X.fit_linear_on_sbm(g, delta)
+    v, _ = X.fit_linear_on_sbm(g, delta)
     assert np.abs(v - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 

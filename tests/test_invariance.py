@@ -100,6 +100,39 @@ def test_certify_verdict_invariant_under_one_body_rescaled(case, slot, c):
     assert X.certify_equality_fulldim(*bodies).verdict == CERT_CASES[case]
 
 
+def _inconclusive_case():
+    """A sheared cube against the cube, on the simplex: the deficit is about
+    3.3e-9 * scale, between DEFICIT_THRESHOLD * scale and ten times that."""
+    return [B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 1e-8), B.cube(), B.simplex()]
+
+
+def _assert_inconclusive(bodies):
+    cert = X.certify_equality_fulldim(*bodies)
+    deficit = cert.deficit_report.deficit / cert.scale
+    assert X.DEFICIT_THRESHOLD < deficit <= 10 * X.DEFICIT_THRESHOLD
+    assert cert.verdict == "inconclusive"
+
+
+def test_certify_inconclusive_case():
+    _assert_inconclusive(_inconclusive_case())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, factors)
+def test_certify_inconclusive_under_one_similarity(seed, c):
+    q, t = _rotation(seed), _shift(seed, 0)
+    _assert_inconclusive([B.hull(c * (p.vertices @ q.T + t))
+                          for p in _inconclusive_case()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), factors)
+def test_certify_inconclusive_under_one_body_rescaled(slot, c):
+    bodies = _inconclusive_case()
+    bodies[slot] = B.hull(c * bodies[slot].vertices)
+    _assert_inconclusive(bodies)
+
+
 # ---------------------------------------------------------------------------
 # Ball slots, the S_{L,M} oracle and the lower-dimensional certificate
 # ---------------------------------------------------------------------------
