@@ -7,7 +7,9 @@ product (1/2) sum_e w_e int fg are assembled with conforming piecewise-linear
 elements sharing vertex degrees of freedom, so continuity holds by
 construction and the weighted Kirchhoff conditions are natural. The same
 assembly serves the lower-dimensional bouquet of half circles. The matrices
-are sparse, and only the top of the spectrum is computed.
+are sparse, and only the top of the spectrum is computed: by shift-invert
+Lanczos on the standard symmetric form R^T (E - sigma M)^{-1} R, where
+M = R R^T, so each Lanczos step is one sparse solve and no mass-matrix product.
 """
 
 from __future__ import annotations
@@ -211,28 +213,56 @@ class SpectrumResult:
 # Shift for the top of the spectrum. E = M/3 - K/6 with K the weighted PSD
 # stiffness matrix, so 1/3 is the exact top eigenvalue (the constants) and
 # E - SHIFT * M is negative definite: its factorization never meets a
-# singular shift, and the eigenvalues nearest SHIFT are the top ones.
+# singular shift, every theta = 1 / (lambda - SHIFT) is negative, and the
+# largest |theta| belong to the top eigenvalues.
 SHIFT = 0.34
+
+
+def _mass_factor(mass: CSRMatrix) -> scipy.sparse.csr_array:
+    """R with M = R R^T, from a symmetric-mode LU of M: with diagonal
+    pivots, P M P^T = L U and U = diag(d) L^T, so R = P^T L diag(sqrt d)."""
+    lu = scipy.sparse.linalg.splu(
+        mass.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
+    d = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(d > 0)):
+        raise NumericalFailure("mass matrix is not positive definite")
+    return lu.L.multiply(np.sqrt(d)).tocsr()[lu.perm_c]
 
 
 def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
     """Top-k eigenpairs of E x = lambda M x, descending, by shift-invert
-    Lanczos (ARPACK) about SHIFT, from a fixed start vector so that repeated
-    calls return identical pairs."""
+    Lanczos (ARPACK) about SHIFT on the standard symmetric form
+    R^T (E - SHIFT M)^{-1} R with M = R R^T. Its eigenvalues are
+    theta = 1 / (lambda - SHIFT), and each Lanczos step is one sparse solve
+    with no mass-matrix product. The vectors are M-orthonormal. The start
+    vector is fixed, so repeated calls return identical pairs. Raises
+    NumericalFailure when M is not positive definite."""
     n = form.size
     if k < 1:
         raise BadParam(f"need at least one eigenpair, got k={k}")
     if k >= n:
         raise InsufficientSpectrum(
             f"{n} DOFs cannot resolve {k} eigenpairs; decrease the mesh size")
+    try:
+        r = _mass_factor(form.mass)
+        lu = scipy.sparse.linalg.splu(
+            (form.e_matrix - SHIFT * form.mass).tocsc())
+    except RuntimeError as exc:          # SuperLU: factor is exactly singular
+        raise NumericalFailure(f"factorization failed: {exc}") from exc
+    rt = r.T                  # once: a transpose costs more than a product
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda y: rt @ lu.solve(r @ y), dtype=float)
     # not the constants: they are an exact eigenvector and would end the
     # Lanczos recurrence after one step
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            form.e_matrix, k, M=form.mass, sigma=SHIFT, v0=v0)
+        theta, y = scipy.sparse.linalg.eigsh(op, k, v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    # x = (E - SHIFT M)^{-1} R y / theta has R^T x = y, so x^T M x = y^T y
+    vals = SHIFT + 1.0 / theta
+    vecs = lu.solve(r @ y) / theta
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     res = np.linalg.norm(form.e_matrix @ vecs - form.mass @ vecs * vals, axis=0)

@@ -2,9 +2,11 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from mixedvol import bodies as B
 from mixedvol import cli
+from mixedvol import graph as G
 from mixedvol.errors import QuadratureFailure
 
 
@@ -64,6 +66,17 @@ def unit_square():
 @pytest.fixture
 def unit_segment():
     return B.segment([0, 0, 0], [1, 0, 0])
+
+
+def mode3_eigenvalues(form, k: int) -> np.ndarray:
+    """Reference top-k eigenvalues, descending: ARPACK's generalized
+    shift-invert mode about graph.SHIFT, with the mass matrix passed as M
+    (M-products besides every solve), from graph.spectrum's start vector."""
+    v0 = np.random.default_rng(0).standard_normal(form.size)
+    vals = scipy.sparse.linalg.eigsh(form.e_matrix, k, M=form.mass,
+                                     sigma=G.SHIFT, v0=v0,
+                                     return_eigenvectors=False)
+    return np.sort(vals)[::-1]
 
 
 # adaptive composite Gauss-Legendre: a quadrature that knows nothing of the

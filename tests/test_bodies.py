@@ -380,6 +380,28 @@ def test_hull_requires_full_dim_flag(unit_square):
         B.hull(unit_square.vertices, require_full_dim=True)
 
 
+def _slab(t: float) -> np.ndarray:
+    """30 Gaussian points squashed to thickness t in z."""
+    pts = np.random.default_rng(0).standard_normal((30, 3))
+    pts[:, 2] *= t
+    return pts
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-7, 1e-8])
+def test_thin_slab_is_full_dimensional(t):
+    p = B.hull(_slab(t), require_full_dim=True)
+    assert (p.dim, len(p.vertices), len(p.facets)) == (3, 16, 28)
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 0.0])
+def test_thinner_slab_is_planar(t):
+    # affine_dim decides here: Qhull on its own returns a sliver for
+    # 1e-14 <= t <= 1e-9 and refuses only t = 0
+    assert B.hull(_slab(t)).dim == 2
+    with pytest.raises(DegenerateInput):
+        B.hull(_slab(t), require_full_dim=True)
+
+
 def test_affine_dim():
     assert B.affine_dim(np.zeros((4, 3))) == 0
     assert B.affine_dim(np.array([[0, 0, 0], [1, 0, 0]], float)) == 1

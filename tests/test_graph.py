@@ -15,7 +15,7 @@ from mixedvol.bodies import SupportEvaluator
 from mixedvol.errors import (BadMesh, BadParam, DegenerateInput,
                              InsufficientSpectrum, NumericalFailure)
 
-from conftest import rel_err
+from conftest import body, mode3_eigenvalues, rel_err
 
 
 def test_cube_graph_combinatorics(unit_cube):
@@ -283,6 +283,72 @@ def test_spectrum_no_convergence_is_numerical_failure(unit_cube, monkeypatch):
     form = G.assemble(G.build_graph(unit_cube), np.pi / 20)
     with pytest.raises(NumericalFailure):
         G.spectrum(form, 4)
+
+
+def test_spectrum_is_one_standard_eigsh_call(unit_cube, monkeypatch):
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    G.spectrum(G.assemble(G.build_graph(unit_cube), np.pi / 20), 8)
+    # a standard symmetric problem: no mass matrix, no shift
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert len(args) == 2 and "M" not in kwargs and "sigma" not in kwargs
+
+
+def _broken_mass(form: G.DiscretizedForm, how: str):
+    if how == "negated":
+        return -form.mass
+    m = form.mass.toarray()
+    m[5], m[:, 5] = 0.0, 0.0
+    return G.CSRMatrix(m)
+
+
+@pytest.mark.parametrize("how", ["negated", "zero-row"])
+def test_mass_not_positive_definite_is_numerical_failure(unit_cube, how):
+    # assemble checks the edge weights, so only a hand-built form gets here
+    form = G.assemble(G.build_graph(unit_cube), np.pi / 20)
+    bad = dataclasses.replace(form, mass=_broken_mass(form, how))
+    with pytest.raises(NumericalFailure):
+        G.spectrum(bad, 8)
+
+
+def _jittered_icosahedron() -> B.Polytope:
+    phi = (1 + 5 ** 0.5) / 2
+    v = np.array([[s1, s2 * phi, 0] for s1 in (-1, 1) for s2 in (-1, 1)],
+                 dtype=float)
+    v = np.concatenate([v, np.roll(v, 1, axis=1), np.roll(v, 2, axis=1)])
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return B.hull(v + 0.05 * np.random.default_rng(3).standard_normal(v.shape))
+
+
+# (form, k) at sizes the dense oracle cannot afford; the bouquet asks for
+# k = 1 + 4 * kmax, so its clusters of multiplicity 4 are resolved in full
+MODE3_CASES = {
+    "jittered-icosahedron": (lambda: G.assemble(
+        G.build_graph(_jittered_icosahedron()), np.pi / 100), 8),
+    "ball@1": (lambda: G.assemble(G.build_graph(body("ball@1")), np.pi / 100), 8),
+    "ball@2": (lambda: G.assemble(G.build_graph(body("ball@2")), np.pi / 100), 8),
+    "square": (lambda: LD.assemble_lowerdim(
+        LD.lowerdim_setup(B.hull(SQUARE), W), np.pi / 400), 1 + 4 * 3),
+}
+
+
+@pytest.mark.parametrize("name", list(MODE3_CASES))
+def test_spectrum_matches_generalized_shift_invert(name):
+    make, k = MODE3_CASES[name]
+    form = make()
+    ref = mode3_eigenvalues(form, k)
+    spec = G.spectrum(form, k)
+    assert np.abs(spec.eigenvalues - ref).max() <= 1e-12
+    v = spec.vectors
+    assert np.abs(v.T @ (form.mass @ v) - np.eye(k)).max() <= 1e-12
+    assert spec.residuals.max() <= 1e-10
 
 
 def test_zero_weight_edge_is_numerical_failure(unit_cube):
