@@ -32,7 +32,6 @@ from .measures import (DeficitReport, area_measure, classical_functionals,
 from .quadrature import (ArcFrame, ArcRestriction, Arcs, SphericalMeasure,
                          arc_between, arc_sample_nodes,
                          integrate_against_measure, integrate_evaluator,
-                         integrate_pair, product_integral, restrict,
-                         sup_on_arcs)
+                         integrate_pair, product_integral, restrict)
 
 __version__ = "0.1.0"

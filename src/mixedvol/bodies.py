@@ -179,13 +179,16 @@ class Polytope:
         return float(out) if out.ndim == 0 else out
 
     def face(self, u) -> "Polytope":
-        """F(K, u): the sub-polytope of maximizers of <., u>."""
+        """F(K, u): the sub-polytope of maximizers of <., u>, to within
+        FACE_TOL times the body's extent, plus the rounding of the vertex
+        coordinates along u. Heights are taken about the centroid, so a
+        body far from the origin gains no vertices below its face."""
         u = np.asarray(u, dtype=float)
-        vals = self.vertices @ u
-        h = vals.max()
-        tol = FACE_TOL * max(self.scale, 1.0)
-        pts = self.vertices[vals >= h - tol]
-        return hull(pts)
+        x = self.vertices - self.centroid
+        vals = x @ u
+        tol = (FACE_TOL * np.abs(x).max()
+               + 4 * np.finfo(float).eps * (np.abs(self.vertices) @ np.abs(u)).max())
+        return hull(self.vertices[vals >= vals.max() - tol])
 
     # -- transforms --------------------------------------------------------
 

@@ -129,8 +129,7 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator
     restriction of delta and the closed-form Gram matrices
     int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc of the arcs. The
     linear term adds no cut, so the residual keeps delta's segments."""
-    sbm, _ = sbm_and_mu(g)
-    arcs, w = sbm.arcs, sbm.weights
+    arcs, w = g.arcs, g.sbm.weights
     # coords[j, i]: the coefficients of x_i on arc j
     coords = np.stack([arcs.starts, arcs.tangents, np.zeros_like(arcs.starts)],
                       axis=2)

@@ -1,12 +1,13 @@
-"""Metric graph of a full-dimensional polytope and the discretized operator.
+"""Metric graph of a polytope and the discretized operator.
 
 Vertices are facet normals on the sphere; edges are geodesic arcs between
-normals of adjacent facets, weighted by ridge lengths. The quadratic form
+normals of adjacent facets, weighted by ridge lengths. A polytope M inside a
+plane w^perp gives the degenerate graph of the same type, the bouquet of half
+circles (lowerdim). The quadratic form
 E(f,g) = (1/6) sum_e w_e int (fg - f'g') and the L^2(S_{B,M}) mass inner
 product (1/2) sum_e w_e int fg are assembled with conforming piecewise-linear
 elements sharing vertex degrees of freedom, so continuity holds by
-construction and the weighted Kirchhoff conditions are natural. The same
-assembly serves the lower-dimensional bouquet of half circles. The matrices
+construction and the weighted Kirchhoff conditions are natural. The matrices
 are sparse, and only the top of the spectrum is computed: by shift-invert
 Lanczos on the standard symmetric form R^T (E - sigma M)^{-1} R, where
 M = R R^T, so each Lanczos step is one sparse solve and no mass-matrix product.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse
@@ -34,9 +34,15 @@ N_DIM = 3  # ambient dimension; prefactors 1/(n(n-1)) = 1/6 and 1/(n-1) = 1/2
 @dataclass(frozen=True)
 class MetricGraph:
     """Vertices are facet normals; edge e is the arc from starts[e] =
-    normals[edges[e, 0]] along tangents[e] to normals[edges[e, 1]]."""
+    normals[edges[e, 0]] along tangents[e] to normals[edges[e, 1]].
+
+    For M inside w^perp (lowerdim.LowerDimProblem.graph) the vertices are
+    the poles +-w, with the area of M each, and every edge is a half circle
+    of length pi from w through a unit normal z_j of M inside the plane,
+    weighted by the mass of that normal; parallel edges share the pair
+    (0, 1)."""
     normals: np.ndarray     # (F, 3) facet normals
-    areas: np.ndarray       # (F,) facet areas
+    areas: np.ndarray       # (F,) facet areas, the masses of S_M
     edges: np.ndarray       # (E, 2) ascending facet pairs
     lengths: np.ndarray     # (E,) arccos <n_F, n_F'>
     weights: np.ndarray     # (E,) ridge lengths H^1(F cap F')
@@ -47,6 +53,11 @@ class MetricGraph:
     def arcs(self) -> quad.Arcs:
         """The edges as an arc table, built once per graph."""
         return quad.Arcs(self.starts, self.tangents, self.lengths)
+
+    @cached_property
+    def sbm(self) -> SphericalMeasure:
+        """S_{B,M}: the edges with weight w/2, built once per graph."""
+        return SphericalMeasure(arcs=self.arcs, weights=self.weights / 2.0)
 
     def vertex_balance_residuals(self) -> np.ndarray:
         """|sum of w_e times the outgoing unit tangent| at each vertex."""
@@ -82,8 +93,7 @@ def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
     # both ends of each edge, in edge order
     mu_mass = np.zeros(len(g.normals))
     np.add.at(mu_mass, g.edges.ravel(), np.repeat(g.weights * g.lengths / 2.0, 2))
-    return (SphericalMeasure(arcs=g.arcs, weights=g.weights / 2.0),
-            SphericalMeasure(g.normals, mu_mass))
+    return g.sbm, SphericalMeasure(g.normals, mu_mass)
 
 
 def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> float:
@@ -112,37 +122,24 @@ class DiscretizedForm:
     e_matrix: CSRMatrix        # quadratic form E
     mass: CSRMatrix            # L^2(S_{B,M}) inner product, SPD
     node_points: np.ndarray    # (N, 3) sphere position of each DOF
-    edge_dofs: list[np.ndarray]  # DOF chains per edge (vertex DOFs shared)
-    h: float
 
     @property
     def size(self) -> int:
         return len(self.node_points)
 
-    def restrict(self, f: Union[SupportEvaluator, Callable]) -> np.ndarray:
-        """Node values of a function on the sphere (e.g. a support function)."""
-        return np.asarray(f(self.node_points), dtype=float)
 
-    def coordinate_functions(self) -> np.ndarray:
-        """Restrictions of x_1, x_2, x_3 to the graph, as an (N, 3) array."""
-        return self.node_points.copy()
-
-
-def assemble_edges(vertex_points: np.ndarray, edges: np.ndarray,
-                   lengths: np.ndarray, weights: np.ndarray, starts: np.ndarray,
-                   tangents: np.ndarray, h: float) -> DiscretizedForm:
-    """Hat-function Galerkin matrices of a weighted metric graph, with exact
+def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
+    """Hat-function Galerkin matrices of a metric graph, with exact
     per-element integrals.
 
-    Edge e runs from vertex edges[e, 0] to vertex edges[e, 1] along the arc
-    t -> starts[e] cos t + tangents[e] sin t, t in [0, lengths[e]], with
-    weight weights[e], and is split into ceil(l/h) uniform elements (at
-    least 2). DOFs 0..nv-1 are the vertices, shared by their edges, so
-    continuity holds by construction and the Kirchhoff vertex conditions are
-    natural; the interior DOFs follow edge by edge."""
+    Each edge is split into ceil(l/h) uniform elements (at least 2). DOFs
+    0..F-1 are the vertices, shared by their edges, so continuity holds by
+    construction and the Kirchhoff vertex conditions are natural; the
+    interior DOFs follow edge by edge."""
     if h <= 0:
         raise BadMesh("mesh size must be positive")
-    heads, tails = edges.T
+    lengths, weights = g.lengths, g.weights
+    heads, tails = g.edges.T
     counts = np.ceil(lengths / h).astype(np.intp)
     if (counts < 2).any():
         bad = int(np.argmax(counts < 2))
@@ -153,7 +150,7 @@ def assemble_edges(vertex_points: np.ndarray, edges: np.ndarray,
         raise NumericalFailure(
             "mass matrix is not positive definite: an edge weight is not a "
             "positive finite number")
-    nv = len(vertex_points)
+    nv = len(g.normals)
     edge_h = lengths / counts
     n_int = counts - 1
     first = nv + np.cumsum(n_int) - n_int          # first interior DOF per edge
@@ -188,18 +185,10 @@ def assemble_edges(vertex_points: np.ndarray, edges: np.ndarray,
     t = ((np.arange(len(node_edge)) - np.repeat(first - nv, n_int) + 1)
          * edge_h[node_edge])
     points = np.concatenate([
-        np.asarray(vertex_points, dtype=float),
-        np.cos(t)[:, None] * starts[node_edge]
-        + np.sin(t)[:, None] * tangents[node_edge]])
-    edge_dofs = [np.concatenate(([i], np.arange(f, f + n), [j]))
-                 for i, j, f, n in zip(heads, tails, first, n_int)]
-    return DiscretizedForm(e_mat, mass, points, edge_dofs, h)
-
-
-def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
-    """Galerkin matrices on the metric graph of a full-dimensional polytope."""
-    return assemble_edges(g.normals, g.edges, g.lengths, g.weights, g.starts,
-                          g.tangents, h)
+        g.normals,
+        np.cos(t)[:, None] * g.starts[node_edge]
+        + np.sin(t)[:, None] * g.tangents[node_edge]])
+    return DiscretizedForm(e_mat, mass, points)
 
 
 @dataclass
@@ -285,7 +274,7 @@ def kernel_analysis(spec: SpectrumResult, tau: float) -> KernelReport:
             "kernel window touches the tail of the computed spectrum")
     dim = int(in_window.sum())
     q = spec.vectors[:, in_window]           # mass-orthonormal already
-    coords = spec.form.coordinate_functions()
+    coords = spec.form.node_points    # the coordinate functions x_1, x_2, x_3
     mass = spec.form.mass
     gram = coords.T @ mass @ coords
     c_orth = coords @ np.linalg.inv(np.linalg.cholesky(gram)).T

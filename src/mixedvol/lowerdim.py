@@ -3,8 +3,10 @@
 When M has dimension 1 or 2 inside w^perp, the measure S_{B,M} concentrates
 on the half great circles theta -> iota(theta, z) = w cos(theta) + z sin(theta)
 over the directions z in the support of the (lower-dimensional) surface
-measure of M inside w^perp. The operator decomposes over these half circles
-with shared poles at +-w, and its spectrum is fully explicit:
+measure of M inside w^perp. These half circles, with shared poles at +-w,
+are the edges of a graph.MetricGraph, the degenerate metric graph of M, so
+the Galerkin assembly, S_{B,M} and the residual's sup scan are those of the
+full-dimensional pipeline. The spectrum is fully explicit:
 lambda_k = (1 - k^2)/3 with multiplicities 1, m, m, ... where m is the
 number of support atoms.
 """
@@ -12,7 +14,6 @@ number of support atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +25,9 @@ from .bodies import (Polytope, SupportEvaluator, _row_norms, affine_dim,
                      support_data, unit)
 from .errors import (BadParam, DimensionError, InsufficientSpectrum,
                      NumericalFailure, ZeroDenominator)
-from .extremal import DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD, _verdict
-from .graph import (DiscretizedForm, assemble_edges, build_graph, sbm_and_mu,
+from .extremal import (DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD, _verdict,
+                       sup_on_sbm)
+from .graph import (DiscretizedForm, MetricGraph, assemble, build_graph,
                     spectrum)
 from .measures import DeficitReport, quadratic_deficit
 
@@ -36,26 +38,30 @@ HYPERPLANE_TOL = 1e-9
 class LowerDimProblem:
     """M in w^perp together with the atoms of its surface measure inside the
     hyperplane: mass masses[j] at the unit direction directions[j] (edge
-    normals for a polygon, the two endpoint directions for a segment)."""
-    w: np.ndarray
+    normals for a polygon, the two endpoint directions for a segment), held
+    as the bouquet of half circles they span, a metric graph: vertices +-w
+    (DOFs 0 and 1 of its assembly) and, per atom, the half circle
+    theta -> w cos(theta) + directions[j] sin(theta) of weight masses[j]."""
     m: Polytope
     dim_m: int
-    directions: np.ndarray   # (j, 3), in w^perp
-    masses: np.ndarray       # (j,)
+    graph: MetricGraph
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.graph.normals[0]
+
+    @property
+    def directions(self) -> np.ndarray:
+        """(j, 3) unit directions in w^perp."""
+        return self.graph.tangents
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self.graph.weights
 
     @property
     def multiplicity(self) -> int:
         return len(self.masses)
-
-    @cached_property
-    def sbm(self) -> quad.SphericalMeasure:
-        """S_{B,M}: each half circle theta -> w cos(theta) + z_j sin(theta)
-        with weight mass_j / 2."""
-        m = self.multiplicity
-        return quad.SphericalMeasure(
-            arcs=quad.Arcs(np.tile(self.w, (m, 1)), self.directions,
-                           np.full(m, np.pi)),
-            weights=0.5 * self.masses)
 
     def total_mass(self) -> float:
         return sum(self.masses.tolist())
@@ -91,16 +97,22 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
         # normals of the degenerate "polygon": the two in-plane directions
         # orthogonal to the segment carry no ridge mass, so only the endpoint
         # directions appear (each with mass = segment length).
-        return LowerDimProblem(w, m, 1, np.array([z, -z]),
-                               np.array([length, length]))
-    b1, b2 = _plane_basis(w)
-    pts2 = np.column_stack([verts @ b1, verts @ b2])
-    ch = ConvexHull(pts2)
-    cyc = pts2[ch.vertices]  # counterclockwise
-    d = np.roll(cyc, -1, axis=0) - cyc
-    ln = _row_norms(d)
-    n2 = np.column_stack([d[:, 1], -d[:, 0]]) / ln[:, None]  # outward, ccw
-    p = LowerDimProblem(w, m, 2, n2[:, :1] * b1 + n2[:, 1:] * b2, ln)
+        directions, masses = np.array([z, -z]), np.array([length, length])
+        area = 0.0
+    else:
+        b1, b2 = _plane_basis(w)
+        pts2 = np.column_stack([verts @ b1, verts @ b2])
+        ch = ConvexHull(pts2)
+        cyc = pts2[ch.vertices]  # counterclockwise
+        d = np.roll(cyc, -1, axis=0) - cyc
+        masses = _row_norms(d)
+        n2 = np.column_stack([d[:, 1], -d[:, 0]]) / masses[:, None]  # outward, ccw
+        directions, area = n2[:, :1] * b1 + n2[:, 1:] * b2, ch.volume
+    j = len(masses)
+    graph = MetricGraph(np.array([w, -w]), np.array([area, area]),
+                        np.tile([0, 1], (j, 1)), np.full(j, np.pi), masses,
+                        np.tile(w, (j, 1)), directions)
+    p = LowerDimProblem(m, dim, graph)
     if p.balance_residual() > 1e-9 * p.total_mass():
         raise NumericalFailure("edge-normal atoms do not balance")
     return p
@@ -109,19 +121,13 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
 def sbm_lowerdim(p: LowerDimProblem, f: SupportEvaluator) -> float:
     """int f dS_{B,M} = (1/2) sum_j mass_j int_0^pi f(iota(theta, z_j)) dtheta,
     exact. Equals 3 V(B, K, M) when f = h_K."""
-    return quad.integrate_against_measure(f, p.sbm)
+    return quad.integrate_against_measure(f, p.graph.sbm)
 
 
 def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
-    """Hat-function Galerkin matrices on the bouquet of half circles.
-
-    The bouquet is a metric graph with two vertices, the poles +-w (DOFs 0
-    and 1, shared by every half circle), and one edge of length pi and
-    weight mass_j per atom."""
-    m = p.multiplicity
-    return assemble_edges(
-        np.array([p.w, -p.w]), np.tile([0, 1], (m, 1)), np.full(m, np.pi),
-        p.masses, np.tile(p.w, (m, 1)), p.directions, h)
+    """Hat-function Galerkin matrices on the bouquet of half circles, whose
+    poles +-w are DOFs 0 and 1, shared by every half circle."""
+    return assemble(p.graph, h)
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,8 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
     _, face_k = support_data(k, p.w)
     resid = (SupportEvaluator.of(k) + SupportEvaluator.of(face_lt)
              + SupportEvaluator.of(lt, -1.0) + SupportEvaluator.of(face_k, -1.0))
-    sup_res = quad.sup_on_arcs(resid, p.sbm.arcs)
+    (r,) = quad.restrict(p.graph.arcs, resid)
+    sup_res = sup_on_sbm(r)
     diam = max(k.diameter, abs(c) * l.diameter, 1e-30)
     verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
     return LowerEqualityCertificate(dr, float(c), sup_res, verdict,
@@ -247,8 +254,7 @@ def cylinder_limit_check(p: LowerDimProblem, f: SupportEvaluator,
     values = []
     for eps in eps_seq:
         cyl = minkowski_sum(p.m, segment(np.zeros(3), eps * p.w))
-        sbm, _ = sbm_and_mu(build_graph(cyl))
-        values.append(quad.integrate_against_measure(f, sbm))
+        values.append(quad.integrate_against_measure(f, build_graph(cyl).sbm))
     errors = [abs(v - limit) for v in values]
     ratios = tuple(errors[i] / errors[i + 1] if errors[i + 1] > 1e-300 else np.inf
                    for i in range(len(errors) - 1))

@@ -28,7 +28,7 @@ from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
                      _row_norms, _sum_dim, _triangle_areas, hull,
                      minkowski_sum, unit)
 from .errors import DegenerateInput
-from .graph import build_graph, sbm_and_mu
+from .graph import build_graph
 from .quadrature import SphericalMeasure, integrate_against_measure
 
 ATOM_MERGE_ANGLE = 1e-9   # angular tolerance for merging atoms by direction
@@ -173,8 +173,7 @@ def mixed_volume_via_measure(f: Union[Body, SupportEvaluator], l: Body,
     """(1/3) int f dS_{L,M}; ball L-slots use the arc measure S_{B,M}."""
     ev = _as_evaluator(f)
     if isinstance(l, Ball):
-        sbm, _ = sbm_and_mu(build_graph(m))
-        return l.radius * integrate_against_measure(ev, sbm) / 3.0
+        return l.radius * integrate_against_measure(ev, build_graph(m).sbm) / 3.0
     return integrate_against_measure(ev, mixed_area_measure(l, m)) / 3.0
 
 
@@ -184,9 +183,8 @@ def mv3(k: Body, l: Body, m: Polytope) -> float:
     if not kb and not lb:
         return mixed_volume(k, l, m)
     if kb and lb:
-        sbm, _ = sbm_and_mu(build_graph(m))
         # V(b1, b2, M) = rho1 * rho2 * V(B, B, M) + translation-invariant rest
-        vbbm = sbm.total_mass() / 3.0
+        vbbm = build_graph(m).sbm.total_mass() / 3.0
         return k.radius * l.radius * vbbm
     ball, poly = (k, l) if kb else (l, k)
     slm = mixed_area_measure(poly, m)

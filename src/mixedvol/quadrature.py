@@ -27,8 +27,9 @@ PLANE_TOL = 1e-12
 # interior cuts lie in (CUT_TOL, length - CUT_TOL); closer cuts are one cut
 CUT_TOL = 1e-12
 NODES_PER_SEGMENT = 17   # sample nodes per smooth segment, endpoints included
-# entries (8 bytes each) of the sign tables, midpoint argmax and sup scan of
-# one block of arcs, per smooth segment of an arc (8 MB)
+# entries (8 bytes each), per smooth segment of an arc, of the sign tables of
+# one block of arcs and of NODES_PER_SEGMENT evaluations of every vertex per
+# segment (8 MB)
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -82,11 +83,13 @@ def arcs_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit tangents at a and lengths of the shortest geodesics from the rows
     of a to the rows of b, all unit vectors (no pair equal or antipodal)."""
     c = np.clip(_row_dots(a, b), -1.0, 1.0)
-    l = np.arccos(c)
+    e = b - c[:, None] * a
+    s = _row_norms(e)
+    # arccos(c) is off by eps/l at small l; atan2 keeps l to within eps
+    l = np.arctan2(s, c)
     if ((l < 1e-12) | (l > np.pi - 1e-12)).any():
         raise QuadratureFailure("arc endpoints coincide or are antipodal")
-    e = b - c[:, None] * a
-    return e / _row_norms(e)[:, None], l
+    return e / s[:, None], l
 
 
 def arc_between(a: np.ndarray, b: np.ndarray) -> ArcFrame:
@@ -157,9 +160,11 @@ def segments(arcs: Arcs, *evaluators: SupportEvaluator
 def _segment_blocks(arcs: Arcs, evaluators: Sequence[SupportEvaluator]
                     ) -> Iterator[tuple[int, Arcs, tuple[np.ndarray, ...]]]:
     """(first, block, segments(block)) for the arcs in consecutive blocks, at
-    least one. A block is sized so that its sign tables, midpoint argmax and
-    sup scan against the polytope terms hold about BLOCK_ENTRIES entries per
-    smooth segment of an arc, however many arcs and vertices there are."""
+    least one. A block is sized so that its sign tables against the polytope
+    terms and NODES_PER_SEGMENT evaluations of every vertex per smooth
+    segment hold about BLOCK_ENTRIES entries per smooth segment of an arc,
+    however many arcs and vertices there are; the midpoint argmax makes one
+    evaluation of every vertex per segment."""
     width = sum(2 * len(p.fan) + NODES_PER_SEGMENT * len(p.vertices)
                 for p in _polytopes(evaluators))
     step = max(1, BLOCK_ENTRIES // max(1, width))
@@ -290,17 +295,6 @@ def arc_sample_nodes(frame: ArcFrame, f: SupportEvaluator) -> np.ndarray:
     included), suitable for sup-norm residual scans."""
     _, t0, t1 = segments(Arcs.of(frame), f)
     return np.unique(np.linspace(t0, t1, NODES_PER_SEGMENT))
-
-
-def sup_on_arcs(f: SupportEvaluator, arcs: Arcs) -> float:
-    """Sup of |f| over the sample nodes of every smooth segment of f on the
-    arcs, a block of arcs at a time."""
-    sup = 0.0
-    for _, block, (arc, t0, t1) in _segment_blocks(arcs, [f]):
-        t = np.linspace(t0, t1, NODES_PER_SEGMENT, axis=1)      # (S, nodes)
-        sup = max(sup, float(np.abs(f(block.points(arc[:, None], t)))
-                             .max(initial=0.0)))
-    return sup
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 from mixedvol import bodies as B
 from mixedvol import cli
 from mixedvol import graph as G
+from mixedvol import quadrature as quad
 from mixedvol.errors import QuadratureFailure
 
 
@@ -28,6 +29,15 @@ BODIES = {
 @functools.cache
 def body(name):
     return BODIES[name]()
+
+
+# a top vertex and a second one 1e-9 lower in z, 1 apart sideways
+NEAR_TOP = np.array([[0, 0, 1], [1, 0, 1 - 1e-9], [0, 1, 0], [1, 1, 0],
+                     [0.5, 0.5, -1], [0.2, -0.7, 0.1]])
+
+# a fixed rotation with no axis-aligned column, so that a body moved along
+# x and queried along a rotated axis has the move enter its heights
+TILT = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
 
 
 def assert_same_polytope(p, q):
@@ -77,6 +87,19 @@ def mode3_eigenvalues(form, k: int) -> np.ndarray:
                                      sigma=G.SHIFT, v0=v0,
                                      return_eigenvectors=False)
     return np.sort(vals)[::-1]
+
+
+def sup_on_arcs(f: B.SupportEvaluator, arcs: quad.Arcs) -> float:
+    """Sup of |f| over quad.NODES_PER_SEGMENT nodes of each smooth segment
+    of f on the arcs, endpoints included, found by evaluating f itself at
+    the nodes: the scan extremal.sup_on_sbm replaced, which evaluates the
+    segment coefficients of a restriction instead."""
+    sup = 0.0
+    for _, block, (arc, t0, t1) in quad._segment_blocks(arcs, [f]):
+        t = np.linspace(t0, t1, quad.NODES_PER_SEGMENT, axis=1)      # (S, nodes)
+        sup = max(sup, float(np.abs(f(block.points(arc[:, None], t)))
+                             .max(initial=0.0)))
+    return sup
 
 
 # adaptive composite Gauss-Legendre: a quadrature that knows nothing of the

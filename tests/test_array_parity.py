@@ -60,8 +60,8 @@ def ref_truncate_points(p, vertex_id, depth):
 def ref_arc(a, b):
     c = float(np.clip(a @ b, -1.0, 1.0))
     e = b - c * a
-    e /= np.linalg.norm(e)
-    return e, float(np.arccos(c))
+    s = np.linalg.norm(e)
+    return e / s, float(np.arctan2(s, c))
 
 
 def ref_mu_masses(g):

@@ -36,3 +36,21 @@ def test_traced_spectrum_op_counts_sizes(capsys):
     assert counts["graph.dofs"] > 0
     _, calls = tracer.self_times()
     assert calls["graph.assemble"] == calls["graph.spectrum"] == 1
+
+
+def test_traced_lowerdim_ops_count_sizes(capsys):
+    tracer = _load_spans().Tracer()
+    tracer.install(mixedvol)
+    try:
+        for argv in (["lower-spectrum", "--M", "square"],
+                     ["randtest", "--suite", "lower", "--n", "1"]):
+            tracer.begin_op(" ".join(argv))
+            assert cli.run_command(argv) == 0
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.totals()["lowerdim.dofs"] > 0
+    _, calls = tracer.self_times()
+    assert calls["lowerdim.assemble_lowerdim"] == 1
+    assert calls["lowerdim.certify_equality_lowerdim"] == 1

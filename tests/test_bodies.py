@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 from mixedvol import bodies as B
 from mixedvol.errors import BadSpec, DegenerateInput, NumericalFailure
 
-from conftest import facet_vertices, rel_err
+from conftest import NEAR_TOP, TILT, facet_vertices, rel_err
 
 # the facet merge tolerance of the reference builders below
 MERGE_TOL = 1e-9
@@ -366,6 +366,24 @@ def test_face_of_cube_top_is_square(unit_cube):
     face = unit_cube.face([0, 0, 1])
     assert len(face.vertices) == 4
     assert np.allclose(face.vertices[:, 2], 1.0)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e4, 1e6, 1e8])
+def test_face_does_not_depend_on_where_the_body_sits(shift):
+    # a vertex 1e-9 below the top stays off the face of a body moved across u
+    top = B.hull(NEAR_TOP).translate([shift, 0.0, 0.0]).face([0, 0, 1])
+    assert np.array_equal(top.vertices, [[shift, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e4, 1e5, 1e6])
+def test_face_along_the_move_keeps_its_vertices(unit_cube, shift):
+    # a rotated cube moved along x, queried along a facet normal with an x
+    # component: the rounding of the moved coordinates enters the heights,
+    # and the face must keep all four of its vertices
+    cube = B.hull(unit_cube.vertices @ TILT.T).translate([shift, 0.0, 0.0])
+    for u in TILT.T:
+        assert len(cube.face(u).vertices) == 4
+        assert len(cube.face(-u).vertices) == 4
 
 
 def test_lower_dimensional_hulls(unit_square, unit_segment):

@@ -59,8 +59,8 @@ ARC_SETS = {
        for n in ("rand10s0", "rand10s1", "cube", "simplex", "ball@1", "ball@2")},
     "graph:sphere30": lambda: G.build_graph(_sphere_hull(30, 30)).arcs,
     # half circles of length pi through the poles +-w
-    "bouquet:square": lambda: LD.lowerdim_setup(TERMS["square"](), W).sbm.arcs,
-    "bouquet:polygon6": lambda: LD.lowerdim_setup(_plane_polygon(6, 3), W).sbm.arcs,
+    "bouquet:square": lambda: LD.lowerdim_setup(TERMS["square"](), W).graph.arcs,
+    "bouquet:polygon6": lambda: LD.lowerdim_setup(_plane_polygon(6, 3), W).graph.arcs,
 }
 
 
@@ -241,7 +241,7 @@ def test_lowerdim_certificate_matches_the_loop(seed):
     resid = (B.SupportEvaluator.of(k) + B.SupportEvaluator.of(lt.face(W))
              + B.SupportEvaluator.of(lt, -1.0) + B.SupportEvaluator.of(k.face(W), -1.0))
     ref = 0.0
-    for fr in _frames(p.sbm.arcs):
+    for fr in _frames(p.graph.arcs):
         cuts = np.array([0.0, *loop_breakpoints(resid, fr), fr.length])
         t = np.linspace(cuts[:-1], cuts[1:], quad.NODES_PER_SEGMENT)
         ref = max(ref, float(np.abs(resid(fr.point(t))).max()))
@@ -249,7 +249,7 @@ def test_lowerdim_certificate_matches_the_loop(seed):
     # S_{B,M} integrals over the half circles
     fk = B.SupportEvaluator.of(k)
     ref = sum(0.5 * mass * _loop_pair(fk, B.SupportEvaluator.constant_one(), fr)[0]
-              for mass, fr in zip(p.masses.tolist(), _frames(p.sbm.arcs)))
+              for mass, fr in zip(p.masses.tolist(), _frames(p.graph.arcs)))
     assert _close(LD.sbm_lowerdim(p, fk), ref)
 
 
@@ -257,7 +257,7 @@ def test_integrals_over_no_arcs_are_empty():
     arcs = quad.Arcs()
     (r,) = quad.restrict(arcs, B.SupportEvaluator.of(B.cube()))
     assert r.integral().shape == (0,)
-    assert quad.sup_on_arcs(B.SupportEvaluator.of(B.cube()), arcs) == 0.0
+    assert X.sup_on_sbm(r) == 0.0
     assert quad.SphericalMeasure().total_mass() == 0.0
 
 
@@ -267,7 +267,8 @@ def test_arcs_taken_in_blocks_give_the_same_restriction(monkeypatch):
     g = B.SupportEvaluator.of(B.cube()) + B.SupportEvaluator.of(
         B.Ball(np.array([0.1, 0.0, -0.2]), 0.5), 0.2)
     arcs = G.build_graph(body("ball@1")).arcs
-    whole, sup = quad.restrict(arcs, f, g), quad.sup_on_arcs(f, arcs)
+    whole = quad.restrict(arcs, f, g)
+    sup = X.sup_on_sbm(whole[0])
     monkeypatch.setattr(quad, "BLOCK_ENTRIES", 1)          # one arc a block
     assert len(list(quad._segment_blocks(arcs, [f, g]))) == len(arcs)
     blocks = quad.restrict(arcs, f, g)
@@ -278,18 +279,21 @@ def test_arcs_taken_in_blocks_give_the_same_restriction(monkeypatch):
         assert np.abs(w.coef - b.coef).max() <= 1e-15
     for w, b in zip(whole[0].pair(whole[1]), blocks[0].pair(blocks[1])):
         assert np.abs(w - b).max() <= 1e-15
-    assert abs(quad.sup_on_arcs(f, arcs) - sup) <= 1e-15
+    assert abs(X.sup_on_sbm(blocks[0]) - sup) <= 1e-15
 
 
 def test_restriction_memory_does_not_grow_with_arcs_times_vertices():
     """One pass over the 480 arcs of ball@2 against the 642 vertices of
-    ball@3 would hold about 30 MB of midpoint argmax and 100 MB of sup scan;
-    blocks of arcs hold about 8 MB per smooth segment of an arc."""
+    ball@3 would hold about 30 MB of midpoint argmax; blocks of arcs hold
+    about 8 MB per smooth segment of an arc, and the sup scan of the
+    restriction holds a few node tables per segment, whatever the vertex
+    count."""
     import tracemalloc
     k = body("ball@3")
     f = B.SupportEvaluator.of(k) + B.SupportEvaluator.of(body("ball@1"), -1.0)
     arcs = G.build_graph(body("ball@2")).arcs
-    for run in (lambda: quad.restrict(arcs, f), lambda: quad.sup_on_arcs(f, arcs)):
+    for run in (lambda: quad.restrict(arcs, f),
+                lambda: X.sup_on_sbm(quad.restrict(arcs, f)[0])):
         tracemalloc.start()
         try:
             run()

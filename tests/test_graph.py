@@ -196,7 +196,7 @@ def test_kernel_principal_angle_matches_subspace_angles(name):
     # the Euclidean angles between the images under L^T
     lt = np.linalg.cholesky(form.mass.toarray()).T
     window = spec.vectors[:, np.abs(spec.eigenvalues) < tau]
-    angles = scipy.linalg.subspace_angles(lt @ form.coordinate_functions(),
+    angles = scipy.linalg.subspace_angles(lt @ form.node_points,
                                           lt @ window)
     expected = float(np.sin(angles.max()))
     assert (abs(rep.principal_angle_residual - expected)
@@ -374,7 +374,7 @@ def test_ball3_fine_mesh_hyperbolic():
 
 def test_restrict_support_function(unit_cube):
     form = G.assemble(G.build_graph(unit_cube), np.pi / 20)
-    f = form.restrict(SupportEvaluator.of(unit_cube))
+    f = SupportEvaluator.of(unit_cube)(form.node_points)
     assert f.shape == (form.size,)
     assert np.all(f >= -1e-12)
 

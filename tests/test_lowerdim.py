@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 
 from mixedvol import bodies as B
+from mixedvol import cli
+from mixedvol import extremal as X
 from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
 from mixedvol import quadrature as quad
@@ -11,7 +13,7 @@ from mixedvol.errors import (BadMesh, DimensionError, InsufficientSpectrum,
                              ZeroDenominator)
 from mixedvol.graph import kernel_analysis, spectrum
 
-from conftest import adaptive_gauss, rel_err
+from conftest import NEAR_TOP, TILT, adaptive_gauss, rel_err, sup_on_arcs
 
 W = np.array([0.0, 0.0, 1.0])
 
@@ -83,11 +85,11 @@ def test_sbm_callable_matches_evaluator(unit_square, unit_cube):
     p = LD.lowerdim_setup(unit_square, W)
     ev = SupportEvaluator.of(unit_cube)
     exact = LD.sbm_lowerdim(p, ev)
-    arcs = p.sbm.arcs
+    arcs = p.graph.sbm.arcs
     numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(fr.point(t))),
                                      0.0, fr.length, 1e-11)
                   for fr, w in zip(map(quad.ArcFrame, arcs.starts, arcs.tangents,
-                                       arcs.lengths), p.sbm.weights))
+                                       arcs.lengths), p.graph.sbm.weights))
     assert rel_err(exact, numeric) < 1e-9
 
 
@@ -215,10 +217,10 @@ def test_kernel_contains_coordinates(unit_square):
 def test_pole_values_shared(unit_square):
     p = LD.lowerdim_setup(unit_square, W)
     form = LD.assemble_lowerdim(p, np.pi / 40)
-    spec = spectrum(form, 5)
-    for chain in form.edge_dofs:
-        assert chain[0] == 0 and chain[-1] == 1
-    # eigenvectors automatically agree at the poles across atoms
+    # the poles are one DOF each, coupled to themselves and to the end of
+    # every half circle, so functions agree at the poles across atoms
+    for matrix in (form.mass, form.e_matrix):
+        assert np.array_equal(np.diff(matrix.indptr)[:2], [1 + p.multiplicity] * 2)
     assert np.allclose(form.node_points[0], W)
     assert np.allclose(form.node_points[1], -W)
 
@@ -264,6 +266,76 @@ def test_certify_parallel_segment_is_equality(unit_segment, unit_cube):
     # N parallel to M gives V(K,N,M) = 0: a genuine equality pair
     l = B.minkowski_sum(unit_cube, unit_segment)
     cert = LD.certify_equality_lowerdim(unit_cube, l, unit_segment, W)
+    assert cert.verdict == "equality"
+
+
+def _suite_lower_triple(seed: int):
+    """(K, L, M) as randtest --suite lower draws them."""
+    rng = np.random.default_rng(seed)
+    npts = int(rng.integers(4, 9))
+    m = B.hull(np.column_stack([rng.standard_normal((npts, 2)), np.zeros(npts)]))
+    return cli._rand_poly(seed + 1), cli._rand_poly(seed + 2), m
+
+
+CERT_TRIPLES = [
+    *[(lambda s=s: _suite_lower_triple(s)) for s in range(20)],
+    lambda: (B.cube().translate([0.4, -0.7, 2.0]), B.cube(), B.hull(
+        np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float))),
+    lambda: (B.cube(), B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 0.3),
+             B.segment([0, 0, 0], [1, 0, 0])),
+    lambda: (B.cube(), B.minkowski_sum(B.cube(), B.segment([0, 0, 0], [0, 1, 0])),
+             B.segment([0, 0, 0], [1, 0, 0])),
+]
+
+
+@pytest.mark.parametrize("make", CERT_TRIPLES)
+def test_certify_finds_the_cuts_once(monkeypatch, make):
+    k, l, m = make()
+    calls = []
+    breakpoints = quad.breakpoints
+
+    def counted(*args):
+        calls.append(args)
+        return breakpoints(*args)
+
+    monkeypatch.setattr(quad, "breakpoints", counted)
+    cert = LD.certify_equality_lowerdim(k, l, m, W)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the sup over the residual's segments against a scan of the residual
+    # itself at the same nodes
+    lt = l.scaled(cert.c)
+    resid = (SupportEvaluator.of(k) + SupportEvaluator.of(lt.face(W))
+             + SupportEvaluator.of(lt, -1.0) + SupportEvaluator.of(k.face(W), -1.0))
+    ref = sup_on_arcs(resid, LD.lowerdim_setup(m, W).graph.arcs)
+    assert abs(cert.sup_residual - ref) <= 1e-12 * cert.diameter
+    dr = cert.deficit_report
+    assert cert.verdict == X._verdict(dr.deficit, dr.scale, ref, cert.diameter)
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e6])
+def test_certify_translation_far_from_the_origin(unit_square, shift):
+    # the face of K at w must not gain a vertex 1e-9 below the top just
+    # because K sits far from the origin
+    p = B.hull(NEAR_TOP)
+    cert = LD.certify_equality_lowerdim(p.translate([shift, 0, 0]), p,
+                                        unit_square, W)
+    assert cert.verdict == "equality"
+    assert cert.sup_residual <= 1e-12 * cert.diameter
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e4, 1e5, 1e6])
+def test_certify_rotated_translation_far_from_the_origin(unit_cube, unit_square,
+                                                         shift):
+    # cube, square and w rotated together, K moved along x: w has an x
+    # component, so the face of K at w must keep the vertices that rounding
+    # the moved coordinates lowers, or the certificate misses the equality
+    cube = B.hull(unit_cube.vertices @ TILT.T)
+    k = cube.translate([shift, 0.0, 0.0])
+    w = TILT[:, 2]
+    assert len(k.face(w).vertices) == 4
+    cert = LD.certify_equality_lowerdim(
+        k, cube, B.hull(unit_square.vertices @ TILT.T), w)
     assert cert.verdict == "equality"
 
 
