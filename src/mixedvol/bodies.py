@@ -313,9 +313,10 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     hull is not a vertex, and each facet's normal and offset are those of
     Qhull's merged plane. Lower-dimensional input (affine_dim < 3) yields a
     combinatorics-free polytope (extreme points only) unless
-    require_full_dim is set. Raises NumericalFailure when Qhull's output does
-    not form a polytope: one plane split into two facets, a vertex on fewer
-    than 3 edges, or a failed Euler check.
+    require_full_dim is set; so do points that affine_dim calls
+    3-dimensional but Qhull finds flat. Raises NumericalFailure when Qhull's
+    output does not form a polytope: one plane split into two facets, a
+    vertex on fewer than 3 edges, or a failed Euler check.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -323,12 +324,14 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     if not np.isfinite(pts).all():
         raise BadSpec("points contain non-finite values")
     dim = affine_dim(pts)
-    if dim < 3:
-        if require_full_dim:
-            raise DegenerateInput(
-                f"points span affine dimension {dim} < 3")
-        return _lower_dim_hull(pts, dim, name)
-    return _full_dim_hull(pts, name)
+    if dim == 3:
+        try:
+            return _full_dim_hull(pts, name)
+        except QhullError:      # QH6154: Qhull's initial simplex is flat
+            dim = 2
+    if require_full_dim:
+        raise DegenerateInput(f"points span affine dimension {dim} < 3")
+    return _lower_dim_hull(pts, dim, name)
 
 
 def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:

@@ -136,7 +136,7 @@ def graph_to_json(g: MetricGraph) -> dict:
         "normals": g.normals.tolist(),
         "areas": g.areas.tolist(),
         "edges": [{"facets": ij, "length": l, "weight": w}
-                  for ij, l, w in zip(g.edges.tolist(), g.lengths.tolist(),
+                  for ij, l, w in zip(g.edges.tolist(), g.arcs.lengths.tolist(),
                                       g.weights.tolist())],
     }
 
@@ -144,13 +144,12 @@ def graph_to_json(g: MetricGraph) -> dict:
 def graph_from_json(doc: dict) -> MetricGraph:
     normals = np.asarray(doc["normals"], dtype=float)
     edges = np.array([e["facets"] for e in doc["edges"]], dtype=np.intp).reshape(-1, 2)
-    starts = normals[edges[:, 0]]
-    tangents, _ = quad.arcs_between(starts, normals[edges[:, 1]])
+    arcs = quad.Arcs.between(normals[edges[:, 0]], normals[edges[:, 1]])
     return MetricGraph(
         normals, np.asarray(doc["areas"], dtype=float), edges,
-        np.array([e["length"] for e in doc["edges"]], dtype=float),
         np.array([e["weight"] for e in doc["edges"]], dtype=float),
-        starts, tangents)
+        quad.Arcs(arcs.starts, arcs.tangents,
+                  np.array([e["length"] for e in doc["edges"]], dtype=float)))
 
 
 def graph_to_dot(g: MetricGraph) -> str:
@@ -158,7 +157,7 @@ def graph_to_dot(g: MetricGraph) -> str:
     for i, n in enumerate(g.normals):
         label = "({:.6f}, {:.6f}, {:.6f})".format(*n)
         lines.append(f'  v{i} [label="{label}"];')
-    for (i, j), l, w in zip(g.edges.tolist(), g.lengths.tolist(),
+    for (i, j), l, w in zip(g.edges.tolist(), g.arcs.lengths.tolist(),
                             g.weights.tolist()):
         lines.append(f'  v{i} -- v{j} [label="l={l:.6g}, w={w:.6g}"];')
     lines.append("}")

@@ -19,6 +19,7 @@ from .measures import DeficitReport, mixed_volume_xpp, quadratic_deficit
 
 DEFICIT_THRESHOLD = 1e-9      # relative to max(vKL^2, vKK*vLL)
 RESIDUAL_THRESHOLD = 1e-6     # relative to the instance diameter
+NODES_PER_SEGMENT = 17        # sup_on_sbm nodes per smooth segment, ends included
 
 
 def _diameter(body: Body) -> float:
@@ -143,9 +144,9 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator
 
 
 def sup_on_sbm(resid: quad.ArcRestriction) -> float:
-    """Sup of |resid| over quad.NODES_PER_SEGMENT nodes of each of its
-    segments on the arcs of supp S_{B,M}, endpoints included."""
-    t = np.linspace(resid.t0, resid.t1, quad.NODES_PER_SEGMENT, axis=1)
+    """Sup of |resid| over NODES_PER_SEGMENT nodes of each of its segments
+    on the arcs of supp S_{B,M}, endpoints included."""
+    t = np.linspace(resid.t0, resid.t1, NODES_PER_SEGMENT, axis=1)
     a, b, c = resid.coef.T[:, :, None]
     return float(np.abs(a * np.cos(t) + b * np.sin(t) + c).max(initial=0.0))
 

@@ -33,8 +33,8 @@ N_DIM = 3  # ambient dimension; prefactors 1/(n(n-1)) = 1/6 and 1/(n-1) = 1/2
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Vertices are facet normals; edge e is the arc from starts[e] =
-    normals[edges[e, 0]] along tangents[e] to normals[edges[e, 1]].
+    """Vertices are facet normals; edge e is arc e of arcs, from
+    normals[edges[e, 0]] to normals[edges[e, 1]].
 
     For M inside w^perp (lowerdim.LowerDimProblem.graph) the vertices are
     the poles +-w, with the area of M each, and every edge is a half circle
@@ -44,15 +44,8 @@ class MetricGraph:
     normals: np.ndarray     # (F, 3) facet normals
     areas: np.ndarray       # (F,) facet areas, the masses of S_M
     edges: np.ndarray       # (E, 2) ascending facet pairs
-    lengths: np.ndarray     # (E,) arccos <n_F, n_F'>
     weights: np.ndarray     # (E,) ridge lengths H^1(F cap F')
-    starts: np.ndarray      # (E, 3)
-    tangents: np.ndarray    # (E, 3) unit tangents at the starts
-
-    @cached_property
-    def arcs(self) -> quad.Arcs:
-        """The edges as an arc table, built once per graph."""
-        return quad.Arcs(self.starts, self.tangents, self.lengths)
+    arcs: quad.Arcs         # E rows, lengths arccos <n_F, n_F'>
 
     @cached_property
     def sbm(self) -> SphericalMeasure:
@@ -61,13 +54,14 @@ class MetricGraph:
 
     def vertex_balance_residuals(self) -> np.ndarray:
         """|sum of w_e times the outgoing unit tangent| at each vertex."""
-        w, l = self.weights[:, None], self.lengths[:, None]
+        arcs = self.arcs
+        w, l = self.weights[:, None], arcs.lengths[:, None]
         # tangent at the far end, pointing back toward edges[:, 0]
-        back = -(-np.sin(l) * self.starts + np.cos(l) * self.tangents)
+        back = -(-np.sin(l) * arcs.starts + np.cos(l) * arcs.tangents)
         # interleaved in edge order, so each vertex sums its edges in order
         s = np.zeros((len(self.normals), 3))
         np.add.at(s, self.edges.ravel(),
-                  np.stack([w * self.tangents, w * back], axis=1).reshape(-1, 3))
+                  np.stack([w * arcs.tangents, w * back], axis=1).reshape(-1, 3))
         return np.linalg.norm(s, axis=1)
 
     def total_weight(self) -> float:
@@ -81,10 +75,9 @@ def build_graph(m: Polytope) -> MetricGraph:
             "metric graph requires a full-dimensional polytope "
             "(use the lower-dimensional pipeline)")
     normals, edges = m.facets.normals, m.edges.facets
-    starts = normals[edges[:, 0]]
-    tangents, lengths = quad.arcs_between(starts, normals[edges[:, 1]])
-    return MetricGraph(normals, m.facets.areas, edges, lengths, m.edges.lengths,
-                       starts, tangents)
+    return MetricGraph(normals, m.facets.areas, edges, m.edges.lengths,
+                       quad.Arcs.between(normals[edges[:, 0]],
+                                         normals[edges[:, 1]]))
 
 
 def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
@@ -92,7 +85,7 @@ def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
     mu_M({n_F}) = (1/2) sum_{F'~F} w * l for n = 3)."""
     # both ends of each edge, in edge order
     mu_mass = np.zeros(len(g.normals))
-    np.add.at(mu_mass, g.edges.ravel(), np.repeat(g.weights * g.lengths / 2.0, 2))
+    np.add.at(mu_mass, g.edges.ravel(), np.repeat(g.weights * g.arcs.lengths / 2.0, 2))
     return g.sbm, SphericalMeasure(g.normals, mu_mass)
 
 
@@ -138,7 +131,7 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     interior DOFs follow edge by edge."""
     if h <= 0:
         raise BadMesh("mesh size must be positive")
-    lengths, weights = g.lengths, g.weights
+    lengths, weights = g.arcs.lengths, g.weights
     heads, tails = g.edges.T
     counts = np.ceil(lengths / h).astype(np.intp)
     if (counts < 2).any():
@@ -186,8 +179,8 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
          * edge_h[node_edge])
     points = np.concatenate([
         g.normals,
-        np.cos(t)[:, None] * g.starts[node_edge]
-        + np.sin(t)[:, None] * g.tangents[node_edge]])
+        np.cos(t)[:, None] * g.arcs.starts[node_edge]
+        + np.sin(t)[:, None] * g.arcs.tangents[node_edge]])
     return DiscretizedForm(e_mat, mass, points)
 
 
@@ -301,7 +294,7 @@ class StructuralReport:
 def structural_checks(g: MetricGraph, r: float, big_r: float,
                       tol: float = 1e-9) -> StructuralReport:
     """tan(l/2) <= R/r on every edge; weighted tangent balance per vertex."""
-    length_margins = big_r / r + tol - np.tan(g.lengths / 2.0)
+    length_margins = big_r / r + tol - np.tan(g.arcs.lengths / 2.0)
     residuals = g.vertex_balance_residuals()
     balance_margins = tol * g.total_weight() - residuals
     long = np.flatnonzero(length_margins < 0)

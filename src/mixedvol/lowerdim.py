@@ -53,7 +53,7 @@ class LowerDimProblem:
     @property
     def directions(self) -> np.ndarray:
         """(j, 3) unit directions in w^perp."""
-        return self.graph.tangents
+        return self.graph.arcs.tangents
 
     @property
     def masses(self) -> np.ndarray:
@@ -110,8 +110,9 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
         directions, area = n2[:, :1] * b1 + n2[:, 1:] * b2, ch.volume
     j = len(masses)
     graph = MetricGraph(np.array([w, -w]), np.array([area, area]),
-                        np.tile([0, 1], (j, 1)), np.full(j, np.pi), masses,
-                        np.tile(w, (j, 1)), directions)
+                        np.tile([0, 1], (j, 1)), masses,
+                        quad.Arcs(np.tile(w, (j, 1)), directions,
+                                  np.full(j, np.pi)))
     p = LowerDimProblem(m, dim, graph)
     if p.balance_residual() > 1e-9 * p.total_mass():
         raise NumericalFailure("edge-normal atoms do not balance")

@@ -26,24 +26,9 @@ from .errors import NegativeMass, QuadratureFailure
 PLANE_TOL = 1e-12
 # interior cuts lie in (CUT_TOL, length - CUT_TOL); closer cuts are one cut
 CUT_TOL = 1e-12
-NODES_PER_SEGMENT = 17   # sample nodes per smooth segment, endpoints included
-# entries (8 bytes each), per smooth segment of an arc, of the sign tables of
-# one block of arcs and of NODES_PER_SEGMENT evaluations of every vertex per
-# segment (8 MB)
+# entries (8 bytes each), per smooth segment of an arc, of the sign tables and
+# the midpoint argmax of one block of arcs (8 MB)
 BLOCK_ENTRIES = 1 << 20
-
-
-@dataclass(frozen=True)
-class ArcFrame:
-    """Arclength parametrization u(t) = start*cos(t) + tangent*sin(t), t in [0, length]."""
-    start: np.ndarray
-    tangent: np.ndarray
-    length: float
-
-    def point(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return (np.multiply.outer(np.cos(t), self.start)
-                + np.multiply.outer(np.sin(t), self.tangent))
 
 
 @dataclass(frozen=True)
@@ -56,11 +41,19 @@ class Arcs:
     lengths: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def of(cls, frame: ArcFrame) -> "Arcs":
-        """The table of one arc."""
-        return cls(np.asarray(frame.start, dtype=float)[None],
-                   np.asarray(frame.tangent, dtype=float)[None],
-                   np.array([frame.length], dtype=float))
+    def between(cls, a, b) -> "Arcs":
+        """The shortest geodesics from the rows of a to the rows of b, all
+        unit vectors (no pair equal or antipodal); one pair gives one row."""
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_2d(np.asarray(b, dtype=float))
+        c = np.clip(_row_dots(a, b), -1.0, 1.0)
+        e = b - c[:, None] * a
+        s = _row_norms(e)
+        # arccos(c) is off by eps/l at small l; atan2 keeps l to within eps
+        l = np.arctan2(s, c)
+        if ((l < 1e-12) | (l > np.pi - 1e-12)).any():
+            raise QuadratureFailure("arc endpoints coincide or are antipodal")
+        return cls(a, e / s[:, None], l)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -77,26 +70,6 @@ class Arcs:
         """u(t) on arc arc, elementwise over the broadcast of arc and t."""
         t = np.asarray(t, dtype=float)[..., None]
         return np.cos(t) * self.starts[arc] + np.sin(t) * self.tangents[arc]
-
-
-def arcs_between(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tangents at a and lengths of the shortest geodesics from the rows
-    of a to the rows of b, all unit vectors (no pair equal or antipodal)."""
-    c = np.clip(_row_dots(a, b), -1.0, 1.0)
-    e = b - c[:, None] * a
-    s = _row_norms(e)
-    # arccos(c) is off by eps/l at small l; atan2 keeps l to within eps
-    l = np.arctan2(s, c)
-    if ((l < 1e-12) | (l > np.pi - 1e-12)).any():
-        raise QuadratureFailure("arc endpoints coincide or are antipodal")
-    return e / s[:, None], l
-
-
-def arc_between(a: np.ndarray, b: np.ndarray) -> ArcFrame:
-    """Shortest geodesic from unit vector a to unit vector b (not antipodal)."""
-    a = np.asarray(a, dtype=float)
-    (e,), (l,) = arcs_between(a[None], np.asarray(b, dtype=float)[None])
-    return ArcFrame(a, e, float(l))
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +133,11 @@ def segments(arcs: Arcs, *evaluators: SupportEvaluator
 def _segment_blocks(arcs: Arcs, evaluators: Sequence[SupportEvaluator]
                     ) -> Iterator[tuple[int, Arcs, tuple[np.ndarray, ...]]]:
     """(first, block, segments(block)) for the arcs in consecutive blocks, at
-    least one. A block is sized so that its sign tables against the polytope
-    terms and NODES_PER_SEGMENT evaluations of every vertex per smooth
-    segment hold about BLOCK_ENTRIES entries per smooth segment of an arc,
-    however many arcs and vertices there are; the midpoint argmax makes one
-    evaluation of every vertex per segment."""
-    width = sum(2 * len(p.fan) + NODES_PER_SEGMENT * len(p.vertices)
+    least one. A block is sized so that its sign tables against the fan arcs
+    of the polytope terms and its midpoint argmax over their vertices hold
+    about BLOCK_ENTRIES entries per smooth segment of an arc, however many
+    arcs and vertices there are."""
+    width = sum(2 * len(p.fan) + len(p.vertices)
                 for p in _polytopes(evaluators))
     step = max(1, BLOCK_ENTRIES // max(1, width))
     if step >= len(arcs):           # one block: keep the table's cached poles
@@ -176,9 +148,10 @@ def _segment_blocks(arcs: Arcs, evaluators: Sequence[SupportEvaluator]
         yield lo, block, segments(block, *evaluators)
 
 
-def evaluator_breakpoints(f: SupportEvaluator, frame: ArcFrame) -> list[float]:
-    """Interior arc parameters where some polytope term switches active vertex."""
-    return breakpoints(Arcs.of(frame), f)[1].tolist()
+def evaluator_breakpoints(f: SupportEvaluator, arc: Arcs) -> list[float]:
+    """Interior parameters of a one-row arc table where some polytope term
+    switches active vertex."""
+    return breakpoints(arc, f)[1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +247,29 @@ def restrict(arcs: Arcs, *evaluators: SupportEvaluator
                  for c in np.concatenate(coef, axis=1))
 
 
-def integrate_evaluator(f: SupportEvaluator, frame: ArcFrame) -> float:
-    """Exact integral of f along the arc with respect to arclength."""
-    (r,) = restrict(Arcs.of(frame), f)
+def integrate_evaluator(f: SupportEvaluator, arc: Arcs) -> float:
+    """Exact integral of f along a one-row arc table, by arclength."""
+    (r,) = restrict(arc, f)
     return float(r.integral()[0])
 
 
-def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, frame: ArcFrame) -> tuple[float, float]:
-    """(int f*g, int f'*g') along the arc, exact piecewise evaluation.
+def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, arc: Arcs
+                   ) -> tuple[float, float]:
+    """(int f*g, int f'*g') along a one-row arc table, exact piecewise
+    evaluation.
 
     The arc derivative of a polytope support function is taken from the
     active vertex on each smooth segment."""
-    rf, rg = restrict(Arcs.of(frame), f, g)
+    rf, rg = restrict(arc, f, g)
     ifg, idfdg = rf.pair(rg)
     return float(ifg[0]), float(idfdg[0])
 
 
-def arc_sample_nodes(frame: ArcFrame, f: SupportEvaluator) -> np.ndarray:
-    """Arc parameters covering every smooth segment of f (endpoints
-    included), suitable for sup-norm residual scans."""
-    _, t0, t1 = segments(Arcs.of(frame), f)
+def arc_sample_nodes(arc: Arcs, f: SupportEvaluator) -> np.ndarray:
+    """Arc parameters covering every smooth segment of f on a one-row arc
+    table (endpoints included), the nodes of extremal.sup_on_sbm."""
+    from .extremal import NODES_PER_SEGMENT
+    _, t0, t1 = segments(arc, f)
     return np.unique(np.linspace(t0, t1, NODES_PER_SEGMENT))
 
 

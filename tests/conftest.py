@@ -6,6 +6,7 @@ import scipy.sparse.linalg
 
 from mixedvol import bodies as B
 from mixedvol import cli
+from mixedvol import extremal as X
 from mixedvol import graph as G
 from mixedvol import quadrature as quad
 from mixedvol.errors import QuadratureFailure
@@ -90,13 +91,13 @@ def mode3_eigenvalues(form, k: int) -> np.ndarray:
 
 
 def sup_on_arcs(f: B.SupportEvaluator, arcs: quad.Arcs) -> float:
-    """Sup of |f| over quad.NODES_PER_SEGMENT nodes of each smooth segment
+    """Sup of |f| over extremal.NODES_PER_SEGMENT nodes of each smooth segment
     of f on the arcs, endpoints included, found by evaluating f itself at
     the nodes: the scan extremal.sup_on_sbm replaced, which evaluates the
     segment coefficients of a restriction instead."""
     sup = 0.0
     for _, block, (arc, t0, t1) in quad._segment_blocks(arcs, [f]):
-        t = np.linspace(t0, t1, quad.NODES_PER_SEGMENT, axis=1)      # (S, nodes)
+        t = np.linspace(t0, t1, X.NODES_PER_SEGMENT, axis=1)         # (S, nodes)
         sup = max(sup, float(np.abs(f(block.points(arc[:, None], t)))
                              .max(initial=0.0)))
     return sup
@@ -175,27 +176,28 @@ def _envelope_breakpoints(alpha: np.ndarray, beta: np.ndarray, l: float) -> list
     return bps
 
 
-def loop_breakpoints(f: B.SupportEvaluator, frame) -> list[float]:
-    """Interior arc parameters where some polytope term switches active
-    vertex, by walking the active-vertex envelope of each term."""
+def loop_breakpoints(f: B.SupportEvaluator, arc: quad.Arcs) -> list[float]:
+    """Interior parameters of a one-row arc table where some polytope term
+    switches active vertex, by walking the active-vertex envelope of each
+    term."""
     bps: list[float] = []
     for _, body in f.terms:
         if isinstance(body, B.Polytope) and len(body.vertices) > 1:
-            alpha = body.vertices @ frame.start
-            beta = body.vertices @ frame.tangent
-            bps += _envelope_breakpoints(alpha, beta, frame.length)
+            alpha = body.vertices @ arc.starts[0]
+            beta = body.vertices @ arc.tangents[0]
+            bps += _envelope_breakpoints(alpha, beta, arc.lengths[0])
     return sorted(set(bps))
 
 
-def loop_restriction(f: B.SupportEvaluator, frame, cuts=None):
-    """(cuts, coef): f on one arc as A cos t + B sin t + C with (A, B, C) =
-    coef[i] on [cuts[i], cuts[i + 1]], cut at loop_breakpoints unless cuts
-    are given."""
+def loop_restriction(f: B.SupportEvaluator, arc: quad.Arcs, cuts=None):
+    """(cuts, coef): f on a one-row arc table as A cos t + B sin t + C with
+    (A, B, C) = coef[i] on [cuts[i], cuts[i + 1]], cut at loop_breakpoints
+    unless cuts are given."""
     if cuts is None:
-        cuts = np.array([0.0, *loop_breakpoints(f, frame), frame.length])
+        cuts = np.array([0.0, *loop_breakpoints(f, arc), arc.lengths[0]])
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     trig = np.array([np.cos(mid), np.sin(mid)])
-    plane = np.array([frame.start, frame.tangent])
+    plane = np.array([arc.starts[0], arc.tangents[0]])
     coef = np.zeros((len(mid), 3))
     coef[:, :2] = plane @ f.shift
     for c, b in f.terms:

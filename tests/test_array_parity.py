@@ -66,7 +66,7 @@ def ref_arc(a, b):
 
 def ref_mu_masses(g):
     mass = np.zeros(len(g.normals))
-    for (i, j), l, w in zip(g.edges.tolist(), g.lengths.tolist(),
+    for (i, j), l, w in zip(g.edges.tolist(), g.arcs.lengths.tolist(),
                             g.weights.tolist()):
         mass[i] += w * l / 2.0
         mass[j] += w * l / 2.0
@@ -75,7 +75,7 @@ def ref_mu_masses(g):
 
 def ref_structural(g, r, big_r, tol):
     violations, length_margins, balance_margins = [], [], []
-    for (i, j), l in zip(g.edges.tolist(), g.lengths.tolist()):
+    for (i, j), l in zip(g.edges.tolist(), g.arcs.lengths.tolist()):
         margin = big_r / r + tol - np.tan(l / 2.0)
         length_margins.append(margin)
         if margin < 0:
@@ -169,8 +169,9 @@ def test_graph_matches_row_loops(name):
     assert np.array_equal(g.areas, p.facets.areas)
     assert np.array_equal(g.edges, p.edges.facets)
     assert np.array_equal(g.weights, p.edges.lengths)
-    for (i, j), start, tangent, length in zip(g.edges, g.starts, g.tangents,
-                                              g.lengths.tolist()):
+    for (i, j), start, tangent, length in zip(g.edges, g.arcs.starts,
+                                              g.arcs.tangents,
+                                              g.arcs.lengths.tolist()):
         e, l = ref_arc(p.facets.normals[i], p.facets.normals[j])
         assert np.array_equal(start, p.facets.normals[i])
         assert np.array_equal(tangent, e)

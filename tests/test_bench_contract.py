@@ -54,3 +54,24 @@ def test_traced_lowerdim_ops_count_sizes(capsys):
     _, calls = tracer.self_times()
     assert calls["lowerdim.assemble_lowerdim"] == 1
     assert calls["lowerdim.certify_equality_lowerdim"] == 1
+
+
+def test_traced_suites_make_no_per_arc_calls(capsys):
+    # the per-arc quadrature functions stay only for the tracer to look up;
+    # it reads their arc argument as a frame with a start, so no library
+    # path may call them
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install(mixedvol)
+    try:
+        for suite in cli.SUITES:
+            tracer.begin_op(suite)
+            assert cli.run_command(["randtest", "--suite", suite, "--n", "1"]) == 0
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.totals()["graph.edges"] > 0
+    _, calls = tracer.self_times()
+    for name in spans.LAYERS["quadrature"]:
+        assert calls[f"quadrature.{name}"] == 0, name

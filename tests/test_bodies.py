@@ -386,6 +386,18 @@ def test_face_along_the_move_keeps_its_vertices(unit_cube, shift):
         assert len(cube.face(-u).vertices) == 4
 
 
+@pytest.mark.parametrize("shift", [1e7, 1e8])
+def test_flat_points_affine_dim_calls_3d_get_the_planar_hull(shift):
+    # far from the origin affine_dim calls the four points of a face of the
+    # rotated cube 3-dimensional, and Qhull finds them flat
+    cube = B.hull((B.cube().vertices - 0.5) @ TILT.T + [shift, 0.0, 0.0])
+    for n in cube.facets.normals:
+        face = cube.face(n)
+        assert face.dim == 2 and len(face.vertices) == 4
+        with pytest.raises(DegenerateInput):
+            B.hull(face.vertices, require_full_dim=True)
+
+
 def test_lower_dimensional_hulls(unit_square, unit_segment):
     assert unit_square.dim == 2
     assert unit_segment.dim == 1

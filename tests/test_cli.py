@@ -288,9 +288,9 @@ def test_graph_json_roundtrip(tmp_path, capsys):
     assert np.abs(g.normals - orig.normals).max() < 1e-15
     for e in range(len(orig.edges)):
         assert tuple(g.edges[e]) == tuple(orig.edges[e])
-        assert abs(g.lengths[e] - orig.lengths[e]) < 1e-15
+        assert abs(g.arcs.lengths[e] - orig.arcs.lengths[e]) < 1e-15
         assert abs(g.weights[e] - orig.weights[e]) < 1e-15
-    lengths = g.lengths
+    lengths = g.arcs.lengths
     assert np.allclose(lengths, np.arccos(-1 / 3), atol=1e-12)
 
 

@@ -64,9 +64,9 @@ ARC_SETS = {
 }
 
 
-def _frames(arcs: quad.Arcs) -> list[quad.ArcFrame]:
-    return list(map(quad.ArcFrame, arcs.starts, arcs.tangents,
-                    arcs.lengths.tolist()))
+def _frames(arcs: quad.Arcs) -> list[quad.Arcs]:
+    """The arcs as one-row tables, for the per-arc loop."""
+    return [arcs[i:i + 1] for i in range(len(arcs))]
 
 
 def _runs_along_an_edge_normal(k: B.Polytope, arcs: quad.Arcs) -> np.ndarray:
@@ -80,13 +80,14 @@ def _runs_along_an_edge_normal(k: B.Polytope, arcs: quad.Arcs) -> np.ndarray:
     return (cross <= 1e-12).any(axis=0)
 
 
-def _is_a_tie(k: B.Polytope, fr: quad.ArcFrame, t: float) -> bool:
+def _is_a_tie(k: B.Polytope, fr: quad.Arcs, t: float) -> bool:
     """The active vertices just before and just after t have the same
     coefficients on the arc, so a cut at t changes nothing."""
-    before, after = (k.vertices[np.argmax(k.vertices @ fr.point(s))]
+    before, after = (k.vertices[np.argmax(k.vertices @ fr.points(0, s))]
                      for s in (t - 1e-7, t + 1e-7))
     d = before - after
-    return max(abs(d @ fr.start), abs(d @ fr.tangent)) <= 1e-12 * max(1.0, k.scale)
+    return (max(abs(d @ fr.starts[0]), abs(d @ fr.tangents[0]))
+            <= 1e-12 * max(1.0, k.scale))
 
 
 def _assert_loop_parity(k: B.Polytope, arcs: quad.Arcs, where) -> None:
@@ -166,7 +167,7 @@ def test_an_arc_through_a_fan_vertex_is_cut_once(k, pole):
     pole = np.array(pole)
     side = np.cross(pole, [0.3, 0.5, 0.7])
     side /= np.linalg.norm(side)
-    fr = quad.arc_between(np.cos(0.4) * pole - np.sin(0.4) * side,
+    fr = quad.Arcs.between(np.cos(0.4) * pole - np.sin(0.4) * side,
                           np.cos(0.4) * pole + np.sin(0.4) * side)
     f = B.SupportEvaluator.of(k())
     got = quad.evaluator_breakpoints(f, fr)
@@ -180,7 +181,7 @@ def test_an_arc_through_a_fan_vertex_is_cut_once(k, pole):
 
 def _loop_pair(f, g, fr):
     cuts = np.array([0.0, *sorted(set(loop_breakpoints(f, fr))
-                                  | set(loop_breakpoints(g, fr))), fr.length])
+                                  | set(loop_breakpoints(g, fr))), fr.lengths[0]])
     (_, p), (_, q) = loop_restriction(f, fr, cuts), loop_restriction(g, fr, cuts)
     ifg, idfdg = quad.product_integral(np.stack([p, p @ quad._DERIVATIVE]),
                                        np.stack([q, q @ quad._DERIVATIVE]),
@@ -220,9 +221,9 @@ def test_linear_fit_matches_the_loop(names):
     delta = B.SupportEvaluator.of(k) + B.SupportEvaluator.of(l, -0.7)
     a_mat, b_vec = np.zeros((3, 3)), np.zeros(3)
     for w, fr in zip((g.weights / 2).tolist(), _frames(g.arcs)):
-        coords = np.column_stack([fr.start, fr.tangent, np.zeros(3)])
+        coords = np.column_stack([fr.starts[0], fr.tangents[0], np.zeros(3)])
         a_mat += w * quad.product_integral(coords[:, None], coords[None], 0.0,
-                                           fr.length)
+                                           fr.lengths[0])
         cuts, coef = loop_restriction(delta, fr)
         b_vec += w * quad.product_integral(coef[:, None], coords[None],
                                            cuts[:-1, None], cuts[1:, None]).sum(axis=0)
@@ -242,9 +243,9 @@ def test_lowerdim_certificate_matches_the_loop(seed):
              + B.SupportEvaluator.of(lt, -1.0) + B.SupportEvaluator.of(k.face(W), -1.0))
     ref = 0.0
     for fr in _frames(p.graph.arcs):
-        cuts = np.array([0.0, *loop_breakpoints(resid, fr), fr.length])
-        t = np.linspace(cuts[:-1], cuts[1:], quad.NODES_PER_SEGMENT)
-        ref = max(ref, float(np.abs(resid(fr.point(t))).max()))
+        cuts = np.array([0.0, *loop_breakpoints(resid, fr), fr.lengths[0]])
+        t = np.linspace(cuts[:-1], cuts[1:], X.NODES_PER_SEGMENT)
+        ref = max(ref, float(np.abs(resid(fr.points(0, t))).max()))
     assert _close(cert.sup_residual, ref)
     # S_{B,M} integrals over the half circles
     fk = B.SupportEvaluator.of(k)

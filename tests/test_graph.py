@@ -22,7 +22,7 @@ def test_cube_graph_combinatorics(unit_cube):
     g = G.build_graph(unit_cube)
     assert len(g.normals) == 6
     assert len(g.edges) == 12
-    for length, weight in zip(g.lengths, g.weights):
+    for length, weight in zip(g.arcs.lengths, g.weights):
         assert length == pytest.approx(np.pi / 2)
         assert weight == pytest.approx(1.0)
 
@@ -33,7 +33,7 @@ def test_simplex_graph_lengths(std_simplex):
     assert len(g.edges) == 6
     # normals of the three axis facets are mutually orthogonal; the slanted
     # facet makes angle arccos(-1/sqrt(3)) with each of them
-    lengths = sorted(g.lengths)
+    lengths = sorted(g.arcs.lengths)
     assert np.allclose(lengths[:3], np.pi / 2)
     assert np.allclose(lengths[3:], np.arccos(-1 / np.sqrt(3)))
 
@@ -76,10 +76,10 @@ def test_vertex_balance_matches_edge_loop():
         s = np.zeros(3)
         for e, (i, j) in enumerate(g.edges):
             if i == f:
-                s += g.weights[e] * g.tangents[e]
+                s += g.weights[e] * g.arcs.tangents[e]
             elif j == f:
-                l = g.lengths[e]
-                t = -np.sin(l) * g.starts[e] + np.cos(l) * g.tangents[e]
+                l = g.arcs.lengths[e]
+                t = -np.sin(l) * g.arcs.starts[e] + np.cos(l) * g.arcs.tangents[e]
                 s += g.weights[e] * -t
         expected[f] = np.linalg.norm(s)
     assert np.array_equal(g.vertex_balance_residuals(), expected)

@@ -86,10 +86,9 @@ def test_sbm_callable_matches_evaluator(unit_square, unit_cube):
     ev = SupportEvaluator.of(unit_cube)
     exact = LD.sbm_lowerdim(p, ev)
     arcs = p.graph.sbm.arcs
-    numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(fr.point(t))),
-                                     0.0, fr.length, 1e-11)
-                  for fr, w in zip(map(quad.ArcFrame, arcs.starts, arcs.tangents,
-                                       arcs.lengths), p.graph.sbm.weights))
+    numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(arcs.points(i, t))),
+                                     0.0, arcs.lengths[i], 1e-11)
+                  for i, w in enumerate(p.graph.sbm.weights))
     assert rel_err(exact, numeric) < 1e-9
 
 
