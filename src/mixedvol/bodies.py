@@ -4,6 +4,9 @@ support evaluation, Minkowski sums, and constructors for test bodies.
 A full-dimensional hull is read off Qhull's output in one pass: Qhull merges
 coplanar triangles (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996, centrum
 pre-merge C-n), and the triangles of a merged facet share its plane row.
+Flatness is read off the same facets: V <= width * S / 2 for a convex body,
+so points whose merged facets give 2V/S below FLAT_WIDTH, at unit max-abs
+size, are flat, and only those take an SVD (affine_dim) for their dimension.
 
 All geometry is IEEE-754 binary64; equalities are tolerance checks. Polytopes
 are immutable after construction and safe to share between workers.
@@ -25,6 +28,10 @@ from .errors import BadSpec, DegenerateInput, NumericalFailure
 FACE_TOL = 1e-12
 # The two ends of the ridge across from corner k of a triangle, k = 0, 1, 2.
 RIDGE_ENDS = np.array([[1, 2], [2, 0], [0, 1]])
+# Points whose hull has 2V/S below this, centered and scaled to unit max-abs,
+# are flat. On 10 and 30 Gaussian points squashed to thickness t in one axis,
+# 2V/S reads at least 2.18e-9 at t = 1e-8 and at most 8.77e-10 at t = 1e-9.
+FLAT_WIDTH = 1.4e-9
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -311,24 +318,25 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     Qhull merges the facets (option C-1e-12 on the points centered and
     scaled to unit max-abs), so a point within about 1e-12 * scale of the
     hull is not a vertex, and each facet's normal and offset are those of
-    Qhull's merged plane. Lower-dimensional input (affine_dim < 3) yields a
-    combinatorics-free polytope (extreme points only) unless
-    require_full_dim is set; so do points that affine_dim calls
-    3-dimensional but Qhull finds flat. Raises NumericalFailure when Qhull's
-    output does not form a polytope: one plane split into two facets, a
-    vertex on fewer than 3 edges, or a failed Euler check.
+    Qhull's merged plane. The points are flat when 2V/S of Qhull's merged
+    facets, in that unit frame, is below FLAT_WIDTH: V <= width * S / 2
+    for every convex body, so 2V/S bounds the least width from below.
+    Flat points, fewer than 4 points, points all equal and points Qhull
+    refuses as flat yield a combinatorics-free polytope (extreme points
+    only) of affine dimension at most 2, unless require_full_dim is set.
+    Raises NumericalFailure when Qhull's output does not form a polytope:
+    one plane split into two facets, a vertex on fewer than 3 edges, or a
+    failed Euler check.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise BadSpec(f"expected an (m, 3) point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise BadSpec("points contain non-finite values")
-    dim = affine_dim(pts)
-    if dim == 3:
-        try:
-            return _full_dim_hull(pts, name)
-        except QhullError:      # QH6154: Qhull's initial simplex is flat
-            dim = 2
+    p = _full_dim_hull(pts, name) if len(pts) >= 4 else None
+    if p is not None:
+        return p
+    dim = min(affine_dim(pts), 2)
     if require_full_dim:
         raise DegenerateInput(f"points span affine dimension {dim} < 3")
     return _lower_dim_hull(pts, dim, name)
@@ -357,33 +365,47 @@ def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
     return Polytope(pts[qh.vertices], NO_FACETS, NO_EDGES, 2, name)
 
 
-def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope:
+def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:
+    """The 3-polytope of hull(), or None when the points are flat."""
     # Qhull merges coplanar triangles into facets (centrum pre-merge C-n, an
     # absolute distance, hence the unit max-abs frame) and then triangulates
     # them again (Qt): every triangle of a facet carries the facet's equation
     # row, and the triangles of a facet come out as one run.
     c = pts.mean(axis=0)
-    s = np.abs(pts - c).max()
-    qh = ConvexHull((pts - c) / s, qhull_options="Qc C-1e-12")
-    eqs, nb = qh.equations, qh.neighbors   # slot k of nb[t]: across from tri[t, k]
-    vid, tri = np.unique(qh.simplices, return_inverse=True)
-    tri = tri.reshape(-1, 3)
-    verts, nv = pts[vid], len(vid)
+    x = pts - c
+    s = np.abs(x).max()
+    if s == 0:
+        return None
+    try:
+        qh = ConvexHull(x / s, qhull_options="Qc C-1e-12")
+    except QhullError:      # QH6154: Qhull's initial simplex is flat
+        return None
+    eqs, nb, simp = qh.equations, qh.neighbors, qh.simplices
+    # slot k of nb[t]: across from simp[t, k]. The vertices are the points
+    # Qhull used, in point order.
+    used = np.zeros(len(pts), dtype=bool)
+    used[simp] = True
+    verts, tri = pts[used], (np.cumsum(used) - 1)[simp]
+    nv = len(verts)
 
     # facets: runs of identical rows, numbered in run order
     first = np.ones(len(eqs), dtype=bool)
     first[1:] = (eqs[1:] != eqs[:-1]).any(axis=1)
     facet_of = np.cumsum(first) - 1
-    normals = eqs[first, :3] + 0.0          # + 0.0 clears -0.0
-    facets = Facets(normals, s * -eqs[first, 3] + _row_dots(normals, c),
-                    np.bincount(facet_of, _triangle_areas(verts[tri])))
+    normals, heights = eqs[first, :3] + 0.0, -eqs[first, 3]   # + 0.0 clears -0.0
+    areas = np.bincount(facet_of, _triangle_areas(pts[simp]))
+    # 2V/S in the unit frame: the heights are taken there, and the frame of
+    # the areas cancels in the ratio
+    if not 2.0 * (heights @ areas) >= FLAT_WIDTH * 3.0 * areas.sum():
+        return None
+    facets = Facets(normals, s * heights + _row_dots(normals, c), areas)
 
     # edges: one ridge each, taken from its lower facet's side in (triangle,
-    # slot) order
-    fs, ft = facet_of[:, None], facet_of[nb]
-    if ((fs != ft) & (eqs[:, None] == eqs[nb]).all(axis=2)).any():
+    # slot) order; every ridge between two facets is seen from that side
+    ft = facet_of[nb]
+    t, k = np.nonzero(facet_of[:, None] < ft)
+    if (eqs[t] == eqs[nb[t, k]]).all(axis=1).any():
         raise NumericalFailure("one facet plane came out as two runs")
-    t, k = np.nonzero(fs < ft)
     ends = tri[t[:, None], RIDGE_ENDS[k]]
     edges = Edges(np.stack([facet_of[t], ft[t, k]], axis=1), ends,
                   _row_norms(verts[ends[:, 0]] - verts[ends[:, 1]]))

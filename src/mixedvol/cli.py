@@ -451,7 +451,7 @@ def suite_certify(seed: int) -> tuple[bool, dict]:
         expect = None   # random: require verdict to agree with the deficit
     cert = X.certify_equality_fulldim(k, l, m)
     dr = cert.deficit_report
-    deficit_small = dr.deficit <= 1e-9 * dr.scale
+    deficit_small = dr.deficit <= X.DEFICIT_THRESHOLD * dr.scale
     if expect == "equality":
         ok = cert.verdict == "equality" and deficit_small
     else:
@@ -484,7 +484,7 @@ def suite_lower(seed: int) -> tuple[bool, dict]:
     w = np.array([0.0, 0.0, 1.0])
     cert = LD.certify_equality_lowerdim(k, l, m, w)
     dr = cert.deficit_report
-    deficit_small = dr.deficit <= 1e-9 * dr.scale
+    deficit_small = dr.deficit <= X.DEFICIT_THRESHOLD * dr.scale
     ok = ((cert.verdict == "equality") == deficit_small
           and cert.verdict != "inconclusive")
     return ok, {"verdict": cert.verdict, "deficit": dr.deficit,

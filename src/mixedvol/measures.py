@@ -211,9 +211,17 @@ def mixed_volume_xpp(x: Body, p: Polytope) -> float:
     """V(X, P, P) = (1/3) sum h_X(u) mass over the atoms of the surface area
     measure S_P: the facets of a full-dimensional P, the two sides of a planar
     P, none for dim P <= 1. X may be a Ball. This is V(P, P, X) too, so it
-    gives V(K, K, M) = (1/3) sum_F h_M(u_F) |F| without polarization."""
+    gives V(K, K, M) = (1/3) sum_F h_M(u_F) |F| without polarization.
+
+    X is taken about its center (a polytope's vertex centroid, a ball's
+    center): the linear part <c, u> integrates to 0 over the balanced S_P,
+    and summed as it sits it cancels only to about eps |c| S(P)."""
     dirs, masses = _surface_atoms_any(p)
-    return float(x.support(dirs) @ masses) / 3.0
+    if isinstance(x, Ball):
+        h = x.radius * np.linalg.norm(dirs, axis=-1)
+    else:
+        h = (dirs @ (x.vertices - x.centroid).T).max(axis=1)
+    return float(h @ masses) / 3.0
 
 
 def _v_xxm(x: Body, m: Polytope) -> float:

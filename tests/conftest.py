@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.spatial import ConvexHull, QhullError
 
 from mixedvol import bodies as B
 from mixedvol import cli
@@ -42,10 +43,51 @@ TILT = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
 
 
 def assert_same_polytope(p, q):
+    assert p.dim == q.dim
     assert np.array_equal(p.vertices, q.vertices)
     for a, b in ((p.facets, q.facets), (p.edges, q.edges)):
         for field in a.__dataclass_fields__:
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def reference_hull(points) -> B.Polytope:
+    """bodies.hull as it was when an affine_dim SVD decided the dimension
+    before Qhull ran, np.unique numbered the vertices and the plane-split
+    guard compared every triangle with each of its neighbours. The library's
+    hull must give the same tables bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    dim = B.affine_dim(pts)
+    if dim == 3:
+        try:
+            return _reference_full_dim_hull(pts)
+        except QhullError:
+            dim = 2
+    return B._lower_dim_hull(pts, dim, "")
+
+
+def _reference_full_dim_hull(pts: np.ndarray) -> B.Polytope:
+    c = pts.mean(axis=0)
+    s = np.abs(pts - c).max()
+    qh = ConvexHull((pts - c) / s, qhull_options="Qc C-1e-12")
+    eqs, nb = qh.equations, qh.neighbors   # slot k of nb[t]: across from tri[t, k]
+    vid, tri = np.unique(qh.simplices, return_inverse=True)
+    tri = tri.reshape(-1, 3)
+    verts, nv = pts[vid], len(vid)
+    first = np.ones(len(eqs), dtype=bool)
+    first[1:] = (eqs[1:] != eqs[:-1]).any(axis=1)
+    facet_of = np.cumsum(first) - 1
+    normals = eqs[first, :3] + 0.0
+    facets = B.Facets(normals, s * -eqs[first, 3] + B._row_dots(normals, c),
+                      np.bincount(facet_of, B._triangle_areas(verts[tri])))
+    fs, ft = facet_of[:, None], facet_of[nb]
+    assert not ((fs != ft) & (eqs[:, None] == eqs[nb]).all(axis=2)).any()
+    t, k = np.nonzero(fs < ft)
+    ends = tri[t[:, None], B.RIDGE_ENDS[k]]
+    edges = B.Edges(np.stack([facet_of[t], ft[t, k]], axis=1), ends,
+                    B._row_norms(verts[ends[:, 0]] - verts[ends[:, 1]]))
+    assert np.bincount(ends.ravel(), minlength=nv).min() >= 3
+    assert nv - len(edges) + len(normals) == 2
+    return B.Polytope(verts, facets, edges, 3)
 
 
 def facet_vertices(p) -> list[list[int]]:

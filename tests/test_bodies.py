@@ -13,7 +13,8 @@ from scipy.sparse.csgraph import connected_components
 from mixedvol import bodies as B
 from mixedvol.errors import BadSpec, DegenerateInput, NumericalFailure
 
-from conftest import NEAR_TOP, TILT, facet_vertices, rel_err
+from conftest import (NEAR_TOP, TILT, assert_same_polytope, facet_vertices,
+                      reference_hull, rel_err)
 
 # the facet merge tolerance of the reference builders below
 MERGE_TOL = 1e-9
@@ -288,6 +289,31 @@ def test_hull_matches_sparse_graph_merge(name):
                           q.edges.lengths.tolist()), q.facets.areas)
 
 
+@pytest.mark.parametrize("name", list(SPARSE_PARITY_INPUTS))
+def test_hull_matches_reference_front_end(name):
+    pts = SPARSE_PARITY_INPUTS[name]()
+    assert_same_polytope(B.hull(pts), reference_hull(pts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 60), st.integers(0, 10**6))
+def test_hull_matches_reference_front_end_gaussian(count, seed):
+    pts = np.random.default_rng(seed).standard_normal((count, 3))
+    assert_same_polytope(B.hull(pts), reference_hull(pts))
+
+
+def test_full_dimensional_hull_makes_no_svd_and_no_unique(monkeypatch):
+    clouds = [SPARSE_PARITY_INPUTS[f"gauss10s{s}"]() for s in range(100)]
+    clouds += [B.approximate_ball(k).vertices for k in range(4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the full-dimensional path")
+    for module, fn in ((B, "affine_dim"), (np.linalg, "svd"), (np, "unique")):
+        monkeypatch.setattr(module, fn, refuse)
+    for pts in clouds:
+        assert B.hull(pts).dim == 3
+
+
 def test_vertex_inside_an_edge_is_kept(unit_cube):
     # an edge midpoint pushed out by 1e-11 is farther out than the merge
     # distance: it stays a vertex, and its four triangles stay facets
@@ -410,11 +436,14 @@ def test_hull_requires_full_dim_flag(unit_square):
         B.hull(unit_square.vertices, require_full_dim=True)
 
 
-def _slab(t: float) -> np.ndarray:
-    """30 Gaussian points squashed to thickness t in z."""
-    pts = np.random.default_rng(0).standard_normal((30, 3))
+def _slab(t: float, count: int = 30, seed: int = 0) -> np.ndarray:
+    """Gaussian points squashed to thickness t in z."""
+    pts = np.random.default_rng(seed).standard_normal((count, 3))
     pts[:, 2] *= t
     return pts
+
+
+SLABS = [(count, seed) for count in (10, 30) for seed in range(4)]
 
 
 @pytest.mark.parametrize("t", [1e-6, 1e-7, 1e-8])
@@ -425,11 +454,50 @@ def test_thin_slab_is_full_dimensional(t):
 
 @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 0.0])
 def test_thinner_slab_is_planar(t):
-    # affine_dim decides here: Qhull on its own returns a sliver for
+    # 2V/S of Qhull's facets decides here: Qhull returns a sliver for
     # 1e-14 <= t <= 1e-9 and refuses only t = 0
     assert B.hull(_slab(t)).dim == 2
     with pytest.raises(DegenerateInput):
         B.hull(_slab(t), require_full_dim=True)
+
+
+@pytest.mark.parametrize("count, seed", SLABS)
+@pytest.mark.parametrize("t", [1e-6, 1e-7, 1e-8])
+def test_thin_slabs_of_each_size_are_full_dimensional(t, count, seed):
+    assert B.hull(_slab(t, count, seed), require_full_dim=True).dim == 3
+
+
+@pytest.mark.parametrize("count, seed", SLABS)
+@pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-12, 1e-14, 0.0])
+def test_thinner_slabs_of_each_size_are_planar(t, count, seed):
+    assert B.hull(_slab(t, count, seed)).dim == 2
+    with pytest.raises(DegenerateInput):
+        B.hull(_slab(t, count, seed), require_full_dim=True)
+
+
+def _needle():
+    pts = np.random.default_rng(0).standard_normal((30, 3))
+    pts[:, 1:] *= 1e-12
+    return pts
+
+
+FLAT_INPUTS = {
+    "needle": (_needle, 1),
+    "pyramid-1e-12": (lambda: np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                        [0.5, 0.5, 1e-12]]), 2),
+    "one-point": (lambda: np.array([[1.0, 2.0, 3.0]]), 0),
+    "two-points": (lambda: np.array([[0, 0, 0], [1, 2, 3]], float), 1),
+    "three-points": (lambda: np.eye(3), 2),
+    "four-equal-points": (lambda: np.full((4, 3), 0.7), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(FLAT_INPUTS))
+def test_flat_inputs_get_lower_dimensional_hulls(name):
+    make, dim = FLAT_INPUTS[name]
+    assert B.hull(make()).dim == dim
+    with pytest.raises(DegenerateInput):
+        B.hull(make(), require_full_dim=True)
 
 
 def test_affine_dim():

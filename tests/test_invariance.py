@@ -133,6 +133,20 @@ def test_certify_inconclusive_under_one_body_rescaled(slot, c):
     _assert_inconclusive(bodies)
 
 
+@pytest.mark.parametrize("s", [1e6, 1e7, 1e8])
+def test_facet_sum_invariant_under_a_far_translation(s):
+    # (v + t) - t is exact for |v| << |t|, so m and back are one body to the
+    # last bit; only the facet sum's own arithmetic may tell them apart
+    k = B.random_hull(12, 1).centered()
+    t = s * np.array([1.0, 0.3, 0.0])
+    m = B.hull(B.random_hull(12, 3).vertices + t)
+    back = B.hull(m.vertices - t)
+    assert rel_err(MS.mixed_volume_xpp(m, k), MS.mixed_volume_xpp(back, k)) <= TOL
+    assert rel_err(MS.mixed_volume_xpp(B.Ball(t, 1.0), k),
+                   MS.mixed_volume_xpp(B.Ball(np.zeros(3), 1.0), k)) <= TOL
+    assert X.certify_equality_fulldim(k, k.scaled(2.0), m).verdict == "equality"
+
+
 # ---------------------------------------------------------------------------
 # Ball slots, the S_{L,M} oracle and the lower-dimensional certificate
 # ---------------------------------------------------------------------------
