@@ -444,13 +444,14 @@ def support_data(body: Body, u) -> tuple[float, Polytope]:
 
 def _sum_dim(bodies: Sequence[Body]) -> int:
     """Affine dimension of the Minkowski sum: the rank of the summands'
-    direction spans together. Each summand's span is taken at unit size, so
-    that a small summand is not lost against a large one."""
+    direction spans together. A flat summand spans the first dim right
+    singular vectors of its own centered vertices, unit rows, so that a
+    small summand is not lost against a large one and a single summand
+    reads its own dim."""
     if any(isinstance(b, Ball) or b.dim == 3 for b in bodies):
         return 3
-    diffs = [b.vertices - b.vertices[0] for b in bodies]
-    return affine_dim(np.vstack([np.zeros((1, 3))]
-                                + [d / np.abs(d).max() for d in diffs if d.any()]))
+    spans = [np.linalg.svd(b.vertices - b.centroid)[2][:b.dim] for b in bodies]
+    return affine_dim(np.vstack([np.zeros((1, 3))] + spans))
 
 
 @dataclass(frozen=True)
@@ -571,30 +572,27 @@ def approximate_ball(level: int, radius: float = 1.0) -> Polytope:
         [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
     ], dtype=float)
     v /= np.linalg.norm(v[0])
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [tuple(x) for x in v]
-    index = {x: i for i, x in enumerate(verts)}
-
-    def midpoint(i, j):
-        m = unit(np.array(verts[i]) + np.array(verts[j]))
-        key = tuple(np.round(m, 14))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(tuple(m))
-        return index[key]
-
+    ])
     for _ in range(level):
-        new_faces = []
-        for (i, j, k) in faces:
-            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_faces += [(i, ij, ki), (ij, j, jk), (jk, k, ki), (ij, jk, ki)]
-        faces = new_faces
-    pts = radius * np.array([unit(np.array(x)) for x in verts])
+        # the edges (i, j), (j, k), (k, i) of each face in face order; the
+        # midpoint of an edge is numbered where the edge first appears
+        ends = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, seen, edge_of = np.unique(ends[:, 0] * len(v) + ends[:, 1],
+                                     return_index=True, return_inverse=True)
+        order = np.argsort(seen)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order)) + len(v)
+        sums = v[ends[seen[order], 0]] + v[ends[seen[order], 1]]
+        v = np.concatenate([v, sums / _row_norms(sums)[:, None]])
+        (i, j, k), (ij, jk, ki) = faces.T, number[edge_of].reshape(-1, 3).T
+        faces = np.stack([i, ij, ki, ij, j, jk, jk, k, ki, ij, jk, ki],
+                         axis=1).reshape(-1, 3)
+    pts = radius * (v / _row_norms(v)[:, None])
     return hull(pts, name=f"ball@{level}")
 
 

@@ -7,10 +7,14 @@ circles (lowerdim). The quadratic form
 E(f,g) = (1/6) sum_e w_e int (fg - f'g') and the L^2(S_{B,M}) mass inner
 product (1/2) sum_e w_e int fg are assembled with conforming piecewise-linear
 elements sharing vertex degrees of freedom, so continuity holds by
-construction and the weighted Kirchhoff conditions are natural. The matrices
-are sparse, and only the top of the spectrum is computed: by shift-invert
-Lanczos on the standard symmetric form R^T (E - sigma M)^{-1} R, where
-M = R R^T, so each Lanczos step is one sparse solve and no mass-matrix product.
+construction and the weighted Kirchhoff conditions are natural. The two
+matrices share one sparse pattern, laid out row by row from the edge chains
+with no sparse-format conversion. Only the top of the spectrum is computed:
+by shift-invert Lanczos on the standard symmetric form
+R^T (E - sigma M)^{-1} R, where M = R R^T, so each Lanczos step is one sparse
+solve and no mass-matrix product. The forms are symmetric, so their CSR arrays
+are also their CSC arrays: SuperLU (Li, ACM TOMS 2005) gets them as they are,
+and R is read off the arrays of SuperLU's L.
 """
 
 from __future__ import annotations
@@ -109,6 +113,30 @@ class CSRMatrix(scipy.sparse.csr_array):
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
+    @classmethod
+    def on_pattern(cls, data: np.ndarray, indices: np.ndarray,
+                   indptr: np.ndarray) -> "CSRMatrix":
+        """The square CSR array of the three arrays, holding the index arrays
+        as given (the constructor narrows them to int32 when they fit)."""
+        a = cls((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+        a.indices, a.indptr = indices, indptr
+        return a
+
+
+def _require_symmetric(indptr: np.ndarray, indices: np.ndarray,
+                       *values: np.ndarray) -> None:
+    """Raise NumericalFailure unless the square CSR pattern (indptr, indices)
+    is symmetric and each data array on it equals its transpose to 1e-14.
+    One transpose of the entry ids gives the mirror of every stored entry."""
+    n = len(indptr) - 1
+    mirror = scipy.sparse.csr_array((np.arange(len(indices)), indices, indptr),
+                                    shape=(n, n)).tocsc()
+    if not (np.array_equal(mirror.indptr, indptr)
+            and np.array_equal(mirror.indices, indices)
+            and all(np.abs(v - v[mirror.data]).max(initial=0.0) <= 1e-14
+                    for v in values)):
+        raise NumericalFailure("assembled matrices are not symmetric")
+
 
 @dataclass
 class DiscretizedForm:
@@ -128,7 +156,11 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     Each edge is split into ceil(l/h) uniform elements (at least 2). DOFs
     0..F-1 are the vertices, shared by their edges, so continuity holds by
     construction and the Kirchhoff vertex conditions are natural; the
-    interior DOFs follow edge by edge."""
+    interior DOFs follow edge by edge. E and M are canonical CSR arrays on
+    one pattern (the same int64 indices and indptr arrays): a vertex row
+    couples the vertex to the interior node next to it on each of its
+    edges, and an interior row couples the node to its two chain
+    neighbours. Both are checked to be symmetric in O(nnz)."""
     if h <= 0:
         raise BadMesh("mesh size must be positive")
     lengths, weights = g.arcs.lengths, g.weights
@@ -152,9 +184,10 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     # elements: element k of edge e joins chain[k] and chain[k + 1], where
     # chain = (i, first, first + 1, ..., first + counts - 2, j)
     el_edge = np.repeat(np.arange(len(lengths)), counts)
+    el_counts = counts[el_edge]
     k = np.arange(len(el_edge)) - np.repeat(np.cumsum(counts) - counts, counts)
     left = np.where(k == 0, heads[el_edge], first[el_edge] + k - 1)
-    right = np.where(k == counts[el_edge] - 1, tails[el_edge], first[el_edge] + k)
+    right = np.where(k == el_counts - 1, tails[el_edge], first[el_edge] + k)
     he = edge_h[el_edge]
     w = weights[el_edge]
     m_off = he / 6.0                   # element mass matrix he/6 [[2, 1], [1, 2]]
@@ -162,16 +195,51 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     stiff = 1.0 / he                   # element stiffness 1/he [[1, -1], [-1, 1]]
     e_diag, e_off = w / 6.0 * (m_diag - stiff), w / 6.0 * (m_off + stiff)
     mm_diag, mm_off = w / 2.0 * m_diag, w / 2.0 * m_off
-    rows = np.concatenate([left, right, left, right])
-    cols = np.concatenate([left, right, right, left])
-    shape = (n_dofs, n_dofs)
-    e_mat = CSRMatrix((np.concatenate([e_diag, e_diag, e_off, e_off]),
-                       (rows, cols)), shape=shape)
-    mass = CSRMatrix((np.concatenate([mm_diag, mm_diag, mm_off, mm_off]),
-                      (rows, cols)), shape=shape)
-    if (abs(e_mat - e_mat.T).max() > 1e-14
-            or abs(mass - mass.T).max() > 1e-14):
-        raise NumericalFailure("assembled matrices are not symmetric")
+
+    # One CSR pattern for both matrices, rows in DOF order, columns sorted.
+    # The row of vertex v holds v, then the interior node next to v on each
+    # of its edges in edge order (interior DOFs ascend with the edge): the
+    # end elements of the edges, taken vertex by vertex.
+    ends = np.flatnonzero((k == 0) | (k == el_counts - 1))
+    at_head = k[ends] == 0
+    vertex = np.where(at_head, left[ends], right[ends])
+    order = np.argsort(vertex, kind="stable")
+    ends, vertex = ends[order], vertex[order]
+    node = np.where(at_head[order], right[ends], left[ends])
+    vertex_ptr = np.zeros(nv + 1, dtype=np.intp)
+    np.cumsum(np.bincount(vertex, minlength=nv) + 1, out=vertex_ptr[1:])
+    # link j follows j links and the diagonals of vertices 0..vertex[j]
+    diag_at, link_at = vertex_ptr[:-1], np.arange(len(ends)) + vertex + 1
+    # The row of interior node p holds its two neighbours on the chain and p
+    # itself, sorted (a neighbour that is a vertex sorts first); before and
+    # after are the elements on either side of each p, in DOF order.
+    before = np.flatnonzero(k < el_counts - 1)     # right[before] = p
+    after = np.flatnonzero(k > 0)                  # left[after] = p
+    chain = np.stack([left[before], right[before], right[after]], axis=1)
+    sort = np.argsort(chain, axis=1)
+    start = vertex_ptr[-1]
+    indptr = np.concatenate([vertex_ptr,
+                             start + 3 * np.arange(1, n_dofs - nv + 1)])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    indices[diag_at], indices[link_at] = np.arange(nv), node
+    indices[start:] = np.take_along_axis(chain, sort, axis=1).ravel()
+    both = np.concatenate([left, right])
+
+    def values(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+        # each DOF's diagonal sums its element diagonals in element order,
+        # the elements it is the left end of first
+        summed = np.bincount(both, np.concatenate([diag, diag]), minlength=n_dofs)
+        data = np.empty(len(indices))
+        data[diag_at], data[link_at] = summed[:nv], off[ends]
+        data[start:] = np.take_along_axis(
+            np.stack([off[before], summed[nv:], off[after]], axis=1),
+            sort, axis=1).ravel()
+        return data
+
+    e_data, m_data = values(e_diag, e_off), values(mm_diag, mm_off)
+    _require_symmetric(indptr, indices, e_data, m_data)
+    e_mat = CSRMatrix.on_pattern(e_data, indices, indptr)
+    mass = CSRMatrix.on_pattern(m_data, indices, indptr)
 
     # interior node n = 1..counts-1 of edge e sits at t = n * l / counts
     node_edge = np.repeat(np.arange(len(lengths)), n_int)
@@ -200,16 +268,28 @@ class SpectrumResult:
 SHIFT = 0.34
 
 
-def _mass_factor(mass: CSRMatrix) -> scipy.sparse.csr_array:
+def _as_csc(a: scipy.sparse.csr_array) -> scipy.sparse.csc_array:
+    """A symmetric CSR array as CSC: the same three arrays, no conversion."""
+    return scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def _mass_factor(mass: CSRMatrix) -> scipy.sparse.csc_array:
     """R with M = R R^T, from a symmetric-mode LU of M: with diagonal
-    pivots, P M P^T = L U and U = diag(d) L^T, so R = P^T L diag(sqrt d)."""
+    pivots, P M P^T = L U and U = diag(d) L^T, so R = P^T L diag(sqrt d).
+    R is built on the CSC arrays of L: column j scaled by sqrt(d_j), row
+    perm_c[i] of L moved to row i."""
     lu = scipy.sparse.linalg.splu(
-        mass.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        _as_csc(mass), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options={"SymmetricMode": True})
     d = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(d > 0)):
         raise NumericalFailure("mass matrix is not positive definite")
-    return lu.L.multiply(np.sqrt(d)).tocsr()[lu.perm_c]
+    low = lu.L
+    row_of = np.empty_like(lu.perm_c)
+    row_of[lu.perm_c] = np.arange(len(row_of))
+    return scipy.sparse.csc_array(
+        (low.data * np.repeat(np.sqrt(d), np.diff(low.indptr)),
+         row_of[low.indices], low.indptr), shape=low.shape)
 
 
 def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
@@ -219,7 +299,11 @@ def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
     theta = 1 / (lambda - SHIFT), and each Lanczos step is one sparse solve
     with no mass-matrix product. The vectors are M-orthonormal. The start
     vector is fixed, so repeated calls return identical pairs. Raises
-    NumericalFailure when M is not positive definite."""
+    NumericalFailure when M is not positive definite.
+
+    The form must be symmetric, as assemble's forms are: the CSR arrays of
+    M and of E - SHIFT M go to SuperLU as CSC arrays, which for a symmetric
+    matrix hold the same matrix."""
     n = form.size
     if k < 1:
         raise BadParam(f"need at least one eigenpair, got k={k}")
@@ -229,10 +313,10 @@ def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
     try:
         r = _mass_factor(form.mass)
         lu = scipy.sparse.linalg.splu(
-            (form.e_matrix - SHIFT * form.mass).tocsc())
+            _as_csc(form.e_matrix - SHIFT * form.mass))
     except RuntimeError as exc:          # SuperLU: factor is exactly singular
         raise NumericalFailure(f"factorization failed: {exc}") from exc
-    rt = r.T                  # once: a transpose costs more than a product
+    rt = r.T                  # the CSR view of the same arrays
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda y: rt @ lu.solve(r @ y), dtype=float)
     # not the constants: they are an exact eigenvector and would end the

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import quadrature as quad
-from .bodies import (Polytope, SupportEvaluator, _row_norms, affine_dim,
+from .bodies import (Polytope, SupportEvaluator, _row_norms,
                      as_unit_vector, classify_trivial, minkowski_sum, segment,
                      support_data, unit)
 from .errors import (BadParam, DimensionError, InsufficientSpectrum,
@@ -84,7 +84,7 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
     scale = max(m.scale, 1e-30)
     if np.abs(off).max() > HYPERPLANE_TOL * scale:
         raise DimensionError("M is not contained in a translate of w^perp")
-    dim = affine_dim(verts)
+    dim = m.dim
     if dim not in (1, 2):
         raise DimensionError(
             f"lower-dimensional pipeline needs dim M in {{1, 2}}, got {dim}")

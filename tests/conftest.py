@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from scipy.spatial import ConvexHull, QhullError
 
@@ -90,6 +91,43 @@ def _reference_full_dim_hull(pts: np.ndarray) -> B.Polytope:
     return B.Polytope(verts, facets, edges, 3)
 
 
+def reference_ball_points(level: int) -> np.ndarray:
+    """The points bodies.approximate_ball hulls, made by the loop it used
+    before it took each level's midpoints in one pass: one midpoint at a
+    time, kept in a dict keyed on its rounded coordinates."""
+    phi = (1 + np.sqrt(5)) / 2
+    v = np.array([
+        [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
+        [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
+        [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
+    ], dtype=float)
+    v /= np.linalg.norm(v[0])
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [tuple(x) for x in v]
+    index = {x: i for i, x in enumerate(verts)}
+
+    def midpoint(i, j):
+        m = B.unit(np.array(verts[i]) + np.array(verts[j]))
+        key = tuple(np.round(m, 14))
+        if key not in index:
+            index[key] = len(verts)
+            verts.append(tuple(m))
+        return index[key]
+
+    for _ in range(level):
+        new_faces = []
+        for (i, j, k) in faces:
+            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+            new_faces += [(i, ij, ki), (ij, j, jk), (jk, k, ki), (ij, jk, ki)]
+        faces = new_faces
+    return np.array([B.unit(np.array(x)) for x in verts])
+
+
 def facet_vertices(p) -> list[list[int]]:
     """The sorted vertex indices of each facet of a 3-polytope: the ends of
     the facet's edges."""
@@ -130,6 +168,49 @@ def mode3_eigenvalues(form, k: int) -> np.ndarray:
                                      sigma=G.SHIFT, v0=v0,
                                      return_eigenvectors=False)
     return np.sort(vals)[::-1]
+
+
+def reference_matrices(g: G.MetricGraph, h: float):
+    """(E, M) of graph.assemble built the way it was before the shared
+    pattern: each matrix from its element triplets through scipy's COO to
+    CSR conversion, which sums the duplicates of each row in input order.
+    The library's matrices must have the same arrays, dtypes included."""
+    lengths, weights = g.arcs.lengths, g.weights
+    heads, tails = g.edges.T
+    counts = np.ceil(lengths / h).astype(np.intp)
+    nv = len(g.normals)
+    edge_h = lengths / counts
+    n_int = counts - 1
+    first = nv + np.cumsum(n_int) - n_int
+    n_dofs = nv + int(n_int.sum())
+    el_edge = np.repeat(np.arange(len(lengths)), counts)
+    k = np.arange(len(el_edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    left = np.where(k == 0, heads[el_edge], first[el_edge] + k - 1)
+    right = np.where(k == counts[el_edge] - 1, tails[el_edge], first[el_edge] + k)
+    he = edge_h[el_edge]
+    w = weights[el_edge]
+    m_off = he / 6.0
+    m_diag = m_off * 2.0
+    stiff = 1.0 / he
+    e_diag, e_off = w / 6.0 * (m_diag - stiff), w / 6.0 * (m_off + stiff)
+    mm_diag, mm_off = w / 2.0 * m_diag, w / 2.0 * m_off
+    rows = np.concatenate([left, right, left, right])
+    cols = np.concatenate([left, right, right, left])
+    shape = (n_dofs, n_dofs)
+    return tuple(scipy.sparse.csr_array((np.concatenate([d, d, o, o]), (rows, cols)),
+                                        shape=shape)
+                 for d, o in ((e_diag, e_off), (mm_diag, mm_off)))
+
+
+def reference_mass_factor(mass) -> scipy.sparse.csr_array:
+    """R with M = R R^T as graph._mass_factor built it before it read R off
+    the arrays of SuperLU's L: L diag(sqrt d) through COO to CSR, then the
+    rows taken in perm_c order."""
+    lu = scipy.sparse.linalg.splu(
+        mass.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
+    d = lu.U.diagonal()
+    return lu.L.multiply(np.sqrt(d)).tocsr()[lu.perm_c]
 
 
 def sup_on_arcs(f: B.SupportEvaluator, arcs: quad.Arcs) -> float:

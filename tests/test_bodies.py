@@ -14,7 +14,7 @@ from mixedvol import bodies as B
 from mixedvol.errors import BadSpec, DegenerateInput, NumericalFailure
 
 from conftest import (NEAR_TOP, TILT, assert_same_polytope, facet_vertices,
-                      reference_hull, rel_err)
+                      reference_ball_points, reference_hull, rel_err)
 
 # the facet merge tolerance of the reference builders below
 MERGE_TOL = 1e-9
@@ -475,6 +475,17 @@ def test_thinner_slabs_of_each_size_are_planar(t, count, seed):
         B.hull(_slab(t, count, seed), require_full_dim=True)
 
 
+@pytest.mark.parametrize("count, seed", SLABS)
+@pytest.mark.parametrize("t", [1e-9, 2e-9, 5e-9, 1e-8])
+def test_classify_trivial_reads_the_hull_dimension(t, count, seed):
+    # the 10-point seed-2 slab at t = 2e-9 hulls to a planar polytope whose
+    # vertices an SVD at 1e-9 calls 3-dimensional
+    p = B.hull(_slab(t, count, seed))
+    rep = B.classify_trivial(p, p, p)
+    assert rep.dims["K"] == rep.dims["K+L"] == rep.dims["K+L+M"] == p.dim
+    assert rep.v_llm_zero == (p.dim < 3)
+
+
 def _needle():
     pts = np.random.default_rng(0).standard_normal((30, 3))
     pts[:, 1:] *= 1e-12
@@ -564,6 +575,15 @@ def test_approximate_ball_converges_to_sphere():
         assert abs(b.volume - 4 * np.pi / 3) < tol * 4 * np.pi / 3
         assert np.allclose(np.linalg.norm(b.vertices, axis=1), 1.0,
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_approximate_ball_matches_midpoint_loop(level):
+    pts = reference_ball_points(level)
+    b = B.approximate_ball(level)
+    # every point is a vertex, in point order
+    assert np.array_equal(b.vertices, pts)
+    assert_same_polytope(b, B.hull(pts))
 
 
 def test_random_hull_deterministic():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from mixedvol.bodies import SupportEvaluator
 from mixedvol.errors import (BadMesh, BadParam, DegenerateInput,
                              InsufficientSpectrum, NumericalFailure)
 
-from conftest import body, mode3_eigenvalues, rel_err
+from conftest import (BODIES, body, mode3_eigenvalues, reference_mass_factor,
+                      reference_matrices, rel_err)
 
 
 def test_cube_graph_combinatorics(unit_cube):
@@ -316,6 +318,78 @@ def test_mass_not_positive_definite_is_numerical_failure(unit_cube, how):
     bad = dataclasses.replace(form, mass=_broken_mass(form, how))
     with pytest.raises(NumericalFailure):
         G.spectrum(bad, 8)
+
+
+# every full-dimensional test body and the bouquets of half circles over a
+# square, a unit segment and a regular hexagon, each at two mesh sizes
+PATTERN_GRAPHS = {
+    **{name: (lambda name=name: G.build_graph(body(name))) for name in BODIES},
+    "square": lambda: LD.lowerdim_setup(B.hull(SQUARE), W).graph,
+    "segment": lambda: LD.lowerdim_setup(B.segment([0, 0, 0], [1, 0, 0]), W).graph,
+    "hexagon": lambda: LD.lowerdim_setup(_ngon(6), W).graph,
+}
+
+
+def _forms(name):
+    g = PATTERN_GRAPHS[name]()
+    h_max = g.arcs.lengths.min() / 2
+    return [(g, h, G.assemble(g, h)) for h in (h_max, min(h_max, np.pi / 60))]
+
+
+@pytest.mark.parametrize("name", list(PATTERN_GRAPHS))
+def test_assembled_matrices_match_coo_reference(name):
+    for g, h, form in _forms(name):
+        assert form.e_matrix.indices is form.mass.indices
+        assert form.e_matrix.indptr is form.mass.indptr
+        for new, ref in zip((form.e_matrix, form.mass), reference_matrices(g, h)):
+            assert type(new) is G.CSRMatrix
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(new, field), getattr(ref, field)
+                assert a.dtype == b.dtype, field
+                assert np.array_equal(a, b), field
+            assert new.nbytes == ref.data.nbytes + ref.indices.nbytes + ref.indptr.nbytes
+
+
+def test_high_degree_vertex_matches_coo_reference_to_rounding():
+    # a pole of the 20-gon bouquet has 41 entries in its row; there the COO
+    # route summed its 20 diagonal terms in the order its unstable sort left
+    # them, and assemble sums them in element order
+    g = LD.lowerdim_setup(_ngon(20), W).graph
+    h = np.pi / 60
+    form = G.assemble(g, h)
+    for new, ref in zip((form.e_matrix, form.mass), reference_matrices(g, h)):
+        assert np.array_equal(new.indptr, ref.indptr)
+        assert np.array_equal(new.indices, ref.indices)
+        assert np.abs(new.data - ref.data).max() <= 8 * np.spacing(np.abs(ref.data).max())
+
+
+@pytest.mark.parametrize("name", list(PATTERN_GRAPHS))
+def test_mass_factor_matches_reference(name):
+    for _, _, form in _forms(name):
+        r, ref = G._mass_factor(form.mass).tocsr(), reference_mass_factor(form.mass)
+        r.sum_duplicates()
+        ref.sum_duplicates()
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(r, field), getattr(ref, field)), field
+        m = form.mass
+        assert (scipy.sparse.linalg.norm(r @ r.T - m)
+                <= 1e-15 * scipy.sparse.linalg.norm(m))
+
+
+def test_symmetry_guard():
+    form = G.assemble(G.build_graph(B.cube()), np.pi / 20)
+    e, m = form.e_matrix, form.mass
+    G._require_symmetric(e.indptr, e.indices, e.data, m.data)
+    # an asymmetric value: one off-diagonal entry of E moved by 1e-13
+    rows = np.repeat(np.arange(form.size), np.diff(e.indptr))
+    bad = e.data.copy()
+    bad[np.flatnonzero(e.indices != rows)[0]] += 1e-13
+    with pytest.raises(NumericalFailure, match="not symmetric"):
+        G._require_symmetric(e.indptr, e.indices, m.data, bad)
+    # an asymmetric pattern: the upper triangle of M alone
+    upper = scipy.sparse.triu(m, format="csr")
+    with pytest.raises(NumericalFailure, match="not symmetric"):
+        G._require_symmetric(upper.indptr, upper.indices, upper.data)
 
 
 def _jittered_icosahedron() -> B.Polytope:
