@@ -32,6 +32,9 @@ RIDGE_ENDS = np.array([[1, 2], [2, 0], [0, 1]])
 # are flat. On 10 and 30 Gaussian points squashed to thickness t in one axis,
 # 2V/S reads at least 2.18e-9 at t = 1e-8 and at most 8.77e-10 at t = 1e-9.
 FLAT_WIDTH = 1.4e-9
+# A singular value of centered points at unit max-abs counts toward their
+# affine dimension above this times max(1, the largest).
+RANK_TOL = 1e-9
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -301,7 +304,7 @@ class SupportEvaluator:
 # Hulls
 # ---------------------------------------------------------------------------
 
-def affine_dim(points: np.ndarray, tol: float = 1e-9) -> int:
+def affine_dim(points: np.ndarray) -> int:
     """Affine dimension of a point set (rank of the centered span)."""
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
@@ -309,7 +312,7 @@ def affine_dim(points: np.ndarray, tol: float = 1e-9) -> int:
     centered = pts - pts.mean(axis=0)
     scale = max(np.abs(centered).max(), 1e-30)
     s = np.linalg.svd(centered / scale, compute_uv=False)
-    return int((s > tol * max(1.0, s[0] if len(s) else 1.0)).sum())
+    return int((s > RANK_TOL * max(1.0, s[0] if len(s) else 1.0)).sum())
 
 
 def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:

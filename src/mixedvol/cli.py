@@ -28,6 +28,8 @@ from .graph import (MetricGraph, assemble, build_graph,
 from . import quadrature as quad
 
 CSV_SCHEMA_VERSION = "mixedvol-report-v1"
+# points per random hull of the randomized suites
+RAND_POLY_POINTS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +383,8 @@ def _instance_seeds(seed: int, n: int) -> list[int]:
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _rand_poly(seed: int, count: int = 10) -> Polytope:
-    return B.random_hull(count, seed)
+def _rand_poly(seed: int) -> Polytope:
+    return B.random_hull(RAND_POLY_POINTS, seed)
 
 
 def suite_mixvol(seed: int) -> tuple[bool, dict]:

@@ -215,8 +215,15 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
     lt = l.scaled(c)
     _, face_lt = support_data(lt, p.w)
     _, face_k = support_data(k, p.w)
-    resid = (SupportEvaluator.of(k) + SupportEvaluator.of(face_lt)
-             + SupportEvaluator.of(lt, -1.0) + SupportEvaluator.of(face_k, -1.0))
+    # the residual is unchanged when K or cL moves, its face with it, so it
+    # is taken with each about its centroid, where the sum keeps its digits;
+    # only after the faces, since the face tolerance covers the rounding of
+    # the coordinates as given
+    a, b = -k.centroid, -lt.centroid
+    resid = (SupportEvaluator.of(k.translate(a))
+             + SupportEvaluator.of(face_lt.translate(b))
+             + SupportEvaluator.of(lt.translate(b), -1.0)
+             + SupportEvaluator.of(face_k.translate(a), -1.0))
     (r,) = quad.restrict(p.graph.arcs, resid)
     sup_res = sup_on_sbm(r)
     diam = max(k.diameter, abs(c) * l.diameter, 1e-30)

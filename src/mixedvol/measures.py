@@ -1,19 +1,21 @@
 """Mixed volumes and (mixed) area measures of 3-polytopes.
 
 Both routes to V(K, L, M) integrate a support function against the mixed
-area measure S_{A,B} = (1/2)[S(A+B) - S(A) - S(B)] (Schneider, Convex Bodies,
-5.1). The primary route, mixed_volume, sums h_X over the raw Qhull triangles
-of hull(A+B), with X the body with the most vertices, and subtracts the facet
-sums of A and B: one Qhull call, no facet merge, no quadrature. The oracle
+area measure S_{A,B} = (1/2)[S(A+B) - S(A) - S(B)] (Schneider, Convex
+Bodies, 5.1). The primary route, mixed_volume, sums h_X over the raw Qhull
+triangles of hull(A+B), with X a Ball slot or else the body with the most
+vertices, and subtracts the facet sums of A and B: one Qhull call, no facet
+merge, no quadrature. mv3 takes it for every triple but two balls, for which
+V(B, B, M) is a third of the mass of the arc measure S_{B,M}. The oracle
 route, mixed_volume_via_measure, integrates h_K in the slot it is given
 against S_{L,M} built from merged hulls (bodies.hull), merged atoms and a
-nonnegativity check, or against arc measures for Ball slots. The two routes
-share that identity and nothing else: they differ in the hull (raw triangles
-against merged facets), in the atoms and, in general, in the slot that holds
-the support function. The all-sums polarization of hull volumes in the tests
-is independent of both. Ball slots never reach a hull. No hull is needed
-when two slots hold the same polytope P: V(X, P, P) is a sum over the facets
-of P.
+nonnegativity check, or against arc measures for Ball slots; nothing else
+reaches mixed_area_measure. The two routes share that identity and nothing
+else: they differ in the hull (raw triangles against merged facets), in the
+atoms and, in general, in the slot that holds the support function. The
+all-sums polarization of hull volumes in the tests is independent of both.
+No hull is needed when two slots hold the same polytope P: V(X, P, P) is a
+sum over the facets of P.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy.spatial import ConvexHull, cKDTree
 from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
                      _row_norms, _sum_dim, _triangle_areas, hull,
                      minkowski_sum, unit)
-from .errors import DegenerateInput
+from .errors import BadSpec, DegenerateInput
 from .graph import build_graph
 from .quadrature import SphericalMeasure, integrate_against_measure
 
@@ -65,7 +67,32 @@ def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] + b[None, :, :]).reshape(-1, 3)
 
 
-def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
+def _support_sum(x: Union[Ball, np.ndarray], dirs: np.ndarray,
+                 masses: np.ndarray) -> float:
+    """sum over the atoms (u, mass) of h_X(u) mass, for X a Ball taken about
+    its center or the rows of a vertex array."""
+    if isinstance(x, Ball):
+        h = x.radius * np.linalg.norm(dirs, axis=-1)
+    else:
+        h = np.max(dirs @ x.T, axis=1)
+    return float(h @ masses)
+
+
+_UNIT_BALL = Ball(np.zeros(3), 1.0)
+
+
+def _unit_frame(b: Body) -> tuple[Union[Ball, np.ndarray], float]:
+    """b about its center at unit size, and that size: the unit ball at the
+    origin and the radius for a ball; a polytope's centered vertices over
+    their max-abs, and the max-abs (0 for a point, left unscaled)."""
+    if isinstance(b, Ball):
+        return _UNIT_BALL, b.radius
+    v = b.vertices - b.centroid
+    s = float(np.abs(v).max())
+    return (v / s if s else v), s
+
+
+def mixed_volume(k: Body, l: Body, m: Body) -> float:
     """V(K, L, M) by one Qhull call and facet sums; symmetric, multilinear.
 
     V(X, A, B) = (1/3) int h_X dS_{A,B} with S_{A,B} = (1/2)[S(A+B) - S(A)
@@ -74,35 +101,37 @@ def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
         6 V = sum_{T in A+B} h_X(n_T) |T| - sum_{F in A} h_X(u_F) |F|
               - sum_{F in B} h_X(u_F) |F|.
 
-    V is symmetric, so X is the body with the most vertices (the first in
-    slot order on a tie), and Qhull runs once, on the vertex sums of the
-    other two. The integral is linear in the measure, so the triangles of
-    hull(A+B) enter as they are, with no facet merge. Each body is centered
-    on its vertex centroid and scaled to unit max-abs, and the product of the
-    scales is multiplied back in, so rescaling one body costs no digits
-    against the others. A flat K+L+M gives exactly 0. A flat A+B enters
-    through its two planar atoms, or none."""
+    V is symmetric, so X is a Ball slot, or else the body with the most
+    vertices (the first in slot order on a tie), and Qhull runs once, on the
+    vertex sums of the other two. The integral is linear in the measure, so
+    the triangles of hull(A+B) enter as they are, with no facet merge. Each
+    body is centered (a polytope on its vertex centroid, a ball on its
+    center) and scaled to unit size (max-abs, radius), and the product of
+    the scales is multiplied back in, so rescaling one body costs no digits
+    against the others; a ball X is then the unit ball, h_X(u) = |u|. A flat
+    K+L+M gives exactly 0. A flat A+B enters through its two planar atoms,
+    or none. At most one slot may hold a Ball (V(B, B, M) is mv3's)."""
     bodies = (k, l, m)
+    balls = [j for j, b in enumerate(bodies) if isinstance(b, Ball)]
+    if len(balls) > 1:
+        raise BadSpec("mixed_volume takes at most one Ball; mv3 takes two")
     if _sum_dim(bodies) < 3:
         return 0.0
-    pts = [p.vertices - p.centroid for p in bodies]
-    scales = [float(np.abs(v).max()) for v in pts]
+    pts, scales = zip(*map(_unit_frame, bodies))
     if min(scales) == 0.0:
         return 0.0    # a point in any slot
-    pts = [v / s for v, s in zip(pts, scales)]
-    i = max(range(3), key=lambda j: len(pts[j]))
+    i = balls[0] if balls else max(range(3), key=lambda j: len(pts[j]))
     ia, ib = (j for j in range(3) if j != i)
     x, sums = pts[i], _pair_sums(pts[ia], pts[ib])
     if _sum_dim((bodies[ia], bodies[ib])) == 3:
         # one atom (n_T, |T|) per Qhull triangle, coplanar ones unmerged
         qh = ConvexHull(sums)
-        dirs, masses = qh.equations[:, :3], _triangle_areas(sums[qh.simplices])
+        v = _support_sum(x, qh.equations[:, :3],
+                         _triangle_areas(sums[qh.simplices]))
     else:
-        dirs, masses = _surface_atoms_any(hull(sums))
-    v = float(np.max(dirs @ x.T, axis=1) @ masses)
+        v = _support_sum(x, *_surface_atoms_any(hull(sums)))
     for j in (ia, ib):
-        dirs, masses = _surface_atoms_any(bodies[j])
-        v -= float(np.max(dirs @ x.T, axis=1) @ masses) / scales[j] ** 2
+        v -= _support_sum(x, *_surface_atoms_any(bodies[j])) / scales[j] ** 2
     return scales[0] * scales[1] * scales[2] * v / 6.0
 
 
@@ -178,18 +207,16 @@ def mixed_volume_via_measure(f: Union[Body, SupportEvaluator], l: Body,
 
 
 def mv3(k: Body, l: Body, m: Polytope) -> float:
-    """V(K, L, M) for polytope M, allowing Ball bodies in the K/L slots."""
-    kb, lb = isinstance(k, Ball), isinstance(l, Ball)
-    if not kb and not lb:
-        return mixed_volume(k, l, m)
-    if kb and lb:
-        # V(b1, b2, M) = rho1 * rho2 * V(B, B, M) + translation-invariant rest
+    """V(K, L, M) for polytope M, allowing Ball bodies in the K/L slots.
+
+    Two balls take the arc measure S_{B,M}: V(b1, b2, M) = rho1 rho2
+    V(B, B, M), since the centers enter only through linear parts that
+    integrate to 0. Every other triple, one ball included, is
+    mixed_volume's."""
+    if isinstance(k, Ball) and isinstance(l, Ball):
         vbbm = build_graph(m).sbm.total_mass() / 3.0
         return k.radius * l.radius * vbbm
-    ball, poly = (k, l) if kb else (l, k)
-    slm = mixed_area_measure(poly, m)
-    # h_ball integrates to rho * mass (the <center, u> part vanishes by balance)
-    return integrate_against_measure(_as_evaluator(ball), slm) / 3.0
+    return mixed_volume(k, l, m)
 
 
 @dataclass(frozen=True)
@@ -216,12 +243,8 @@ def mixed_volume_xpp(x: Body, p: Polytope) -> float:
     X is taken about its center (a polytope's vertex centroid, a ball's
     center): the linear part <c, u> integrates to 0 over the balanced S_P,
     and summed as it sits it cancels only to about eps |c| S(P)."""
-    dirs, masses = _surface_atoms_any(p)
-    if isinstance(x, Ball):
-        h = x.radius * np.linalg.norm(dirs, axis=-1)
-    else:
-        h = (dirs @ (x.vertices - x.centroid).T).max(axis=1)
-    return float(h @ masses) / 3.0
+    xc = x if isinstance(x, Ball) else x.vertices - x.centroid
+    return _support_sum(xc, *_surface_atoms_any(p)) / 3.0
 
 
 def _v_xxm(x: Body, m: Polytope) -> float:

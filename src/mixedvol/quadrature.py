@@ -29,6 +29,9 @@ CUT_TOL = 1e-12
 # entries (8 bytes each), per smooth segment of an arc, of the sign tables and
 # the midpoint argmax of one block of arcs (8 MB)
 BLOCK_ENTRIES = 1 << 20
+# a mass below -NEGATIVE_MASS_TOL times the gross mass it was computed from
+# is negative
+NEGATIVE_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -298,12 +301,12 @@ class SphericalMeasure:
              + (w * (1 - np.cos(l))) @ self.arcs.tangents)
         return float(np.linalg.norm(s))
 
-    def validate_nonnegative(self, gross: float,
-                             tol: float = 1e-9) -> "SphericalMeasure":
-        """Raise NegativeMass for a mass below -tol * gross, where gross is
-        the total absolute mass the measure was computed from: differences
-        of measures round relative to the masses that cancel."""
-        floor = -tol * max(gross, 1e-30)
+    def validate_nonnegative(self, gross: float) -> "SphericalMeasure":
+        """Raise NegativeMass for a mass below -NEGATIVE_MASS_TOL * gross,
+        where gross is the total absolute mass the measure was computed
+        from: differences of measures round relative to the masses that
+        cancel."""
+        floor = -NEGATIVE_MASS_TOL * max(gross, 1e-30)
         for kind, m in (("atom mass", self.masses), ("arc weight", self.weights)):
             if len(m) and m.min() < floor:
                 raise NegativeMass(f"{kind} {m.min():g} below {floor:g}")

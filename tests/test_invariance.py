@@ -250,3 +250,16 @@ def test_lower_certify_verdict_invariant_under_one_body_rescaled(case, slot, c):
     bodies = [B.hull(v) for v in verts]
     bodies[slot] = B.hull(c * verts[slot])
     assert LD.certify_equality_lowerdim(*bodies, W).verdict == verdict
+
+
+@pytest.mark.parametrize("move_k", [False, True])
+@pytest.mark.parametrize("s", [1e6, 1e7, 1e8])
+def test_lower_certify_residual_keeps_its_digits_far_from_the_origin(s, move_k):
+    # the "translate" equality with L, or K and L, moved far along one
+    # direction: the coordinates are exact, and the residual, taken about
+    # each body's centroid, cancels as it does at the origin
+    (k, l, m), _ = LOWER_CASES["translate"]
+    t = s * np.array([1.0, 0.3, 0.0])
+    cert = LD.certify_equality_lowerdim(B.hull(k + t if move_k else k),
+                                        B.hull(l + t), B.hull(m), W)
+    assert cert.sup_residual <= 1e-12 * cert.diameter

@@ -5,9 +5,10 @@ import pytest
 from scipy.stats import special_ortho_group
 
 from mixedvol import bodies as B
+from mixedvol import extremal as X
 from mixedvol import measures as MS
 from mixedvol.bodies import SupportEvaluator
-from mixedvol.errors import DegenerateInput
+from mixedvol.errors import BadSpec, DegenerateInput
 
 from conftest import rel_err
 
@@ -103,6 +104,32 @@ def test_mv3_ball_slots(unit_cube):
     # radius scaling
     b2 = B.Ball(np.array([1.0, 2.0, 3.0]), 0.5)
     assert MS.mv3(b2, unit_cube, unit_cube) == pytest.approx(1.0, abs=1e-12)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the merged-atom route serves only the oracle")
+
+
+def test_ball_slots_take_the_one_hull_route(monkeypatch):
+    # one ball beside two polytopes is a sum over one Qhull call's
+    # triangles; S_{L,M} is built only by mixed_volume_via_measure
+    ball, l, m = B.Ball([0.3, -2.0, 5.0], 1.7), B.random_hull(10, 1), B.cube()
+    ref = MS.mixed_volume_via_measure(ball, l, m)
+    monkeypatch.setattr(MS, "mixed_area_measure", _refuse)
+    monkeypatch.setattr(MS, "merge_atoms", _refuse)
+    assert rel_err(MS.mv3(ball, l, m), ref) <= 1e-13
+    assert rel_err(MS.mv3(l, ball, m), ref) <= 1e-13
+    assert MS.quadratic_deficit(ball, l, m).v_kl == MS.mv3(ball, l, m)
+    assert X.weak_stability_check(ball, l, m).deficit.v_kl == MS.mv3(ball, l, m)
+    assert MS.classical_functionals(m)[1] == pytest.approx(6.0, abs=1e-12)
+
+
+def test_mixed_volume_takes_at_most_one_ball(unit_cube):
+    ball = B.unit_ball()
+    for slots in ((ball, ball, unit_cube), (ball, unit_cube, ball),
+                  (unit_cube, ball, ball), (ball, ball, ball)):
+        with pytest.raises(BadSpec):
+            MS.mixed_volume(*slots)
 
 
 def test_quadratic_deficit_nonnegative_random():
