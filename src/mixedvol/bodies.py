@@ -109,12 +109,12 @@ def _triangle_areas(corners: np.ndarray) -> np.ndarray:
 
 
 class Polytope:
-    """Convex polytope given by its extreme points.
+    """Convex polytope given by its extreme points and its facet and edge
+    tables; the facet rows are the atoms of its surface area measure S_P.
 
-    Full-dimensional polytopes carry facet and edge combinatorics; polytopes
-    of affine dimension < 3 carry only their extreme points (facet and edge
-    tables with zero rows) and still support h_K evaluation and Minkowski
-    arithmetic.
+    A polygon holds the tables of a degenerate 3-polytope: its two sides
+    +-n as facets, each of its area, and its boundary ring as edges between
+    facets 0 and 1, so V - E + F = 2. A segment or a point holds none.
     """
 
     def __init__(self, vertices: np.ndarray, facets: Facets, edges: Edges,
@@ -145,9 +145,8 @@ class Polytope:
 
     @cached_property
     def volume(self) -> float:
-        if self.dim < 3:
-            return 0.0
-        # divergence theorem: (1/3) sum_F h_F * area_F, summed in facet order
+        # divergence theorem: (1/3) sum_F h_F * area_F, summed in facet order;
+        # a polygon's two sides cancel exactly
         return sum((self.facets.offsets * self.facets.areas).tolist()) / 3.0
 
     @cached_property
@@ -156,11 +155,11 @@ class Polytope:
         maximizing vertex is not unique (Ziegler, Lectures on Polytopes,
         7.1); every arc is shorter than pi.
 
-        dim 3: the facet normals of each edge. dim 2: per polygon edge, the
-        quarter circles (n_P, o_i) and (o_i, -n_P), with n_P the plane normal
-        about which the vertices run counterclockwise and o_i the edge's
-        outward normal in the plane. dim 1: four quarter circles of the great
-        circle perpendicular to the segment. dim 0: none."""
+        dim 3: the facet normals of each edge. dim 2: the quarter circles
+        (n_P, o_i) in edge order, then the (o_i, -n_P), with n_P =
+        facets.normals[0], about which the vertices run counterclockwise, and
+        o_i edge i's outward normal in the plane. dim 1: four quarter circles
+        of the great circle perpendicular to the segment. dim 0: none."""
         if self.dim == 3:
             return self.facets.normals[self.edges.facets]
         if self.dim == 0:
@@ -170,7 +169,7 @@ class Polytope:
         v = v / np.abs(v).max()
         if self.dim == 2:
             d = np.roll(v, -1, axis=0) - v
-            pole = unit(np.cross(v, d).sum(axis=0))
+            pole = self.facets.normals[0]
             out = np.cross(d, pole)
             out /= _row_norms(out)[:, None]
             poles = np.broadcast_to(pole, out.shape)
@@ -243,6 +242,10 @@ class Ball:
     def face(self, u) -> Polytope:
         u = as_unit_vector(u)
         return hull((self.center + self.radius * u)[None, :])
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.radius
 
     @property
     def dim(self) -> int:
@@ -325,8 +328,9 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     facets, in that unit frame, is below FLAT_WIDTH: V <= width * S / 2
     for every convex body, so 2V/S bounds the least width from below.
     Flat points, fewer than 4 points, points all equal and points Qhull
-    refuses as flat yield a combinatorics-free polytope (extreme points
-    only) of affine dimension at most 2, unless require_full_dim is set.
+    refuses as flat yield a polytope of affine dimension at most 2, unless
+    require_full_dim is set: a polygon with its two sides and its boundary
+    ring (see Polytope), a segment or a point with tables of zero rows.
     Raises NumericalFailure when Qhull's output does not form a polytope:
     one plane split into two facets, a vertex on fewer than 3 edges, or a
     failed Euler check.
@@ -365,7 +369,25 @@ def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
         qh = ConvexHull(coords)
     except QhullError as exc:  # pragma: no cover - guarded by affine_dim
         raise DegenerateInput(str(exc)) from exc
-    return Polytope(pts[qh.vertices], NO_FACETS, NO_EDGES, 2, name)
+    # Qhull returns a 2-D hull's vertices in cyclic order. They run
+    # counterclockwise about n, the direction of the area vector
+    # (1/2) sum_i v_i x v_{i+1}, taken centered and at unit size so that
+    # unit()'s absolute floor is far.
+    verts = pts[qh.vertices]
+    nv, c = len(verts), verts.mean(axis=0)
+    nxt = np.roll(np.arange(nv), -1)
+    v = verts - c
+    s = np.abs(v).max()
+    v = v / s
+    vec = 0.5 * np.sum(np.cross(v, v[nxt]), axis=0)
+    n, area = unit(vec), s * s * float(np.linalg.norm(vec))
+    h = float(n @ c)
+    facets = Facets(np.array([n, -n]), np.array([h, -h]),
+                    np.array([area, area]))
+    edges = Edges(np.tile(np.arange(2), (nv, 1)),
+                  np.stack([np.arange(nv), nxt], axis=1),
+                  _row_norms(verts[nxt] - verts))
+    return Polytope(verts, facets, edges, 2, name)
 
 
 def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:

@@ -62,8 +62,10 @@ def parse_polytope(path: str) -> Polytope:
 
 
 def _is_rectangular(rows) -> bool:
+    # JSON true and false load as bool, a subclass of int
     return all(isinstance(r, (list, tuple)) and len(r) == 3
-               and all(isinstance(x, (int, float)) for x in r) for r in rows)
+               and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in r) for r in rows)
 
 
 class InputError(Exception):

@@ -22,12 +22,6 @@ RESIDUAL_THRESHOLD = 1e-6     # relative to the instance diameter
 NODES_PER_SEGMENT = 17        # sup_on_sbm nodes per smooth segment, ends included
 
 
-def _diameter(body: Body) -> float:
-    if isinstance(body, Ball):
-        return 2.0 * body.radius
-    return body.diameter
-
-
 @dataclass(frozen=True)
 class StabilityWitness:
     a: float
@@ -165,7 +159,7 @@ def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertifica
     delta = SupportEvaluator.of(k) + SupportEvaluator.of(l, -a)
     v, resid = fit_linear_on_sbm(g, delta)
     sup_res = sup_on_sbm(resid)
-    diam = max(_diameter(k), abs(a) * _diameter(l), 1e-30)
+    diam = max(k.diameter, abs(a) * l.diameter, 1e-30)
     verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
     return EqualityCertificate(dr, float(a), v, sup_res, verdict,
                                DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD,

@@ -6,9 +6,11 @@ over the directions z in the support of the (lower-dimensional) surface
 measure of M inside w^perp. These half circles, with shared poles at +-w,
 are the edges of a graph.MetricGraph, the degenerate metric graph of M, so
 the Galerkin assembly, S_{B,M} and the residual's sup scan are those of the
-full-dimensional pipeline. The spectrum is fully explicit:
-lambda_k = (1 - k^2)/3 with multiplicities 1, m, m, ... where m is the
-number of support atoms.
+full-dimensional pipeline. Their directions and masses are read off M's own
+tables: a polygon's outward edge normals (its fan) with its edge lengths and
+the area of its sides, a segment's two vertices. The spectrum is fully
+explicit: lambda_k = (1 - k^2)/3 with multiplicities 1, m, m, ... where m is
+the number of support atoms.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import quadrature as quad
-from .bodies import (Polytope, SupportEvaluator, _row_norms,
+from .bodies import (Polytope, SupportEvaluator, _row_dots, _row_norms,
                      as_unit_vector, classify_trivial, minkowski_sum, segment,
                      support_data, unit)
 from .errors import (BadParam, DimensionError, InsufficientSpectrum,
@@ -37,13 +38,14 @@ HYPERPLANE_TOL = 1e-9
 @dataclass(frozen=True)
 class LowerDimProblem:
     """M in w^perp together with the atoms of its surface measure inside the
-    hyperplane: mass masses[j] at the unit direction directions[j] (edge
-    normals for a polygon, the two endpoint directions for a segment), held
-    as the bouquet of half circles they span, a metric graph: vertices +-w
-    (DOFs 0 and 1 of its assembly) and, per atom, the half circle
+    hyperplane: mass masses[j] at the unit direction directions[j] (for a
+    polygon, its outward edge normals in edge order with the edge lengths;
+    for a segment, the two directions normal to it, each with its length),
+    held as the bouquet of half circles they span, a metric graph: vertices
+    +-w (DOFs 0 and 1 of its assembly, of mass the polygon's area, 0 for a
+    segment) and, per atom, the half circle
     theta -> w cos(theta) + directions[j] sin(theta) of weight masses[j]."""
     m: Polytope
-    dim_m: int
     graph: MetricGraph
 
     @property
@@ -70,12 +72,6 @@ class LowerDimProblem:
         return float(np.linalg.norm(self.masses @ self.directions))
 
 
-def _plane_basis(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pick = np.eye(3)[int(np.argmin(np.abs(w)))]
-    b1 = unit(np.cross(w, pick))
-    return b1, np.cross(w, b1)
-
-
 def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
     """Validate M - M in w^perp, dim M in {1, 2}, and extract the atoms."""
     w = as_unit_vector(w)
@@ -84,14 +80,11 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
     scale = max(m.scale, 1e-30)
     if np.abs(off).max() > HYPERPLANE_TOL * scale:
         raise DimensionError("M is not contained in a translate of w^perp")
-    dim = m.dim
-    if dim not in (1, 2):
+    if m.dim not in (1, 2):
         raise DimensionError(
-            f"lower-dimensional pipeline needs dim M in {{1, 2}}, got {dim}")
-    if dim == 1:
-        ends = verts[[np.argmin(verts @ (verts[-1] - verts[0])),
-                      np.argmax(verts @ (verts[-1] - verts[0]))]]
-        d = ends[1] - ends[0]
+            f"lower-dimensional pipeline needs dim M in {{1, 2}}, got {m.dim}")
+    if m.dim == 1:
+        d = verts[1] - verts[0]
         length = float(np.linalg.norm(d))
         z = unit(np.cross(w, d))  # in-plane normal perpendicular to the segment
         # normals of the degenerate "polygon": the two in-plane directions
@@ -100,20 +93,18 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
         directions, masses = np.array([z, -z]), np.array([length, length])
         area = 0.0
     else:
-        b1, b2 = _plane_basis(w)
-        pts2 = np.column_stack([verts @ b1, verts @ b2])
-        ch = ConvexHull(pts2)
-        cyc = pts2[ch.vertices]  # counterclockwise
-        d = np.roll(cyc, -1, axis=0) - cyc
-        masses = _row_norms(d)
-        n2 = np.column_stack([d[:, 1], -d[:, 0]]) / masses[:, None]  # outward, ccw
-        directions, area = n2[:, :1] * b1 + n2[:, 1:] * b2, ch.volume
+        # the outward edge normals, taken into w^perp: M's own plane may
+        # tilt from it within the containment tolerance above
+        out = m.fan[:len(m.edges), 1]
+        out = out - _row_dots(out, w)[:, None] * w
+        directions = out / _row_norms(out)[:, None]
+        masses, area = m.edges.lengths, m.facets.areas[0]
     j = len(masses)
     graph = MetricGraph(np.array([w, -w]), np.array([area, area]),
                         np.tile([0, 1], (j, 1)), masses,
                         quad.Arcs(np.tile(w, (j, 1)), directions,
                                   np.full(j, np.pi)))
-    p = LowerDimProblem(m, dim, graph)
+    p = LowerDimProblem(m, graph)
     if p.balance_residual() > 1e-9 * p.total_mass():
         raise NumericalFailure("edge-normal atoms do not balance")
     return p
@@ -251,7 +242,7 @@ def cylinder_limit_check(p: LowerDimProblem, f: SupportEvaluator,
     """Degenerate-cylinder consistency: the full-dimensional graph integral
     over M + eps[0, w] converges at first order in eps to the
     lower-dimensional half-circle formula."""
-    if p.dim_m != 2:
+    if p.m.dim != 2:
         raise DimensionError("cylinder check needs a 2-dimensional base")
     for eps in eps_seq:
         if eps <= 0:

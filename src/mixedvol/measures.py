@@ -15,7 +15,9 @@ else: they differ in the hull (raw triangles against merged facets), in the
 atoms and, in general, in the slot that holds the support function. The
 all-sums polarization of hull volumes in the tests is independent of both.
 No hull is needed when two slots hold the same polytope P: V(X, P, P) is a
-sum over the facets of P.
+sum over the facets of P. Every route reads the surface area measure S_P off
+P's facet table, in every dimension: one atom per facet of a 3-polytope, the
+two sides of a polygon, none for a segment or a point.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
                      _row_norms, _sum_dim, _triangle_areas, hull,
-                     minkowski_sum, unit)
+                     minkowski_sum)
 from .errors import BadSpec, DegenerateInput
 from .graph import build_graph
 from .quadrature import SphericalMeasure, integrate_against_measure
@@ -109,8 +111,9 @@ def mixed_volume(k: Body, l: Body, m: Body) -> float:
     center) and scaled to unit size (max-abs, radius), and the product of
     the scales is multiplied back in, so rescaling one body costs no digits
     against the others; a ball X is then the unit ball, h_X(u) = |u|. A flat
-    K+L+M gives exactly 0. A flat A+B enters through its two planar atoms,
-    or none. At most one slot may hold a Ball (V(B, B, M) is mv3's)."""
+    K+L+M gives exactly 0. A flat A+B enters through its facet table: its
+    two sides, or none. At most one slot may hold a Ball (V(B, B, M) is
+    mv3's)."""
     bodies = (k, l, m)
     balls = [j for j, b in enumerate(bodies) if isinstance(b, Ball)]
     if len(balls) > 1:
@@ -129,9 +132,11 @@ def mixed_volume(k: Body, l: Body, m: Body) -> float:
         v = _support_sum(x, qh.equations[:, :3],
                          _triangle_areas(sums[qh.simplices]))
     else:
-        v = _support_sum(x, *_surface_atoms_any(hull(sums)))
+        f = hull(sums).facets
+        v = _support_sum(x, f.normals, f.areas)
     for j in (ia, ib):
-        v -= _support_sum(x, *_surface_atoms_any(bodies[j])) / scales[j] ** 2
+        f = bodies[j].facets
+        v -= _support_sum(x, f.normals, f.areas) / scales[j] ** 2
     return scales[0] * scales[1] * scales[2] * v / 6.0
 
 
@@ -148,24 +153,6 @@ def area_measure(p: Polytope) -> SphericalMeasure:
     return SphericalMeasure(p.facets.normals, p.facets.areas)
 
 
-def _surface_atoms_any(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and masses of the surface area measure's atoms, lower
-    dimensions included (dim 2 gives the two-sided planar atoms; dim <= 1 is
-    the zero measure)."""
-    if p.dim == 3:
-        return p.facets.normals, p.facets.areas
-    if p.dim == 2:
-        # centered and at unit size, so that unit()'s absolute floor is far
-        v = p.vertices - p.centroid
-        s = np.abs(v).max()
-        v = v / s
-        vec = 0.5 * np.sum(np.cross(v, np.roll(v, -1, axis=0)), axis=0)
-        area = s * s * float(np.linalg.norm(vec))
-        n = unit(vec)
-        return np.array([n, -n]), np.array([area, area])
-    return np.zeros((0, 3)), np.zeros(0)
-
-
 def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     """S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)], merged and verified nonnegative.
 
@@ -178,9 +165,9 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     if dl == 0.0 or dm == 0.0:
         return SphericalMeasure()
     l, m = l.centered().scaled(1.0 / dl), m.centered().scaled(1.0 / dm)
-    parts = [_surface_atoms_any(b) for b in (minkowski_sum(l, m), l, m)]
-    raw = np.concatenate([c * a for c, (_, a) in zip((0.5, -0.5, -0.5), parts)])
-    dirs, masses = merge_atoms(np.concatenate([u for u, _ in parts]), raw)
+    parts = [b.facets for b in (minkowski_sum(l, m), l, m)]
+    raw = np.concatenate([c * f.areas for c, f in zip((0.5, -0.5, -0.5), parts)])
+    dirs, masses = merge_atoms(np.concatenate([f.normals for f in parts]), raw)
     # the masses that cancel, not their small net total, set the rounding
     SphericalMeasure(dirs, masses).validate_nonnegative(sum(np.abs(raw).tolist()))
     keep = masses > 0.0
@@ -244,7 +231,7 @@ def mixed_volume_xpp(x: Body, p: Polytope) -> float:
     center): the linear part <c, u> integrates to 0 over the balanced S_P,
     and summed as it sits it cancels only to about eps |c| S(P)."""
     xc = x if isinstance(x, Ball) else x.vertices - x.centroid
-    return _support_sum(xc, *_surface_atoms_any(p)) / 3.0
+    return _support_sum(xc, p.facets.normals, p.facets.areas) / 3.0
 
 
 def _v_xxm(x: Body, m: Polytope) -> float:
@@ -264,7 +251,7 @@ def classical_functionals(k: Polytope) -> tuple[float, float, float]:
 
     The surface area 3 V(B,K,K) is the total mass of S_K."""
     ball = Ball(np.zeros(3), 1.0)
-    s = sum(_surface_atoms_any(k)[1].tolist())
+    s = sum(k.facets.areas.tolist())
     w = (3.0 / (2.0 * np.pi)) * mv3(ball, ball, k)
     return k.volume, s, w
 

@@ -436,6 +436,88 @@ def test_hull_requires_full_dim_flag(unit_square):
         B.hull(unit_square.vertices, require_full_dim=True)
 
 
+def _rotated_cube_face(shift):
+    cube = B.hull((B.cube().vertices - 0.5) @ TILT.T + [shift, 0.0, 0.0])
+    return cube.face(cube.facets.normals[0])
+
+
+GON7 = np.random.default_rng(7).uniform(0, 2 * np.pi, 7)
+PLANAR = {
+    "square": lambda: B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                       [1, 1, 0]], dtype=float)),
+    "hexagon": lambda: B.hull(np.column_stack([
+        np.cos(np.arange(6) * np.pi / 3), np.sin(np.arange(6) * np.pi / 3),
+        np.zeros(6)])),
+    # seven points of an ellipse in a tilted plane, all of them vertices
+    "7-gon": lambda: B.hull(np.column_stack([
+        2.0 * np.cos(GON7), np.sin(GON7), np.zeros(7)]) @ TILT.T
+        + [0.3, -1.0, 2.0]),
+    "rotated cube face at 1e6": lambda: _rotated_cube_face(1e6),
+}
+
+
+def _assert_same_planar_tables(p, q):
+    """p and q hold the same vertices, sides and boundary ring, to the
+    rounding of their coordinates, whichever vertex each ring starts at and
+    whichever way it runs."""
+    assert p.dim == q.dim == 2
+    assert len(p.vertices) == len(q.vertices) == len(p.edges)
+    scale = max(p.scale, q.scale)
+    rel = 1e-13 * scale / p.diameter
+    # q's vertex of each of p's vertices
+    at = np.argmin(np.linalg.norm(p.vertices[:, None] - q.vertices, axis=2), axis=1)
+    assert sorted(at.tolist()) == list(range(len(at)))
+    assert np.allclose(p.vertices, q.vertices[at], rtol=0, atol=rel * p.diameter)
+    # q's side of each of p's sides
+    side = [0, 1] if p.facets.normals[0] @ q.facets.normals[0] > 0 else [1, 0]
+    assert np.allclose(p.facets.normals, q.facets.normals[side], rtol=0, atol=rel)
+    assert np.allclose(p.facets.offsets, q.facets.offsets[side], rtol=0,
+                       atol=rel * scale)
+    assert np.allclose(p.facets.areas, q.facets.areas, rtol=rel, atol=0)
+    ring = {frozenset(e): l for e, l in zip(at[p.edges.vertices].tolist(),
+                                            p.edges.lengths)}
+    theirs = {frozenset(e): l for e, l in zip(q.edges.vertices.tolist(),
+                                             q.edges.lengths)}
+    assert ring.keys() == theirs.keys()
+    assert all(abs(ring[e] - theirs[e]) <= rel * p.diameter for e in ring)
+
+
+@pytest.mark.parametrize("name", list(PLANAR))
+def test_planar_hull_holds_its_two_sides_and_its_boundary(name):
+    p = PLANAR[name]()
+    f, e, nv = p.facets, p.edges, len(p.vertices)
+    assert p.dim == 2
+    assert len(f) == 2 and len(e) == nv
+    assert nv - len(e) + len(f) == 2
+    assert np.array_equal(e.facets, np.tile([0, 1], (nv, 1)))
+    assert np.array_equal(e.vertices, np.column_stack(
+        [np.arange(nv), np.roll(np.arange(nv), -1)]))
+    assert np.array_equal(f.normals[1], -f.normals[0])
+    c = p.centroid
+    assert np.allclose(f.offsets, p.support(f.normals), rtol=0,
+                       atol=1e-14 * p.scale)
+    # the polygon in coordinates of its plane, for 2-D Qhull: there volume
+    # is the area and area the perimeter
+    basis = np.linalg.svd(p.vertices - c)[2][:2]
+    ref = ConvexHull((p.vertices - c) @ basis.T)
+    assert np.all(np.abs(f.areas - ref.volume) <= 1e-13 * ref.volume)
+    assert abs(sum(e.lengths.tolist()) - ref.area) <= 1e-13 * ref.area
+    out = p.fan[:nv, 1]
+    for end in (0, 1):
+        assert np.all(B._row_dots(out, p.vertices[e.vertices[:, end]] - c) > 0)
+    for v in ([3.0, -2.0, 1e3], -p.centroid):
+        _assert_same_planar_tables(p.translate(v), B.hull(p.vertices + v))
+    for k in (2.5, 1e-3):
+        _assert_same_planar_tables(p.scaled(k), B.hull(k * p.vertices))
+
+
+def test_segment_and_point_keep_tables_of_zero_rows(unit_segment):
+    for p in (unit_segment, B.hull(np.array([[1.0, 2.0, 3.0]] * 3))):
+        assert len(p.facets) == len(p.edges) == 0
+        assert p.facets.normals.shape == (0, 3)
+        assert p.edges.vertices.shape == (0, 2)
+
+
 def _slab(t: float, count: int = 30, seed: int = 0) -> np.ndarray:
     """Gaussian points squashed to thickness t in z."""
     pts = np.random.default_rng(seed).standard_normal((count, 3))

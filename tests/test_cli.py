@@ -51,6 +51,10 @@ def test_parse_polytope_errors(tmp_path):
     missing.write_text(json.dumps({"points": [[0, 0, 0]]}))
     with pytest.raises(cli.InputError, match="vertices"):
         cli.parse_polytope(str(missing))
+    boolean = tmp_path / "bool.json"
+    boolean.write_text('{"vertices": [[true, false, 0], [0,1,0], [0,0,1], [1,1,1]]}')
+    with pytest.raises(cli.InputError, match="vertices"):
+        cli.parse_polytope(str(boolean))
 
 
 def test_flat_input_gives_exit_2(tmp_path, capsys):

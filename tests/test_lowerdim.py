@@ -26,7 +26,7 @@ def hexagon(side: float = 1.0) -> B.Polytope:
 
 def test_setup_square_atoms(unit_square):
     p = LD.lowerdim_setup(unit_square, W)
-    assert p.dim_m == 2
+    assert p.m.dim == 2
     assert p.multiplicity == 4
     dirs = sorted(tuple(np.round(z, 9)) for z in p.directions)
     assert dirs == [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
@@ -37,7 +37,7 @@ def test_setup_square_atoms(unit_square):
 
 def test_setup_segment_atoms(unit_segment):
     p = LD.lowerdim_setup(unit_segment, W)
-    assert p.dim_m == 1
+    assert p.m.dim == 1
     assert p.multiplicity == 2
     for z, mass in zip(p.directions, p.masses):
         assert abs(abs(z[1]) - 1.0) < 1e-12   # +-e2, perpendicular to e1

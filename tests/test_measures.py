@@ -197,9 +197,8 @@ def _merge_atoms_reference(raw):
 
 def _raw_mixed_atoms(l, m):
     """The unmerged atoms of S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)]."""
-    return ([(u, 0.5 * a) for u, a in zip(*MS._surface_atoms_any(B.minkowski_sum(l, m)))]
-            + [(u, -0.5 * a) for u, a in zip(*MS._surface_atoms_any(l))]
-            + [(u, -0.5 * a) for u, a in zip(*MS._surface_atoms_any(m))])
+    return [(u, c * a) for c, p in ((0.5, B.minkowski_sum(l, m)), (-0.5, l), (-0.5, m))
+            for u, a in zip(p.facets.normals, p.facets.areas)]
 
 
 def _chain_atoms():
