@@ -20,11 +20,10 @@ from .graph import (DiscretizedForm, KernelReport, MetricGraph,
                     PoincareReport, SpectrumResult, StructuralReport,
                     assemble, build_graph, edge_poincare_check, form_value,
                     kernel_analysis, sbm_and_mu, spectrum, structural_checks)
-from .lowerdim import (ClusterReport, CylinderLimitReport, LowerDimProblem,
-                       LowerEqualityCertificate, LowerSpectrumReport,
+from .lowerdim import (ClusterReport, CylinderLimitReport, LowerSpectrumReport,
                        assemble_lowerdim, certify_equality_lowerdim,
                        cylinder_limit_check, explicit_spectrum,
-                       lowerdim_setup, sbm_lowerdim, verify_spectrum)
+                       lowerdim_setup, verify_spectrum)
 from .measures import (DeficitReport, area_measure, classical_functionals,
                        merge_atoms, mixed_area_measure, mixed_volume,
                        mixed_volume_via_measure, mixed_volume_xpp, mv3,

@@ -275,20 +275,28 @@ def cmd_spectrum(args):
     return rep, 0
 
 
-def cmd_certify_full(args):
-    k, l = parse_body(args.K), parse_body(args.L)
-    m = require_full_dim(parse_body(args.M), "M")
-    cert = X.certify_equality_fulldim(k, l, m)
-    rep = base_report(args, "certify-full",
-                      {"K": args.K, "L": args.L, "M": args.M})
+def certificate_report(args, command: str, params: dict, cert,
+                       coefficients: dict) -> tuple:
+    """The report of an equality certificate, its values led by the
+    coefficients of its criterion."""
+    rep = base_report(args, command, params)
+    rep["values"].update(coefficients)
     rep["values"].update({
-        "a": cert.a, "v": cert.v.tolist(),
         "deficit": cert.deficit_report.deficit,
-        "scale": cert.scale, "sup_residual": cert.sup_residual,
+        "scale": cert.deficit_report.scale, "sup_residual": cert.sup_residual,
         "diameter": cert.diameter,
     })
     rep["verdicts"]["verdict"] = cert.verdict
     return rep, 0 if cert.verdict != "inconclusive" else 1
+
+
+def cmd_certify_full(args):
+    k, l = parse_body(args.K), parse_body(args.L)
+    m = require_full_dim(parse_body(args.M), "M")
+    cert = X.certify_equality_fulldim(k, l, m)
+    return certificate_report(args, "certify-full",
+                              {"K": args.K, "L": args.L, "M": args.M}, cert,
+                              {"a": cert.a, "v": cert.v.tolist()})
 
 
 def cmd_certify_lower(args):
@@ -296,15 +304,10 @@ def cmd_certify_lower(args):
     m = parse_body(args.M)
     w = parse_direction(args.w)
     cert = LD.certify_equality_lowerdim(k, l, m, w)
-    rep = base_report(args, "certify-lower",
-                      {"K": args.K, "L": args.L, "M": args.M, "w": args.w})
-    rep["values"].update({
-        "c": cert.c, "deficit": cert.deficit_report.deficit,
-        "scale": cert.scale, "sup_residual": cert.sup_residual,
-        "diameter": cert.diameter,
-    })
-    rep["verdicts"]["verdict"] = cert.verdict
-    return rep, 0 if cert.verdict != "inconclusive" else 1
+    return certificate_report(
+        args, "certify-lower",
+        {"K": args.K, "L": args.L, "M": args.M, "w": args.w}, cert,
+        {"c": cert.a})
 
 
 def cmd_stability(args):
@@ -338,16 +341,16 @@ def cmd_rigidity(args):
 def cmd_lower_spectrum(args):
     m = parse_body(args.M)
     w = parse_direction(args.w)
-    p = LD.lowerdim_setup(m, w)
+    g = LD.lowerdim_setup(m, w)
     tol = args.tol
     if tol is None:
         # twice the a-priori P1 eigenvalue error k^4 h^2 / 36 at k = kmax
         tol = 2.0 * args.kmax ** 4 * args.mesh_h ** 2 / 36.0
-    r = LD.verify_spectrum(p, args.kmax, args.mesh_h, tol)
+    r = LD.verify_spectrum(g, args.kmax, args.mesh_h, tol)
     rep = base_report(args, "lower-spectrum",
                       {"M": args.M, "w": args.w, "kmax": args.kmax,
                        "mesh_h": args.mesh_h, "tol": tol})
-    rep["values"]["multiplicity"] = p.multiplicity
+    rep["values"]["multiplicity"] = len(g.edges)
     rep["values"]["eigen_residual_max"] = r.eigen_residual_max
     rep["values"]["clusters"] = [
         {"k": c.k, "predicted": c.predicted,
@@ -441,28 +444,34 @@ def suite_rigidity(seed: int) -> tuple[bool, dict]:
     return bool(r.holds), {"lhs": r.lhs, "rhs": r.rhs, "margin": r.margin}
 
 
-def suite_certify(seed: int) -> tuple[bool, dict]:
-    rng = np.random.default_rng(seed)
-    l = _rand_poly(seed)
-    m = _rand_poly(seed + 1)
-    if seed % 2 == 0:
-        # constructed equality instance: K = a L + v
-        a = float(rng.uniform(0.5, 2.0))
-        k = B.hull(a * l.vertices + rng.standard_normal(3))
-        expect = "equality"
-    else:
-        k = _rand_poly(seed + 2)
-        expect = None   # random: require verdict to agree with the deficit
-    cert = X.certify_equality_fulldim(k, l, m)
+def verdict_check(cert, expect_equality: bool = False) -> tuple[bool, dict]:
+    """Whether a certificate's verdict agrees with its deficit: equality
+    exactly when the deficit is small, and never inconclusive (for a
+    constructed equality instance: equality, with a small deficit)."""
     dr = cert.deficit_report
     deficit_small = dr.deficit <= X.DEFICIT_THRESHOLD * dr.scale
-    if expect == "equality":
+    if expect_equality:
         ok = cert.verdict == "equality" and deficit_small
     else:
         ok = ((cert.verdict == "equality") == deficit_small
               and cert.verdict != "inconclusive")
     return ok, {"verdict": cert.verdict, "deficit": dr.deficit,
                 "scale": dr.scale, "sup_residual": cert.sup_residual}
+
+
+def suite_certify(seed: int) -> tuple[bool, dict]:
+    rng = np.random.default_rng(seed)
+    l = _rand_poly(seed)
+    m = _rand_poly(seed + 1)
+    expect_equality = seed % 2 == 0
+    if expect_equality:
+        # constructed equality instance: K = a L + v
+        a = float(rng.uniform(0.5, 2.0))
+        k = B.hull(a * l.vertices + rng.standard_normal(3))
+    else:
+        k = _rand_poly(seed + 2)
+    return verdict_check(X.certify_equality_fulldim(k, l, m),
+                         expect_equality)
 
 
 def suite_classical(seed: int) -> tuple[bool, dict]:
@@ -486,13 +495,7 @@ def suite_lower(seed: int) -> tuple[bool, dict]:
     k = _rand_poly(seed + 1)
     l = _rand_poly(seed + 2)
     w = np.array([0.0, 0.0, 1.0])
-    cert = LD.certify_equality_lowerdim(k, l, m, w)
-    dr = cert.deficit_report
-    deficit_small = dr.deficit <= X.DEFICIT_THRESHOLD * dr.scale
-    ok = ((cert.verdict == "equality") == deficit_small
-          and cert.verdict != "inconclusive")
-    return ok, {"verdict": cert.verdict, "deficit": dr.deficit,
-                "scale": dr.scale, "sup_residual": cert.sup_residual}
+    return verdict_check(LD.certify_equality_lowerdim(k, l, m, w))
 
 
 SUITES = {

@@ -7,6 +7,7 @@ quantitative rigidity inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -86,19 +87,19 @@ def weak_stability_check(k: Body, l: Body, m: Polytope) -> StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Equality certification (full-dimensional M)
+# Equality certification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EqualityCertificate:
+    """The deficit against a residual on supp S_{B,M}: h_K - a h_L - <v,.>
+    for full-dimensional M; for M in w^perp the face criterion
+    h_K + h_{F(aL,w)} - h_{aL} - h_{F(K,w)}, with v None."""
     deficit_report: DeficitReport
-    a: float
-    v: np.ndarray
-    sup_residual: float      # sup over supp S_{B,M} of |h_K - a h_L - <v,.>|
+    a: float                 # V(K,L,M)/V(L,L,M)
+    v: np.ndarray | None
+    sup_residual: float      # sup over supp S_{B,M} of |residual|
     verdict: str             # equality | strict | inconclusive
-    deficit_threshold: float
-    residual_threshold: float
-    scale: float
     diameter: float
 
 
@@ -112,6 +113,25 @@ def _verdict(deficit: float, scale: float, sup_res: float, diam: float) -> str:
     if large:
         return "strict"
     return "inconclusive"
+
+
+def certify(k: Body, l: Body, m: Polytope,
+            residual: Callable[[float], tuple]) -> EqualityCertificate:
+    """The verdict step of both certifiers: with a = V(K,L,M)/V(L,L,M),
+    residual(a) gives (v, the residual restricted to the arcs of
+    supp S_{B,M}); equality holds iff the deficit and the residual's sup
+    both vanish."""
+    dr = quadratic_deficit(k, l, m)
+    if dr.v_ll <= 0 or classify_trivial(k, l, m).v_llm_zero:
+        raise ZeroDenominator(
+            "V(L, L, M) = 0: route through classify_trivial instead")
+    a = dr.v_kl / dr.v_ll
+    v, resid = residual(a)
+    sup_res = sup_on_sbm(resid)
+    diam = max(k.diameter, abs(a) * l.diameter, 1e-30)
+    return EqualityCertificate(dr, float(a), v, sup_res,
+                               _verdict(dr.deficit, dr.scale, sup_res, diam),
+                               diam)
 
 
 def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator
@@ -150,20 +170,8 @@ def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertifica
     vanishes on supp S_{B,M} (the closure of 1-extreme normal directions)."""
     if m.dim < 3:
         raise DegenerateInput("use the lower-dimensional certifier")
-    dr = quadratic_deficit(k, l, m)
-    if dr.v_ll <= 0 or classify_trivial(k, l, m).v_llm_zero:
-        raise ZeroDenominator(
-            "V(L, L, M) = 0: route through classify_trivial instead")
-    a = dr.v_kl / dr.v_ll
-    g = build_graph(m)
-    delta = SupportEvaluator.of(k) + SupportEvaluator.of(l, -a)
-    v, resid = fit_linear_on_sbm(g, delta)
-    sup_res = sup_on_sbm(resid)
-    diam = max(k.diameter, abs(a) * l.diameter, 1e-30)
-    verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
-    return EqualityCertificate(dr, float(a), v, sup_res, verdict,
-                               DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD,
-                               dr.scale, diam)
+    return certify(k, l, m, lambda a: fit_linear_on_sbm(
+        build_graph(m), SupportEvaluator.of(k) + SupportEvaluator.of(l, -a)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,11 @@ class MetricGraph:
     """Vertices are facet normals; edge e is arc e of arcs, from
     normals[edges[e, 0]] to normals[edges[e, 1]].
 
-    For M inside w^perp (lowerdim.LowerDimProblem.graph) the vertices are
-    the poles +-w, with the area of M each, and every edge is a half circle
-    of length pi from w through a unit normal z_j of M inside the plane,
-    weighted by the mass of that normal; parallel edges share the pair
-    (0, 1)."""
+    For M inside w^perp (the bouquet that lowerdim.lowerdim_setup returns)
+    the vertices are the poles +-w, with the area of M each, and every edge
+    is a half circle of length pi from w through a unit normal z_j of M
+    inside the plane, weighted by the mass of that normal; parallel edges
+    share the pair (0, 1)."""
     normals: np.ndarray     # (F, 3) facet normals
     areas: np.ndarray       # (F,) facet areas, the masses of S_M
     edges: np.ndarray       # (E, 2) ascending facet pairs

@@ -3,14 +3,16 @@
 When M has dimension 1 or 2 inside w^perp, the measure S_{B,M} concentrates
 on the half great circles theta -> iota(theta, z) = w cos(theta) + z sin(theta)
 over the directions z in the support of the (lower-dimensional) surface
-measure of M inside w^perp. These half circles, with shared poles at +-w,
-are the edges of a graph.MetricGraph, the degenerate metric graph of M, so
-the Galerkin assembly, S_{B,M} and the residual's sup scan are those of the
-full-dimensional pipeline. Their directions and masses are read off M's own
-tables: a polygon's outward edge normals (its fan) with its edge lengths and
-the area of its sides, a segment's two vertices. The spectrum is fully
-explicit: lambda_k = (1 - k^2)/3 with multiplicities 1, m, m, ... where m is
-the number of support atoms.
+measure of M inside w^perp. lowerdim_setup returns these half circles, with
+shared poles at +-w, as a plain graph.MetricGraph, the degenerate metric
+graph of M, so the Galerkin assembly, S_{B,M} (its sbm) and the residual's
+sup scan are those of the full-dimensional pipeline. Their directions and
+masses are read off M's own tables: a polygon's outward edge normals (its
+fan) with its edge lengths and the area of its sides, a segment's two
+vertices. Equality is certified by extremal.certify, the verdict step that
+both certifiers share, with the face criterion as the residual. The
+spectrum is fully explicit: lambda_k = (1 - k^2)/3 with multiplicities
+1, m, m, ... where m is the number of support atoms, the graph's edges.
 """
 
 from __future__ import annotations
@@ -22,63 +24,33 @@ import numpy as np
 
 from . import quadrature as quad
 from .bodies import (Polytope, SupportEvaluator, _row_dots, _row_norms,
-                     as_unit_vector, classify_trivial, minkowski_sum, segment,
-                     support_data, unit)
+                     as_unit_vector, minkowski_sum, segment, support_data,
+                     unit)
 from .errors import (BadParam, DimensionError, InsufficientSpectrum,
-                     NumericalFailure, ZeroDenominator)
-from .extremal import (DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD, _verdict,
-                       sup_on_sbm)
+                     NumericalFailure)
+from .extremal import EqualityCertificate, certify
 from .graph import (DiscretizedForm, MetricGraph, assemble, build_graph,
                     spectrum)
-from .measures import DeficitReport, quadratic_deficit
 
 HYPERPLANE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LowerDimProblem:
-    """M in w^perp together with the atoms of its surface measure inside the
-    hyperplane: mass masses[j] at the unit direction directions[j] (for a
-    polygon, its outward edge normals in edge order with the edge lengths;
-    for a segment, the two directions normal to it, each with its length),
-    held as the bouquet of half circles they span, a metric graph: vertices
-    +-w (DOFs 0 and 1 of its assembly, of mass the polygon's area, 0 for a
-    segment) and, per atom, the half circle
-    theta -> w cos(theta) + directions[j] sin(theta) of weight masses[j]."""
-    m: Polytope
-    graph: MetricGraph
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.graph.normals[0]
-
-    @property
-    def directions(self) -> np.ndarray:
-        """(j, 3) unit directions in w^perp."""
-        return self.graph.arcs.tangents
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self.graph.weights
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.masses)
-
-    def total_mass(self) -> float:
-        return sum(self.masses.tolist())
-
-    def balance_residual(self) -> float:
-        return float(np.linalg.norm(self.masses @ self.directions))
-
-
-def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
-    """Validate M - M in w^perp, dim M in {1, 2}, and extract the atoms."""
+def lowerdim_setup(m: Polytope, w) -> MetricGraph:
+    """Validate M - M in w^perp, dim M in {1, 2}, and build the bouquet of
+    half circles: vertices +-w (DOFs 0 and 1 of its assembly, of mass the
+    polygon's area, 0 for a segment) and, per atom of M's surface measure
+    inside the plane, the half circle theta -> w cos(theta) + z sin(theta)
+    of weight its mass (for a polygon, its outward edge normals in edge
+    order with the edge lengths; for a segment, the two directions normal
+    to it, each with its length)."""
     w = as_unit_vector(w)
     verts = m.vertices
-    off = (verts - verts[0]) @ w
-    scale = max(m.scale, 1e-30)
-    if np.abs(off).max() > HYPERPLANE_TOL * scale:
+    # heights about the centroid, to within HYPERPLANE_TOL times M's extent
+    # plus the rounding of the coordinates along w, as in Polytope.face
+    x = verts - m.centroid
+    tol = (HYPERPLANE_TOL * np.abs(x).max()
+           + 4 * np.finfo(float).eps * (np.abs(verts) @ np.abs(w)).max())
+    if np.abs(x @ w).max() > tol:
         raise DimensionError("M is not contained in a translate of w^perp")
     if m.dim not in (1, 2):
         raise DimensionError(
@@ -100,26 +72,19 @@ def lowerdim_setup(m: Polytope, w) -> LowerDimProblem:
         directions = out / _row_norms(out)[:, None]
         masses, area = m.edges.lengths, m.facets.areas[0]
     j = len(masses)
-    graph = MetricGraph(np.array([w, -w]), np.array([area, area]),
-                        np.tile([0, 1], (j, 1)), masses,
-                        quad.Arcs(np.tile(w, (j, 1)), directions,
-                                  np.full(j, np.pi)))
-    p = LowerDimProblem(m, graph)
-    if p.balance_residual() > 1e-9 * p.total_mass():
+    g = MetricGraph(np.array([w, -w]), np.array([area, area]),
+                    np.tile([0, 1], (j, 1)), masses,
+                    quad.Arcs(np.tile(w, (j, 1)), directions,
+                              np.full(j, np.pi)))
+    if g.vertex_balance_residuals().max() > 1e-9 * g.total_weight():
         raise NumericalFailure("edge-normal atoms do not balance")
-    return p
+    return g
 
 
-def sbm_lowerdim(p: LowerDimProblem, f: SupportEvaluator) -> float:
-    """int f dS_{B,M} = (1/2) sum_j mass_j int_0^pi f(iota(theta, z_j)) dtheta,
-    exact. Equals 3 V(B, K, M) when f = h_K."""
-    return quad.integrate_against_measure(f, p.graph.sbm)
-
-
-def assemble_lowerdim(p: LowerDimProblem, h: float) -> DiscretizedForm:
+def assemble_lowerdim(g: MetricGraph, h: float) -> DiscretizedForm:
     """Hat-function Galerkin matrices on the bouquet of half circles, whose
     poles +-w are DOFs 0 and 1, shared by every half circle."""
-    return assemble(p.graph, h)
+    return assemble(g, h)
 
 
 @dataclass(frozen=True)
@@ -149,13 +114,14 @@ def explicit_spectrum(k_max: int, multiplicity: int) -> list[tuple[float, int]]:
             for k in range(k_max + 1)]
 
 
-def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
+def verify_spectrum(g: MetricGraph, k_max: int, h: float,
                     tol: float) -> LowerSpectrumReport:
     """Compare the discretized spectrum against the explicit clusters."""
     if k_max < 1:
         raise BadParam(f"need at least the k = 1 cluster, got k_max={k_max}")
-    form = assemble_lowerdim(p, h)
-    predicted = explicit_spectrum(k_max, p.multiplicity)
+    form = assemble_lowerdim(g, h)
+    multiplicity = len(g.edges)
+    predicted = explicit_spectrum(k_max, multiplicity)
     needed = sum(mult for _, mult in predicted)
     if form.size <= needed:
         raise InsufficientSpectrum(
@@ -163,7 +129,7 @@ def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
             "decrease the mesh size")
     # ARPACK can return a multiple eigenvalue at the end of the window with
     # a copy missing, so the request covers the whole next cluster too
-    spec = spectrum(form, min(needed + p.multiplicity, form.size - 1))
+    spec = spectrum(form, min(needed + multiplicity, form.size - 1))
     vals = spec.eigenvalues[:needed]  # descending
     clusters = []
     worst = 0.0
@@ -181,47 +147,30 @@ def verify_spectrum(p: LowerDimProblem, k_max: int, h: float,
 # Equality certification (lower-dimensional M)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LowerEqualityCertificate:
-    deficit_report: DeficitReport
-    c: float                   # V(K,L,M)/V(L,L,M)
-    sup_residual: float        # sup |h_K + h_{F(cL,w)} - h_{cL} - h_{F(K,w)}|
-    verdict: str               # equality | strict | inconclusive
-    deficit_threshold: float
-    residual_threshold: float
-    scale: float
-    diameter: float
-
-
 def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
-                              w) -> LowerEqualityCertificate:
-    """Certify equality through the face criterion: with c = V(K,L,M)/V(L,L,M),
-    equality holds iff h_K + h_{F(cL, w)} = h_{cL} + h_{F(K, w)} on supp S_{B,M}."""
-    p = lowerdim_setup(m, w)
-    dr = quadratic_deficit(k, l, m)
-    if dr.v_ll <= 0 or classify_trivial(k, l, m).v_llm_zero:
-        raise ZeroDenominator(
-            "V(L, L, M) = 0: route through classify_trivial instead")
-    c = dr.v_kl / dr.v_ll
-    lt = l.scaled(c)
-    _, face_lt = support_data(lt, p.w)
-    _, face_k = support_data(k, p.w)
-    # the residual is unchanged when K or cL moves, its face with it, so it
-    # is taken with each about its centroid, where the sum keeps its digits;
-    # only after the faces, since the face tolerance covers the rounding of
-    # the coordinates as given
-    a, b = -k.centroid, -lt.centroid
-    resid = (SupportEvaluator.of(k.translate(a))
-             + SupportEvaluator.of(face_lt.translate(b))
-             + SupportEvaluator.of(lt.translate(b), -1.0)
-             + SupportEvaluator.of(face_k.translate(a), -1.0))
-    (r,) = quad.restrict(p.graph.arcs, resid)
-    sup_res = sup_on_sbm(r)
-    diam = max(k.diameter, abs(c) * l.diameter, 1e-30)
-    verdict = _verdict(dr.deficit, dr.scale, sup_res, diam)
-    return LowerEqualityCertificate(dr, float(c), sup_res, verdict,
-                                    DEFICIT_THRESHOLD, RESIDUAL_THRESHOLD,
-                                    dr.scale, diam)
+                              w) -> EqualityCertificate:
+    """Certify equality through the face criterion: with a = V(K,L,M)/V(L,L,M),
+    equality holds iff h_K + h_{F(aL, w)} = h_{aL} + h_{F(K, w)} on supp S_{B,M}."""
+    g = lowerdim_setup(m, w)
+    w = g.normals[0]
+
+    def face_residual(a):
+        lt = l.scaled(a)
+        _, face_lt = support_data(lt, w)
+        _, face_k = support_data(k, w)
+        # the residual is unchanged when K or aL moves, its face with it, so
+        # it is taken with each about its centroid, where the sum keeps its
+        # digits; only after the faces, since the face tolerance covers the
+        # rounding of the coordinates as given
+        ck, cl = -k.centroid, -lt.centroid
+        resid = (SupportEvaluator.of(k.translate(ck))
+                 + SupportEvaluator.of(face_lt.translate(cl))
+                 + SupportEvaluator.of(lt.translate(cl), -1.0)
+                 + SupportEvaluator.of(face_k.translate(ck), -1.0))
+        (r,) = quad.restrict(g.arcs, resid)
+        return None, r
+
+    return certify(k, l, m, face_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +186,23 @@ class CylinderLimitReport:
     ratios: tuple[float, ...]             # decay factors error_i / error_{i+1}
 
 
-def cylinder_limit_check(p: LowerDimProblem, f: SupportEvaluator,
+def cylinder_limit_check(m: Polytope, w, f: SupportEvaluator,
                          eps_seq: Sequence[float]) -> CylinderLimitReport:
     """Degenerate-cylinder consistency: the full-dimensional graph integral
     over M + eps[0, w] converges at first order in eps to the
     lower-dimensional half-circle formula."""
-    if p.m.dim != 2:
+    if m.dim != 2:
         raise DimensionError("cylinder check needs a 2-dimensional base")
     for eps in eps_seq:
         if eps <= 0:
             raise DimensionError(
                 "eps must be positive: at eps = 0 the cylinder is degenerate "
                 "and has no metric graph")
-    limit = sbm_lowerdim(p, f)
+    g = lowerdim_setup(m, w)
+    limit = quad.integrate_against_measure(f, g.sbm)
     values = []
     for eps in eps_seq:
-        cyl = minkowski_sum(p.m, segment(np.zeros(3), eps * p.w))
+        cyl = minkowski_sum(m, segment(np.zeros(3), eps * g.normals[0]))
         values.append(quad.integrate_against_measure(f, build_graph(cyl).sbm))
     errors = [abs(v - limit) for v in values]
     ratios = tuple(errors[i] / errors[i + 1] if errors[i + 1] > 1e-300 else np.inf

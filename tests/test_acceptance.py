@@ -151,7 +151,7 @@ def test_06_equality_certification_fulldim():
     eq = X.certify_equality_fulldim(B.truncate_vertex(cube, 0, 0.1),
                                     cube, cube)
     eq_ok = (eq.verdict == "equality"
-             and eq.deficit_report.deficit <= 1e-10 * eq.scale
+             and eq.deficit_report.deficit <= 1e-10 * eq.deficit_report.scale
              and eq.sup_residual <= 1e-8 * eq.diameter)
     deep = X.certify_equality_fulldim(
         B.truncate_vertex(cube, 0, 0.8, vertex_only=False), cube, cube)
@@ -246,7 +246,7 @@ def test_10_lowerdim_equality():
     seg = B.segment([0, 0, 0], [1, 0, 0])
     sheared = B.shear(cube, [1, 0, 0], [0, 0, 1], 0.3)
     eq = LD.certify_equality_lowerdim(cube, sheared, seg, W)
-    eq_ok = (eq.deficit_report.deficit <= 1e-10 * eq.scale
+    eq_ok = (eq.deficit_report.deficit <= 1e-10 * eq.deficit_report.scale
              and eq.sup_residual <= 1e-8 and eq.verdict == "equality")
     # counterexample: L = K + N with N a segment in w-perp not parallel to M
     # (a segment parallel to M has V(K,N,M) = 0 and is itself an equality pair)
@@ -269,8 +269,7 @@ def test_11_cylinder_limit():
     """Graph mass of the thin cylinder converges to 2 pi at first order."""
     sq = B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
                          dtype=float))
-    p = LD.lowerdim_setup(sq, W)
-    rep = LD.cylinder_limit_check(p, SupportEvaluator.constant_one(),
+    rep = LD.cylinder_limit_check(sq, W, SupportEvaluator.constant_one(),
                                   [0.2, 0.1, 0.05, 0.025])
     ok = (abs(rep.limit_value - 2 * np.pi) < 1e-12
           and all(1.7 <= r <= 2.3 for r in rep.ratios))

@@ -6,6 +6,8 @@ import pytest
 
 from mixedvol import bodies as B
 from mixedvol import cli
+from mixedvol import extremal as X
+from mixedvol import lowerdim as LD
 from mixedvol.graph import build_graph
 
 
@@ -110,6 +112,71 @@ def test_certify_lower_shear(capsys):
                                 "--w", "0,0,1"])
     assert code == 0
     assert json.loads(out)["verdicts"]["verdict"] == "equality"
+
+
+# ---------------------------------------------------------------------------
+# Report keys, and their values against the library objects
+# ---------------------------------------------------------------------------
+
+SECTIONS = {"command", "seed", "params", "values", "margins", "verdicts",
+            "wall_time"}
+
+
+def test_certify_full_report_is_the_certificate(capsys):
+    code, out, _ = run(capsys, ["certify-full", "--K", "trunc:0.1",
+                                "--L", "cube", "--M", "cube"])
+    doc = json.loads(out)
+    assert set(doc) == SECTIONS
+    assert set(doc["params"]) == {"K", "L", "M"}
+    assert doc["margins"] == {}
+    cert = X.certify_equality_fulldim(
+        *(cli.parse_body(s) for s in ("trunc:0.1", "cube", "cube")))
+    assert doc["values"] == {
+        "a": cert.a, "v": cert.v.tolist(),
+        "deficit": cert.deficit_report.deficit,
+        "scale": cert.deficit_report.scale,
+        "sup_residual": cert.sup_residual, "diameter": cert.diameter}
+    assert doc["verdicts"] == {"verdict": cert.verdict}
+    assert code == 0
+
+
+def test_certify_lower_report_is_the_certificate(capsys):
+    code, out, _ = run(capsys, ["certify-lower", "--K", "cube",
+                                "--L", "ball@2", "--M", "square"])
+    doc = json.loads(out)
+    assert set(doc) == SECTIONS
+    assert set(doc["params"]) == {"K", "L", "M", "w"}
+    assert doc["margins"] == {}
+    cert = LD.certify_equality_lowerdim(
+        *(cli.parse_body(s) for s in ("cube", "ball@2", "square")), [0, 0, 1])
+    assert cert.v is None
+    assert cert.a != pytest.approx(1.0)
+    assert doc["values"] == {
+        "c": cert.a, "deficit": cert.deficit_report.deficit,
+        "scale": cert.deficit_report.scale,
+        "sup_residual": cert.sup_residual, "diameter": cert.diameter}
+    assert doc["verdicts"] == {"verdict": cert.verdict}
+    assert code == 0
+
+
+def test_lower_spectrum_report_is_the_spectrum(capsys):
+    h = np.pi / 60
+    code, out, _ = run(capsys, ["lower-spectrum", "--M", "segment",
+                                "--kmax", "3", "--mesh-h", str(h)])
+    doc = json.loads(out)
+    assert set(doc) == SECTIONS
+    assert set(doc["params"]) == {"M", "w", "kmax", "mesh_h", "tol"}
+    g = LD.lowerdim_setup(cli.parse_body("segment"), [0, 0, 1])
+    rep = LD.verify_spectrum(g, 3, h, doc["params"]["tol"])
+    assert doc["values"] == {
+        "multiplicity": len(g.edges),
+        "eigen_residual_max": rep.eigen_residual_max,
+        "clusters": [{"k": c.k, "predicted": c.predicted,
+                      "observed": list(c.observed)} for c in rep.clusters]}
+    assert doc["values"]["multiplicity"] == 2
+    assert doc["margins"] == {"worst_deviation": rep.worst_deviation}
+    assert doc["verdicts"] == {"ok": rep.ok}
+    assert code == 0
 
 
 @pytest.mark.parametrize("w, axis", [

@@ -117,7 +117,7 @@ def test_certify_truncated_cube_equality(unit_cube):
     k = B.truncate_vertex(unit_cube, 0, 0.1)
     cert = X.certify_equality_fulldim(k, unit_cube, unit_cube)
     assert cert.verdict == "equality"
-    assert cert.deficit_report.deficit <= 1e-10 * cert.scale
+    assert cert.deficit_report.deficit <= 1e-10 * cert.deficit_report.scale
     assert cert.sup_residual <= 1e-8 * cert.diameter
 
 
@@ -125,7 +125,7 @@ def test_certify_deep_truncation_strict(unit_cube):
     k = B.truncate_vertex(unit_cube, 0, 0.8, vertex_only=False)
     cert = X.certify_equality_fulldim(k, unit_cube, unit_cube)
     assert cert.verdict == "strict"
-    assert cert.deficit_report.deficit > 1e-6 * cert.scale
+    assert cert.deficit_report.deficit > 1e-6 * cert.deficit_report.scale
     assert cert.sup_residual > 1e-4 * cert.diameter
 
 

@@ -59,8 +59,8 @@ ARC_SETS = {
        for n in ("rand10s0", "rand10s1", "cube", "simplex", "ball@1", "ball@2")},
     "graph:sphere30": lambda: G.build_graph(_sphere_hull(30, 30)).arcs,
     # half circles of length pi through the poles +-w
-    "bouquet:square": lambda: LD.lowerdim_setup(TERMS["square"](), W).graph.arcs,
-    "bouquet:polygon6": lambda: LD.lowerdim_setup(_plane_polygon(6, 3), W).graph.arcs,
+    "bouquet:square": lambda: LD.lowerdim_setup(TERMS["square"](), W).arcs,
+    "bouquet:polygon6": lambda: LD.lowerdim_setup(_plane_polygon(6, 3), W).arcs,
 }
 
 
@@ -237,12 +237,12 @@ def test_lowerdim_certificate_matches_the_loop(seed):
     m = _plane_polygon(4 + seed % 4, seed)
     k, l = B.random_hull(10, seed + 1), B.random_hull(10, seed + 2)
     cert = LD.certify_equality_lowerdim(k, l, m, W)
-    p = LD.lowerdim_setup(m, W)
-    lt = l.scaled(cert.c)
+    g = LD.lowerdim_setup(m, W)
+    lt = l.scaled(cert.a)
     resid = (B.SupportEvaluator.of(k) + B.SupportEvaluator.of(lt.face(W))
              + B.SupportEvaluator.of(lt, -1.0) + B.SupportEvaluator.of(k.face(W), -1.0))
     ref = 0.0
-    for fr in _frames(p.graph.arcs):
+    for fr in _frames(g.arcs):
         cuts = np.array([0.0, *loop_breakpoints(resid, fr), fr.lengths[0]])
         t = np.linspace(cuts[:-1], cuts[1:], X.NODES_PER_SEGMENT)
         ref = max(ref, float(np.abs(resid(fr.points(0, t))).max()))
@@ -250,8 +250,8 @@ def test_lowerdim_certificate_matches_the_loop(seed):
     # S_{B,M} integrals over the half circles
     fk = B.SupportEvaluator.of(k)
     ref = sum(0.5 * mass * _loop_pair(fk, B.SupportEvaluator.constant_one(), fr)[0]
-              for mass, fr in zip(p.masses.tolist(), _frames(p.graph.arcs)))
-    assert _close(LD.sbm_lowerdim(p, fk), ref)
+              for mass, fr in zip(g.weights.tolist(), _frames(g.arcs)))
+    assert _close(quad.integrate_against_measure(fk, g.sbm), ref)
 
 
 def test_integrals_over_no_arcs_are_empty():

@@ -324,9 +324,9 @@ def test_mass_not_positive_definite_is_numerical_failure(unit_cube, how):
 # square, a unit segment and a regular hexagon, each at two mesh sizes
 PATTERN_GRAPHS = {
     **{name: (lambda name=name: G.build_graph(body(name))) for name in BODIES},
-    "square": lambda: LD.lowerdim_setup(B.hull(SQUARE), W).graph,
-    "segment": lambda: LD.lowerdim_setup(B.segment([0, 0, 0], [1, 0, 0]), W).graph,
-    "hexagon": lambda: LD.lowerdim_setup(_ngon(6), W).graph,
+    "square": lambda: LD.lowerdim_setup(B.hull(SQUARE), W),
+    "segment": lambda: LD.lowerdim_setup(B.segment([0, 0, 0], [1, 0, 0]), W),
+    "hexagon": lambda: LD.lowerdim_setup(_ngon(6), W),
 }
 
 
@@ -354,7 +354,7 @@ def test_high_degree_vertex_matches_coo_reference_to_rounding():
     # a pole of the 20-gon bouquet has 41 entries in its row; there the COO
     # route summed its 20 diagonal terms in the order its unstable sort left
     # them, and assemble sums them in element order
-    g = LD.lowerdim_setup(_ngon(20), W).graph
+    g = LD.lowerdim_setup(_ngon(20), W)
     h = np.pi / 60
     form = G.assemble(g, h)
     for new, ref in zip((form.e_matrix, form.mass), reference_matrices(g, h)):

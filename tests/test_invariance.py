@@ -108,7 +108,7 @@ def _inconclusive_case():
 
 def _assert_inconclusive(bodies):
     cert = X.certify_equality_fulldim(*bodies)
-    deficit = cert.deficit_report.deficit / cert.scale
+    deficit = cert.deficit_report.deficit / cert.deficit_report.scale
     assert X.DEFICIT_THRESHOLD < deficit <= 10 * X.DEFICIT_THRESHOLD
     assert cert.verdict == "inconclusive"
 
