@@ -193,11 +193,15 @@ class Polytope:
         coordinates along u. Heights are taken about the centroid, so a
         body far from the origin gains no vertices below its face."""
         u = np.asarray(u, dtype=float)
-        x = self.vertices - self.centroid
-        vals = x @ u
-        tol = (FACE_TOL * np.abs(x).max()
-               + 4 * np.finfo(float).eps * (np.abs(self.vertices) @ np.abs(u)).max())
-        return hull(self.vertices[vals >= vals.max() - tol])
+        vals = (self.vertices - self.centroid) @ u
+        return hull(self.vertices[vals >= vals.max() - self._height_tol(u)])
+
+    def _height_tol(self, u: np.ndarray) -> float:
+        """FACE_TOL times the extent about the centroid, plus the rounding of
+        the vertex coordinates along u: a height tolerance that does not
+        depend on where the body sits."""
+        return (FACE_TOL * np.abs(self.vertices - self.centroid).max()
+                + 4 * np.finfo(float).eps * (np.abs(self.vertices) @ np.abs(u)).max())
 
     # -- transforms --------------------------------------------------------
 
@@ -562,7 +566,7 @@ def truncate_vertex(p: Polytope, vertex_id: int, depth: float,
     dirs = p.vertices[vertex_id] - p.vertices[ends[at[:, ::-1]]]
     u = unit((dirs / _row_norms(dirs)[:, None]).sum(axis=0))
     c = float(p.support(u)) - depth
-    tol = FACE_TOL * max(p.scale, 1.0)
+    tol = p._height_tol(u)
     vals = p.vertices @ u
     removed = np.flatnonzero(vals > c + tol)
     if vertex_id not in removed:

@@ -14,7 +14,11 @@ by shift-invert Lanczos on the standard symmetric form
 R^T (E - sigma M)^{-1} R, where M = R R^T, so each Lanczos step is one sparse
 solve and no mass-matrix product. The forms are symmetric, so their CSR arrays
 are also their CSC arrays: SuperLU (Li, ACM TOMS 2005) gets them as they are,
-and R is read off the arrays of SuperLU's L.
+and R is read off the arrays of SuperLU's L. Both M and E - sigma M are
+factored in SuperLU's symmetric mode, one minimum-degree ordering for rows and
+columns and the diagonal pivots as they come. That is stable because M is
+positive definite and E - sigma M = -((sigma - 1/3) M + K/6), with K the PSD
+stiffness, is negative definite; it also fills less than partial pivoting.
 """
 
 from __future__ import annotations
@@ -273,14 +277,22 @@ def _as_csc(a: scipy.sparse.csr_array) -> scipy.sparse.csc_array:
     return scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
 
 
+def _symmetric_lu(a: scipy.sparse.csr_array) -> scipy.sparse.linalg.SuperLU:
+    """SuperLU of a symmetric array in symmetric mode: a minimum-degree
+    ordering of A + A^T applied to rows and columns alike, and the diagonal
+    pivots taken as they come. No row interchange is made, so the array
+    must be definite (positive or negative) for the pivots to be stable."""
+    return scipy.sparse.linalg.splu(
+        _as_csc(a), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
+
+
 def _mass_factor(mass: CSRMatrix) -> scipy.sparse.csc_array:
     """R with M = R R^T, from a symmetric-mode LU of M: with diagonal
     pivots, P M P^T = L U and U = diag(d) L^T, so R = P^T L diag(sqrt d).
     R is built on the CSC arrays of L: column j scaled by sqrt(d_j), row
     perm_c[i] of L moved to row i."""
-    lu = scipy.sparse.linalg.splu(
-        _as_csc(mass), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True})
+    lu = _symmetric_lu(mass)
     d = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(d > 0)):
         raise NumericalFailure("mass matrix is not positive definite")
@@ -303,7 +315,10 @@ def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
 
     The form must be symmetric, as assemble's forms are: the CSR arrays of
     M and of E - SHIFT M go to SuperLU as CSC arrays, which for a symmetric
-    matrix hold the same matrix."""
+    matrix hold the same matrix. It must also have E = M/3 - K/6 with K
+    positive semidefinite, as assemble's forms do: then
+    E - SHIFT M = -((SHIFT - 1/3) M + K/6) is negative definite, and both
+    factorizations take their diagonal pivots with no row interchange."""
     n = form.size
     if k < 1:
         raise BadParam(f"need at least one eigenpair, got k={k}")
@@ -312,8 +327,7 @@ def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
             f"{n} DOFs cannot resolve {k} eigenpairs; decrease the mesh size")
     try:
         r = _mass_factor(form.mass)
-        lu = scipy.sparse.linalg.splu(
-            _as_csc(form.e_matrix - SHIFT * form.mass))
+        lu = _symmetric_lu(form.e_matrix - SHIFT * form.mass)
     except RuntimeError as exc:          # SuperLU: factor is exactly singular
         raise NumericalFailure(f"factorization failed: {exc}") from exc
     rt = r.T                  # the CSR view of the same arrays

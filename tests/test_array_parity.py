@@ -43,7 +43,8 @@ def ref_truncate_points(p, vertex_id, depth):
             dirs.append(B.unit(v0 - p.vertices[other]))
     u = B.unit(np.sum(dirs, axis=0))
     c = float(p.support(u)) - depth
-    tol = B.FACE_TOL * max(p.scale, 1.0)
+    tol = (B.FACE_TOL * np.abs(p.vertices - p.centroid).max()
+           + 4 * np.finfo(float).eps * (np.abs(p.vertices) @ np.abs(u)).max())
     vals = p.vertices @ u
     if vals[vertex_id] <= c + tol:
         raise BadSpec("truncation depth too small to separate the vertex")

@@ -267,6 +267,36 @@ def test_spectrum_matches_dense_oracle(name):
     assert np.array_equal(G.spectrum(form, k).eigenvalues, spec.eigenvalues)
 
 
+# the CLI's kmax range on four bodies (trunc:0.1 is the unit cube with vertex
+# 0 cut at depth 0.1) at h = pi/n: 40 cases, one dense eigh per mesh
+SWEEP_NS = (20, 32, 48, 72, 100)
+
+
+@pytest.mark.parametrize("name", ["cube", "simplex", "ball@1", "trunc:0.1"])
+def test_spectrum_sweep_matches_dense_oracle(name):
+    g = G.build_graph(body(name))
+    for n in SWEEP_NS:
+        form = G.assemble(g, np.pi / n)
+        dense = scipy.linalg.eigh(form.e_matrix.toarray(), form.mass.toarray(),
+                                  eigvals_only=True)[::-1]
+        for k in (4, 8):
+            err = np.abs(G.spectrum(form, k).eigenvalues - dense[:k]).max()
+            assert err <= 1e-9, (n, k, err)
+
+
+@pytest.mark.xfail(reason="ROADMAP item 5: ARPACK returns too few copies "
+                   "of a multiple eigenvalue, and spectrum does not count "
+                   "the window")
+def test_spectrum_window_is_complete_on_cube():
+    # mixedvol spectrum --M cube --mesh-h 0.1308996938995747 --kmax 12
+    # (h = pi/24, N = 138): dense eigh has six copies of -1.007633 at
+    # positions 6-11, and spectrum returns four
+    form = G.assemble(G.build_graph(B.cube()), 0.1308996938995747)
+    dense = scipy.linalg.eigh(form.e_matrix.toarray(), form.mass.toarray(),
+                              eigvals_only=True)[::-1][:12]
+    assert np.abs(G.spectrum(form, 12).eigenvalues - dense).max() <= 1e-9
+
+
 def test_spectrum_argument_checks(unit_cube):
     form = G.assemble(G.build_graph(unit_cube), np.pi / 20)
     for k in (0, -1):

@@ -17,6 +17,7 @@ from mixedvol import bodies as B
 from mixedvol import extremal as X
 from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
+from mixedvol.errors import BadSpec
 
 from conftest import body, rel_err
 
@@ -145,6 +146,17 @@ def test_facet_sum_invariant_under_a_far_translation(s):
     assert rel_err(MS.mixed_volume_xpp(B.Ball(t, 1.0), k),
                    MS.mixed_volume_xpp(B.Ball(np.zeros(3), 1.0), k)) <= TOL
     assert X.certify_equality_fulldim(k, k.scaled(2.0), m).verdict == "equality"
+
+
+@pytest.mark.parametrize("s", [0.0, 1e6, 1e8])
+def test_truncate_vertex_depth_does_not_depend_on_position(s):
+    # the separation tolerance is taken about the centroid, as Polytope.face
+    # takes it, so a cut of depth 1e-6 is made wherever the cube sits
+    cube = B.cube().translate(s * np.array([1.0, 0.3, 0.0]))
+    cut = B.truncate_vertex(cube, 0, 1e-6)
+    assert (len(cut.vertices), len(cut.facets)) == (10, 7)
+    with pytest.raises(BadSpec):
+        B.truncate_vertex(cube, 0, 1e-15)
 
 
 # ---------------------------------------------------------------------------
