@@ -7,7 +7,7 @@ from .bodies import (Ball, Body, Edges, Facets, Polytope, SupportEvaluator,
                      TrivialityReport, affine_dim, approximate_ball,
                      as_unit_vector, classify_trivial, cube, enclosing_radii,
                      hull, minkowski_sum, random_hull, segment, shear,
-                     simplex, support_data, truncate_vertex, unit, unit_ball)
+                     simplex, truncate_vertex, unit, unit_ball)
 from .errors import (BadMesh, BadParam, BadSpec, DegenerateInput,
                      DimensionError, InsufficientSpectrum, MixedVolError,
                      NegativeMass, NumericalFailure, QuadratureFailure,
@@ -24,8 +24,8 @@ from .lowerdim import (ClusterReport, CylinderLimitReport, LowerSpectrumReport,
                        assemble_lowerdim, certify_equality_lowerdim,
                        cylinder_limit_check, explicit_spectrum,
                        lowerdim_setup, verify_spectrum)
-from .measures import (DeficitReport, area_measure, classical_functionals,
-                       merge_atoms, mixed_area_measure, mixed_volume,
+from .measures import (DeficitReport, classical_functionals, merge_atoms,
+                       mixed_area_measure, mixed_volume,
                        mixed_volume_via_measure, mixed_volume_xpp, mv3,
                        quadratic_deficit, vbbm_conewise)
 from .quadrature import (ArcRestriction, Arcs, SphericalMeasure,

@@ -112,15 +112,22 @@ class Polytope:
     """Convex polytope given by its extreme points and its facet and edge
     tables; the facet rows are the atoms of its surface area measure S_P.
 
+    It is held in its own frame: vertices = origin + local, and the facet
+    offsets are support values about origin. hull puts origin at the vertex
+    centroid, translate moves origin alone (exact, tables untouched), and
+    face keeps its parent's origin.
+
     A polygon holds the tables of a degenerate 3-polytope: its two sides
     +-n as facets, each of its area, and its boundary ring as edges between
     facets 0 and 1, so V - E + F = 2. A segment or a point holds none.
     """
 
-    def __init__(self, vertices: np.ndarray, facets: Facets, edges: Edges,
-                 dim: int, name: str = ""):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.vertices.setflags(write=False)
+    def __init__(self, origin: np.ndarray, local: np.ndarray, facets: Facets,
+                 edges: Edges, dim: int, name: str = ""):
+        self.origin = np.asarray(origin, dtype=float)
+        self.local = np.asarray(local, dtype=float)
+        self.origin.setflags(write=False)
+        self.local.setflags(write=False)
         self.facets = facets
         self.edges = edges
         self.dim = int(dim)
@@ -129,15 +136,20 @@ class Polytope:
     # -- basic queries ----------------------------------------------------
 
     @cached_property
+    def vertices(self) -> np.ndarray:
+        v = self.origin + self.local
+        v.setflags(write=False)
+        return v
+
+    @cached_property
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
     @cached_property
     def diameter(self) -> float:
-        v = self.vertices
-        if len(v) == 1:
+        if len(self.local) == 1:
             return 0.0
-        return float(pdist(v).max())
+        return float(pdist(self.local).max())
 
     @cached_property
     def scale(self) -> float:
@@ -164,9 +176,8 @@ class Polytope:
             return self.facets.normals[self.edges.facets]
         if self.dim == 0:
             return np.zeros((0, 2, 3))
-        # centered and at unit size, so that unit()'s absolute floor is far
-        v = self.vertices - self.centroid
-        v = v / np.abs(v).max()
+        # at unit size, so that unit()'s absolute floor is far
+        v = self.local / np.abs(self.local).max()
         if self.dim == 2:
             d = np.roll(v, -1, axis=0) - v
             pole = self.facets.normals[0]
@@ -181,35 +192,41 @@ class Polytope:
         return np.stack([ring, np.roll(ring, -1, axis=0)], axis=1)
 
     def support(self, u) -> Union[float, np.ndarray]:
-        """h_K(u) = max over vertices of <v, u>; u may be (..., 3)."""
+        """h_K(u) = <origin, u> + max over local rows; u may be (..., 3)."""
         u = np.asarray(u, dtype=float)
-        vals = u @ self.vertices.T
-        out = vals.max(axis=-1)
+        out = u @ self.origin + self._local_support(u)
         return float(out) if out.ndim == 0 else out
+
+    def _local_support(self, u: np.ndarray) -> np.ndarray:
+        return (u @ self.local.T).max(axis=-1)
 
     def face(self, u) -> "Polytope":
         """F(K, u): the sub-polytope of maximizers of <., u>, to within
         FACE_TOL times the body's extent, plus the rounding of the vertex
-        coordinates along u. Heights are taken about the centroid, so a
-        body far from the origin gains no vertices below its face."""
+        coordinates along u. Heights are taken on the local rows, so a body
+        far from the origin gains no vertices below its face. The face keeps
+        K's origin, so that the linear parts of h_K - h_{F(K,u)} cancel
+        exactly."""
         u = np.asarray(u, dtype=float)
-        vals = (self.vertices - self.centroid) @ u
-        return hull(self.vertices[vals >= vals.max() - self._height_tol(u)])
+        vals = self.local @ u
+        f = hull(self.local[vals >= vals.max() - self._height_tol(u)])
+        facets = replace(f.facets, offsets=f.facets.offsets
+                         + _row_dots(f.facets.normals, f.origin))
+        return Polytope(self.origin, f.vertices, facets, f.edges, f.dim)
 
     def _height_tol(self, u: np.ndarray) -> float:
-        """FACE_TOL times the extent about the centroid, plus the rounding of
+        """FACE_TOL times the extent of the local rows, plus the rounding of
         the vertex coordinates along u: a height tolerance that does not
         depend on where the body sits."""
-        return (FACE_TOL * np.abs(self.vertices - self.centroid).max()
+        return (FACE_TOL * np.abs(self.local).max()
                 + 4 * np.finfo(float).eps * (np.abs(self.vertices) @ np.abs(u)).max())
 
     # -- transforms --------------------------------------------------------
 
     def translate(self, v) -> "Polytope":
-        v = np.asarray(v, dtype=float)
-        f = self.facets
-        facets = replace(f, offsets=f.offsets + _row_dots(f.normals, v))
-        return Polytope(self.vertices + v, facets, self.edges, self.dim, self.name)
+        """K + v: origin moves, and the local rows and tables stay K's."""
+        return Polytope(self.origin + np.asarray(v, dtype=float), self.local,
+                        self.facets, self.edges, self.dim, self.name)
 
     def scaled(self, c: float) -> "Polytope":
         if c <= 0:
@@ -217,13 +234,11 @@ class Polytope:
         f, e = self.facets, self.edges
         facets = replace(f, offsets=c * f.offsets, areas=c * c * f.areas)
         edges = replace(e, lengths=c * e.lengths)
-        return Polytope(c * self.vertices, facets, edges, self.dim, self.name)
-
-    def centered(self) -> "Polytope":
-        return self.translate(-self.centroid)
+        return Polytope(c * self.origin, c * self.local, facets, edges,
+                        self.dim, self.name)
 
     def __repr__(self):
-        return (f"Polytope({self.name or 'unnamed'}: {len(self.vertices)}V/"
+        return (f"Polytope({self.name or 'unnamed'}: {len(self.local)}V/"
                 f"{len(self.edges)}E/{len(self.facets)}F, dim={self.dim})")
 
 
@@ -240,8 +255,11 @@ class Ball:
 
     def support(self, u) -> Union[float, np.ndarray]:
         u = np.asarray(u, dtype=float)
-        out = u @ self.center + self.radius * np.linalg.norm(u, axis=-1)
+        out = u @ self.center + self._local_support(u)
         return float(out) if out.ndim == 0 else out
+
+    def _local_support(self, u: np.ndarray) -> np.ndarray:
+        return self.radius * np.linalg.norm(u, axis=-1)
 
     def face(self, u) -> Polytope:
         u = as_unit_vector(u)
@@ -268,10 +286,11 @@ def unit_ball() -> Ball:
 # ---------------------------------------------------------------------------
 
 class SupportEvaluator:
-    """Formal combination sum_i c_i * h_{Body_i} + <shift, .>.
-
-    Positively homogeneous of degree 1; linear combinations of support
-    functions extend the mixed-volume functionals by linearity.
+    """Formal combination <shift, .> + sum_i c_i h_{B_i - o_i}, o_i the
+    origin of a polytope B_i or the center of a ball B_i: of() puts c o_i
+    into shift, so far bodies' linear parts cancel there before any local
+    part is added. Positively homogeneous of degree 1; linear combinations
+    of support functions extend the mixed-volume functionals by linearity.
     """
 
     def __init__(self, terms: Sequence[tuple[float, Body]] = (), shift=(0.0, 0.0, 0.0)):
@@ -280,21 +299,18 @@ class SupportEvaluator:
 
     @classmethod
     def of(cls, body: Body, coef: float = 1.0) -> "SupportEvaluator":
-        return cls([(coef, body)])
+        o = body.center if isinstance(body, Ball) else body.origin
+        return cls([(coef, body)], shift=coef * o)
 
     @classmethod
     def linear(cls, v) -> "SupportEvaluator":
         return cls([], shift=v)
 
-    @classmethod
-    def constant_one(cls) -> "SupportEvaluator":
-        return cls([(1.0, unit_ball())])
-
     def __call__(self, u) -> Union[float, np.ndarray]:
         u = np.asarray(u, dtype=float)
         out = u @ self.shift
         for c, b in self.terms:
-            out = out + c * b.support(u)
+            out = out + c * b._local_support(u)
         return float(out) if np.ndim(out) == 0 else out
 
     def __add__(self, other: "SupportEvaluator") -> "SupportEvaluator":
@@ -356,7 +372,8 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
 def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
     c = pts.mean(axis=0)
     if dim == 0:
-        return Polytope(pts[:1].copy(), NO_FACETS, NO_EDGES, 0, name)
+        return Polytope(pts[0].copy(), np.zeros((1, 3)), NO_FACETS, NO_EDGES, 0,
+                        name)
     centered = pts - c
     # orthonormal basis of the affine span
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -367,31 +384,31 @@ def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
         verts = pts[idx]
         if np.linalg.norm(verts[0] - verts[1]) < 1e-14:
             verts = verts[:1]
-        return Polytope(verts, NO_FACETS, NO_EDGES, 1 if len(verts) == 2 else 0,
-                        name)
+        c = verts.mean(axis=0)
+        return Polytope(c, verts - c, NO_FACETS, NO_EDGES,
+                        1 if len(verts) == 2 else 0, name)
     try:
         qh = ConvexHull(coords)
     except QhullError as exc:  # pragma: no cover - guarded by affine_dim
         raise DegenerateInput(str(exc)) from exc
     # Qhull returns a 2-D hull's vertices in cyclic order. They run
     # counterclockwise about n, the direction of the area vector
-    # (1/2) sum_i v_i x v_{i+1}, taken centered and at unit size so that
-    # unit()'s absolute floor is far.
+    # (1/2) sum_i v_i x v_{i+1}, taken about the vertex centroid c and at
+    # unit size so that unit()'s absolute floor is far. The sides pass
+    # through c, so their offsets about it are 0.
     verts = pts[qh.vertices]
     nv, c = len(verts), verts.mean(axis=0)
     nxt = np.roll(np.arange(nv), -1)
-    v = verts - c
-    s = np.abs(v).max()
-    v = v / s
+    local = verts - c
+    s = np.abs(local).max()
+    v = local / s
     vec = 0.5 * np.sum(np.cross(v, v[nxt]), axis=0)
     n, area = unit(vec), s * s * float(np.linalg.norm(vec))
-    h = float(n @ c)
-    facets = Facets(np.array([n, -n]), np.array([h, -h]),
-                    np.array([area, area]))
+    facets = Facets(np.array([n, -n]), np.zeros(2), np.array([area, area]))
     edges = Edges(np.tile(np.arange(2), (nv, 1)),
                   np.stack([np.arange(nv), nxt], axis=1),
                   _row_norms(verts[nxt] - verts))
-    return Polytope(verts, facets, edges, 2, name)
+    return Polytope(c, local, facets, edges, 2, name)
 
 
 def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:
@@ -427,7 +444,10 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:
     # the areas cancels in the ratio
     if not 2.0 * (heights @ areas) >= FLAT_WIDTH * 3.0 * areas.sum():
         return None
-    facets = Facets(normals, s * heights + _row_dots(normals, c), areas)
+    # the polytope's frame: its vertex centroid o, about which the offsets
+    # are taken
+    o = verts.mean(axis=0)
+    facets = Facets(normals, s * heights - _row_dots(normals, o - c), areas)
 
     # edges: one ridge each, taken from its lower facet's side in (triangle,
     # slot) order; every ridge between two facets is seen from that side
@@ -445,7 +465,7 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:
         raise NumericalFailure(
             "Euler check failed after facet merging: "
             f"V={nv} E={len(edges)} F={len(normals)}")
-    return Polytope(verts, facets, edges, 3, name)
+    return Polytope(o, verts - o, facets, edges, 3, name)
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +485,15 @@ def sum_vertices(bodies: Sequence[Polytope]) -> np.ndarray:
     return pts
 
 
-def support_data(body: Body, u) -> tuple[float, Polytope]:
-    """(h_K(u), F(K, u)): support value and face of maximizers."""
-    u = as_unit_vector(u)
-    return float(body.support(u)), body.face(u)
-
-
 def _sum_dim(bodies: Sequence[Body]) -> int:
     """Affine dimension of the Minkowski sum: the rank of the summands'
     direction spans together. A flat summand spans the first dim right
-    singular vectors of its own centered vertices, unit rows, so that a
+    singular vectors of its local rows less the first, unit rows, so that a
     small summand is not lost against a large one and a single summand
     reads its own dim."""
     if any(isinstance(b, Ball) or b.dim == 3 for b in bodies):
         return 3
-    spans = [np.linalg.svd(b.vertices - b.centroid)[2][:b.dim] for b in bodies]
+    spans = [np.linalg.svd(b.local - b.local[0])[2][:b.dim] for b in bodies]
     return affine_dim(np.vstack([np.zeros((1, 3))] + spans))
 
 
@@ -518,14 +532,15 @@ def classify_trivial(k: Body, l: Body, m: Body) -> TrivialityReport:
 
 
 def enclosing_radii(m: Polytope) -> tuple[float, float]:
-    """(r, R) with rB <= M - centroid <= RB, about the vertex centroid."""
+    """(r, R) with rB <= M - o <= RB about M's origin o (the vertex
+    centroid, for a polytope hull builds): the least facet offset and the
+    largest local row."""
     if m.dim < 3:
         raise DegenerateInput("enclosing_radii requires a full-dimensional polytope")
-    c = m.centroid
-    r = (m.facets.offsets - _row_dots(m.facets.normals, c)).min()
-    big_r = float(np.linalg.norm(m.vertices - c, axis=1).max())
+    r = m.facets.offsets.min()
+    big_r = float(np.linalg.norm(m.local, axis=1).max())
     if r <= 0:
-        raise NumericalFailure("vertex centroid is not interior")
+        raise NumericalFailure("the polytope's origin is not interior")
     return float(r), big_r
 
 

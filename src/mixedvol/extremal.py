@@ -20,7 +20,6 @@ from .measures import DeficitReport, mixed_volume_xpp, quadratic_deficit
 
 DEFICIT_THRESHOLD = 1e-9      # relative to max(vKL^2, vKK*vLL)
 RESIDUAL_THRESHOLD = 1e-6     # relative to the instance diameter
-NODES_PER_SEGMENT = 17        # sup_on_sbm nodes per smooth segment, ends included
 
 
 @dataclass(frozen=True)
@@ -37,19 +36,19 @@ class StabilityWitness:
 def stability_witness(k: Body, l: Body, m: Polytope) -> StabilityWitness:
     """Optimal (a, v) for the weighted deficit witness on supp S_{M,M}.
 
-    a = V(K,M,M)/V(L,M,M); v solves the G_M-weighted normal equations. M is
-    re-centered on its vertex centroid (mixed volumes are unaffected)."""
+    a = V(K,M,M)/V(L,M,M); v solves the G_M-weighted normal equations, whose
+    weights take the offsets about M's origin (mixed volumes are unaffected)."""
     if m.dim < 3:
         raise DegenerateInput("stability witness requires full-dimensional M")
-    mc = m.centered()
+    r, big_r = enclosing_radii(m)
     v_lmm = mixed_volume_xpp(l, m)
     # V(L, M, M) = 0 for full-dimensional M exactly when L is a point
     l_is_point = not isinstance(l, Ball) and l.dim == 0
     if v_lmm <= 0 or l_is_point:
         raise ZeroDenominator("V(L, M, M) must be positive")
     a = mixed_volume_xpp(k, m) / v_lmm
-    normals = mc.facets.normals
-    weights = mc.facets.areas / mc.facets.offsets
+    normals = m.facets.normals
+    weights = m.facets.areas / m.facets.offsets
     g_mat = (normals.T * weights) @ normals
     eigs = np.linalg.eigvalsh(g_mat)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-30):
@@ -57,7 +56,6 @@ def stability_witness(k: Body, l: Body, m: Polytope) -> StabilityWitness:
     delta = np.asarray(k.support(normals)) - a * np.asarray(l.support(normals))
     v = np.linalg.solve(g_mat, normals.T @ (weights * delta))
     resid = float(np.sum(weights * (delta - normals @ v) ** 2))
-    r, big_r = enclosing_radii(m)
     c_m = r * r / (18.0 * big_r * big_r)
     return StabilityWitness(float(a), v, g_mat, r, big_r, c_m, resid)
 
@@ -143,24 +141,25 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator
     segment coefficients (a_i, e_i, 0), so the normal equations need one
     restriction of delta and the closed-form Gram matrices
     int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc of the arcs. The
-    linear term adds no cut, so the residual keeps delta's segments."""
+    linear term adds no cut, so the residual keeps delta's segments. v is fit
+    on delta's local part and its shift added after: the residual never holds it."""
     arcs, w = g.arcs, g.sbm.weights
     # coords[j, i]: the coefficients of x_i on arc j
     coords = np.stack([arcs.starts, arcs.tangents, np.zeros_like(arcs.starts)],
                       axis=2)
     a_mat = np.tensordot(w, quad.product_integral(
         coords[:, :, None], coords[:, None], 0.0, arcs.lengths[:, None, None]), 1)
-    (r,) = quad.restrict(arcs, delta)
+    (r,) = quad.restrict(arcs, SupportEvaluator(delta.terms))
     b_vec = w[r.arc] @ quad.product_integral(r.coef[:, None], coords[r.arc],
                                              r.t0[:, None], r.t1[:, None])
     v = np.linalg.solve(a_mat, b_vec)
-    return v, replace(r, coef=r.coef - v @ coords[r.arc])
+    return v + delta.shift, replace(r, coef=r.coef - v @ coords[r.arc])
 
 
 def sup_on_sbm(resid: quad.ArcRestriction) -> float:
-    """Sup of |resid| over NODES_PER_SEGMENT nodes of each of its segments
-    on the arcs of supp S_{B,M}, endpoints included."""
-    t = np.linspace(resid.t0, resid.t1, NODES_PER_SEGMENT, axis=1)
+    """Sup of |resid| over quadrature.NODES_PER_SEGMENT nodes of each of its
+    segments on the arcs of supp S_{B,M}, endpoints included."""
+    t = np.linspace(resid.t0, resid.t1, quad.NODES_PER_SEGMENT, axis=1)
     a, b, c = resid.coef.T[:, :, None]
     return float(np.abs(a * np.cos(t) + b * np.sin(t) + c).max(initial=0.0))
 
@@ -202,9 +201,8 @@ def rigidity_check(k: Body, l: Body, m: Polytope) -> RigidityReport:
     [ (r^2/(6R^2)) int (h_K-h_L)^2 dS_{B,M} - (4R^2/(3r^2)) int (h_K-h_L)^2 dmu_M ]."""
     if m.dim < 3:
         raise DegenerateInput("rigidity check requires full-dimensional M")
-    mc = m.centered()
-    r, big_r = enclosing_radii(mc)
-    g = build_graph(mc)
+    r, big_r = enclosing_radii(m)
+    g = build_graph(m)
     sbm, mu = sbm_and_mu(g)
     f = SupportEvaluator.of(k) + SupportEvaluator.of(l, -1.0)
     (rf,) = quad.restrict(sbm.arcs, f)

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .bodies import (Polytope, SupportEvaluator, _row_dots, _row_norms,
-                     as_unit_vector, minkowski_sum, segment, support_data,
-                     unit)
+                     as_unit_vector, minkowski_sum, segment, unit)
 from .errors import (BadParam, DimensionError, InsufficientSpectrum,
                      NumericalFailure)
 from .extremal import EqualityCertificate, certify
@@ -44,19 +43,17 @@ def lowerdim_setup(m: Polytope, w) -> MetricGraph:
     order with the edge lengths; for a segment, the two directions normal
     to it, each with its length)."""
     w = as_unit_vector(w)
-    verts = m.vertices
-    # heights about the centroid, to within HYPERPLANE_TOL times M's extent
+    # the spread of the heights, to within HYPERPLANE_TOL times M's diameter
     # plus the rounding of the coordinates along w, as in Polytope.face
-    x = verts - m.centroid
-    tol = (HYPERPLANE_TOL * np.abs(x).max()
-           + 4 * np.finfo(float).eps * (np.abs(verts) @ np.abs(w)).max())
-    if np.abs(x @ w).max() > tol:
+    tol = (HYPERPLANE_TOL * m.diameter
+           + 4 * np.finfo(float).eps * (np.abs(m.vertices) @ np.abs(w)).max())
+    if np.ptp(m.local @ w) > tol:
         raise DimensionError("M is not contained in a translate of w^perp")
     if m.dim not in (1, 2):
         raise DimensionError(
             f"lower-dimensional pipeline needs dim M in {{1, 2}}, got {m.dim}")
     if m.dim == 1:
-        d = verts[1] - verts[0]
+        d = m.local[1] - m.local[0]
         length = float(np.linalg.norm(d))
         z = unit(np.cross(w, d))  # in-plane normal perpendicular to the segment
         # normals of the degenerate "polygon": the two in-plane directions
@@ -150,23 +147,18 @@ def verify_spectrum(g: MetricGraph, k_max: int, h: float,
 def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
                               w) -> EqualityCertificate:
     """Certify equality through the face criterion: with a = V(K,L,M)/V(L,L,M),
-    equality holds iff h_K + h_{F(aL, w)} = h_{aL} + h_{F(K, w)} on supp S_{B,M}."""
+    equality holds iff h_K + h_{F(aL, w)} = h_{aL} + h_{F(K, w)} on supp S_{B,M}.
+    Each face keeps its body's frame, so the residual holds local parts only."""
     g = lowerdim_setup(m, w)
     w = g.normals[0]
 
     def face_residual(a):
         lt = l.scaled(a)
-        _, face_lt = support_data(lt, w)
-        _, face_k = support_data(k, w)
-        # the residual is unchanged when K or aL moves, its face with it, so
-        # it is taken with each about its centroid, where the sum keeps its
-        # digits; only after the faces, since the face tolerance covers the
-        # rounding of the coordinates as given
-        ck, cl = -k.centroid, -lt.centroid
-        resid = (SupportEvaluator.of(k.translate(ck))
-                 + SupportEvaluator.of(face_lt.translate(cl))
-                 + SupportEvaluator.of(lt.translate(cl), -1.0)
-                 + SupportEvaluator.of(face_k.translate(ck), -1.0))
+        # a face keeps its body's origin, so the shifts of each body and its
+        # face cancel exactly, pair by pair, and only local parts remain
+        resid = (SupportEvaluator.of(k) + SupportEvaluator.of(k.face(w), -1.0)
+                 + SupportEvaluator.of(lt.face(w))
+                 + SupportEvaluator.of(lt, -1.0))
         (r,) = quad.restrict(g.arcs, resid)
         return None, r
 

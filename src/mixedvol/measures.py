@@ -29,8 +29,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
 from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
-                     _row_norms, _sum_dim, _triangle_areas, hull,
-                     minkowski_sum)
+                     _row_norms, _sum_dim, _triangle_areas, hull, unit_ball)
 from .errors import BadSpec, DegenerateInput
 from .graph import build_graph
 from .quadrature import SphericalMeasure, integrate_against_measure
@@ -80,16 +79,13 @@ def _support_sum(x: Union[Ball, np.ndarray], dirs: np.ndarray,
     return float(h @ masses)
 
 
-_UNIT_BALL = Ball(np.zeros(3), 1.0)
-
-
 def _unit_frame(b: Body) -> tuple[Union[Ball, np.ndarray], float]:
-    """b about its center at unit size, and that size: the unit ball at the
-    origin and the radius for a ball; a polytope's centered vertices over
-    their max-abs, and the max-abs (0 for a point, left unscaled)."""
+    """b in its own frame at unit size, and that size: the unit ball at the
+    origin and the radius for a ball; a polytope's local rows over their
+    max-abs, and the max-abs (0 for a point, left unscaled)."""
     if isinstance(b, Ball):
-        return _UNIT_BALL, b.radius
-    v = b.vertices - b.centroid
+        return unit_ball(), b.radius
+    v = b.local
     s = float(np.abs(v).max())
     return (v / s if s else v), s
 
@@ -107,8 +103,8 @@ def mixed_volume(k: Body, l: Body, m: Body) -> float:
     vertices (the first in slot order on a tie), and Qhull runs once, on the
     vertex sums of the other two. The integral is linear in the measure, so
     the triangles of hull(A+B) enter as they are, with no facet merge. Each
-    body is centered (a polytope on its vertex centroid, a ball on its
-    center) and scaled to unit size (max-abs, radius), and the product of
+    body is taken in its own frame (a polytope's local rows, a ball about
+    its center) and scaled to unit size (max-abs, radius), and the product of
     the scales is multiplied back in, so rescaling one body costs no digits
     against the others; a ball X is then the unit ball, h_X(u) = |u|. A flat
     K+L+M gives exactly 0. A flat A+B enters through its facet table: its
@@ -144,28 +140,19 @@ def mixed_volume(k: Body, l: Body, m: Body) -> float:
 # Area measures
 # ---------------------------------------------------------------------------
 
-def area_measure(p: Polytope) -> SphericalMeasure:
-    """Surface area measure: one atom (n_F, area_F) per facet."""
-    if p.dim < 3:
-        raise DegenerateInput(
-            "area_measure requires a full-dimensional polytope "
-            "(use the lower-dimensional pipeline)")
-    return SphericalMeasure(p.facets.normals, p.facets.areas)
-
-
 def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     """S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)], merged and verified nonnegative.
 
-    S_{L,M} is bilinear and translation invariant, so it is taken between L
-    and M centered and scaled to unit diameter, and its masses are multiplied
-    by d_L d_M: the difference then cancels between masses of one size
-    whatever the bodies' sizes. A point in either slot gives the zero
-    measure."""
+    S_{L,M} is bilinear and translation invariant, so it is taken between
+    the local rows of L and M scaled to unit diameter, and its masses are
+    multiplied by d_L d_M: the difference then cancels between masses of one
+    size whatever the bodies' sizes and positions. A point in either slot
+    gives the zero measure."""
     dl, dm = l.diameter, m.diameter
     if dl == 0.0 or dm == 0.0:
         return SphericalMeasure()
-    l, m = l.centered().scaled(1.0 / dl), m.centered().scaled(1.0 / dm)
-    parts = [b.facets for b in (minkowski_sum(l, m), l, m)]
+    l, m = l.scaled(1.0 / dl), m.scaled(1.0 / dm)
+    parts = [b.facets for b in (hull(_pair_sums(l.local, m.local)), l, m)]
     raw = np.concatenate([c * f.areas for c, f in zip((0.5, -0.5, -0.5), parts)])
     dirs, masses = merge_atoms(np.concatenate([f.normals for f in parts]), raw)
     # the masses that cancel, not their small net total, set the rounding
@@ -227,10 +214,10 @@ def mixed_volume_xpp(x: Body, p: Polytope) -> float:
     P, none for dim P <= 1. X may be a Ball. This is V(P, P, X) too, so it
     gives V(K, K, M) = (1/3) sum_F h_M(u_F) |F| without polarization.
 
-    X is taken about its center (a polytope's vertex centroid, a ball's
-    center): the linear part <c, u> integrates to 0 over the balanced S_P,
-    and summed as it sits it cancels only to about eps |c| S(P)."""
-    xc = x if isinstance(x, Ball) else x.vertices - x.centroid
+    X is taken in its own frame (a polytope's local rows, a ball about its
+    center): the linear part <o, u> integrates to 0 over the balanced S_P,
+    and summed as it sits it cancels only to about eps |o| S(P)."""
+    xc = x if isinstance(x, Ball) else x.local
     return _support_sum(xc, p.facets.normals, p.facets.areas) / 3.0
 
 
@@ -250,7 +237,7 @@ def classical_functionals(k: Polytope) -> tuple[float, float, float]:
     """(Vol, surface area, mean width) = (Vol, 3 V(B,K,K), (3/2pi) V(B,B,K)).
 
     The surface area 3 V(B,K,K) is the total mass of S_K."""
-    ball = Ball(np.zeros(3), 1.0)
+    ball = unit_ball()
     s = sum(k.facets.areas.tolist())
     w = (3.0 / (2.0 * np.pi)) * mv3(ball, ball, k)
     return k.volume, s, w

@@ -32,6 +32,8 @@ BLOCK_ENTRIES = 1 << 20
 # a mass below -NEGATIVE_MASS_TOL times the gross mass it was computed from
 # is negative
 NEGATIVE_MASS_TOL = 1e-9
+# nodes of a segment scan per smooth segment, ends included
+NODES_PER_SEGMENT = 17
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def _segment_blocks(arcs: Arcs, evaluators: Sequence[SupportEvaluator]
     of the polytope terms and its midpoint argmax over their vertices hold
     about BLOCK_ENTRIES entries per smooth segment of an arc, however many
     arcs and vertices there are."""
-    width = sum(2 * len(p.fan) + len(p.vertices)
+    width = sum(2 * len(p.fan) + len(p.local)
                 for p in _polytopes(evaluators))
     step = max(1, BLOCK_ENTRIES // max(1, width))
     if step >= len(arcs):           # one block: keep the table's cached poles
@@ -219,19 +221,18 @@ def _coefficients(arcs: Arcs, arc: np.ndarray, t0: np.ndarray,
                   t1: np.ndarray, evaluators: Sequence[SupportEvaluator]
                   ) -> np.ndarray:
     """(evaluators, S, 3) coefficients of the evaluators on the segments.
-    Each polytope term looks up its active vertex at all segment midpoints
-    at once."""
+    Each polytope term looks up its active local row at all segment
+    midpoints at once; the bodies' frames are in the evaluators' shifts."""
     plane = np.stack([arcs.starts[arc], arcs.tangents[arc]], axis=1)  # (S, 2, 3)
     u = arcs.points(arc, 0.5 * (t0 + t1))
-    ab = {id(p): (plane @ p.vertices[np.argmax(u @ p.vertices.T, axis=1), :,
-                                     None])[:, :, 0]
+    ab = {id(p): (plane @ p.local[np.argmax(u @ p.local.T, axis=1), :,
+                                  None])[:, :, 0]
           for p in _polytopes(evaluators)}
     coef = np.zeros((len(evaluators), len(arc), 3))
     for cf, f in zip(coef, evaluators):
         cf[:, :2] = plane @ f.shift
         for c, body in f.terms:
             if isinstance(body, Ball):
-                cf[:, :2] += c * (plane @ body.center)
                 cf[:, 2] += c * body.radius
             else:
                 cf[:, :2] += c * ab[id(body)]
@@ -271,7 +272,6 @@ def integrate_pair(f: SupportEvaluator, g: SupportEvaluator, arc: Arcs
 def arc_sample_nodes(arc: Arcs, f: SupportEvaluator) -> np.ndarray:
     """Arc parameters covering every smooth segment of f on a one-row arc
     table (endpoints included), the nodes of extremal.sup_on_sbm."""
-    from .extremal import NODES_PER_SEGMENT
     _, t0, t1 = segments(arc, f)
     return np.unique(np.linspace(t0, t1, NODES_PER_SEGMENT))
 

@@ -8,7 +8,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from mixedvol import bodies as B
 from mixedvol import cli
-from mixedvol import extremal as X
 from mixedvol import graph as G
 from mixedvol import quadrature as quad
 from mixedvol.errors import QuadratureFailure
@@ -78,7 +77,8 @@ def _reference_full_dim_hull(pts: np.ndarray) -> B.Polytope:
     first[1:] = (eqs[1:] != eqs[:-1]).any(axis=1)
     facet_of = np.cumsum(first) - 1
     normals = eqs[first, :3] + 0.0
-    facets = B.Facets(normals, s * -eqs[first, 3] + B._row_dots(normals, c),
+    o = verts.mean(axis=0)      # the frame: offsets about the vertex centroid
+    facets = B.Facets(normals, s * -eqs[first, 3] - B._row_dots(normals, o - c),
                       np.bincount(facet_of, B._triangle_areas(verts[tri])))
     fs, ft = facet_of[:, None], facet_of[nb]
     assert not ((fs != ft) & (eqs[:, None] == eqs[nb]).all(axis=2)).any()
@@ -88,7 +88,7 @@ def _reference_full_dim_hull(pts: np.ndarray) -> B.Polytope:
                     B._row_norms(verts[ends[:, 0]] - verts[ends[:, 1]]))
     assert np.bincount(ends.ravel(), minlength=nv).min() >= 3
     assert nv - len(edges) + len(normals) == 2
-    return B.Polytope(verts, facets, edges, 3)
+    return B.Polytope(o, verts - o, facets, edges, 3)
 
 
 def reference_ball_points(level: int) -> np.ndarray:
@@ -214,13 +214,13 @@ def reference_mass_factor(mass) -> scipy.sparse.csr_array:
 
 
 def sup_on_arcs(f: B.SupportEvaluator, arcs: quad.Arcs) -> float:
-    """Sup of |f| over extremal.NODES_PER_SEGMENT nodes of each smooth segment
+    """Sup of |f| over quadrature.NODES_PER_SEGMENT nodes of each smooth segment
     of f on the arcs, endpoints included, found by evaluating f itself at
     the nodes: the scan extremal.sup_on_sbm replaced, which evaluates the
     segment coefficients of a restriction instead."""
     sup = 0.0
     for _, block, (arc, t0, t1) in quad._segment_blocks(arcs, [f]):
-        t = np.linspace(t0, t1, X.NODES_PER_SEGMENT, axis=1)         # (S, nodes)
+        t = np.linspace(t0, t1, quad.NODES_PER_SEGMENT, axis=1)         # (S, nodes)
         sup = max(sup, float(np.abs(f(block.points(arc[:, None], t)))
                              .max(initial=0.0)))
     return sup
@@ -325,8 +325,8 @@ def loop_restriction(f: B.SupportEvaluator, arc: quad.Arcs, cuts=None):
     coef[:, :2] = plane @ f.shift
     for c, b in f.terms:
         if isinstance(b, B.Ball):
-            coef += c * np.array([*(plane @ b.center), b.radius])
+            coef[:, 2] += c * b.radius
         else:
-            ab = b.vertices @ plane.T
+            ab = b.local @ plane.T
             coef[:, :2] += c * ab[np.argmax(ab @ trig, axis=0)]
     return cuts, coef

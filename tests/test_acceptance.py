@@ -183,7 +183,7 @@ def test_06_equality_certification_fulldim():
 
 def test_07_weak_stability():
     """Stability inequality with C_M = r^2/(18 R^2): 100 pairs x 10 bodies."""
-    ms = [m.centered() for m in seeded_hulls(10, 7007)]
+    ms = [m.translate(-m.centroid) for m in seeded_hulls(10, 7007)]
     pairs = seeded_hulls(20, 7008)
     worst_margin = np.inf
     violations = 0
@@ -209,7 +209,8 @@ def test_08_rigidity():
     violations = 0
     for i in range(100):
         k, l = hulls[i], hulls[i + 1]
-        m = B.random_hull(10, 80000 + i).centered()
+        m = B.random_hull(10, 80000 + i)
+        m = m.translate(-m.centroid)
         rep = X.rigidity_check(k, l, m)
         worst_margin = min(worst_margin, rep.margin / rep.deficit.scale)
         if not rep.holds:
@@ -269,7 +270,7 @@ def test_11_cylinder_limit():
     """Graph mass of the thin cylinder converges to 2 pi at first order."""
     sq = B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
                          dtype=float))
-    rep = LD.cylinder_limit_check(sq, W, SupportEvaluator.constant_one(),
+    rep = LD.cylinder_limit_check(sq, W, SupportEvaluator.of(B.unit_ball()),
                                   [0.2, 0.1, 0.05, 0.025])
     ok = (abs(rep.limit_value - 2 * np.pi) < 1e-12
           and all(1.7 <= r <= 2.3 for r in rep.ratios))

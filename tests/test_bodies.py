@@ -46,7 +46,7 @@ def test_facet_planes_contain_cycles():
     p = B.random_hull(15, 3)
     for vs, normal, offset in zip(facet_vertices(p), p.facets.normals,
                                   p.facets.offsets):
-        assert np.abs(p.vertices[vs] @ normal - offset).max() < 1e-9 * p.scale
+        assert np.abs(p.local[vs] @ normal - offset).max() < 1e-9 * p.scale
 
 
 def test_coplanar_facets_merged():
@@ -77,10 +77,10 @@ def _check_hull(p, pts, slack=0.0):
     normals, offsets = p.facets.normals, p.facets.offsets
     for f, vs in enumerate(facet_vertices(p)):
         assert len(vs) >= 3
-        assert np.abs(p.vertices[vs] @ normals[f] - offsets[f]).max() < tol
+        assert np.abs(p.local[vs] @ normals[f] - offsets[f]).max() < tol
     for facets, vertices in zip(p.edges.facets, p.edges.vertices):
         for fi in facets:
-            assert np.abs(p.vertices[vertices] @ normals[fi]
+            assert np.abs(p.local[vertices] @ normals[fi]
                           - offsets[fi]).max() < tol
     ends = p.edges.vertices.ravel()
     assert np.bincount(ends, minlength=len(p.vertices)).min() >= 3
@@ -166,9 +166,10 @@ def _reference_combinatorics(pts):
         groups.append(members)
     old2new = {int(o): i for i, o in enumerate(qh.vertices)}
     verts = pts[qh.vertices]
+    local = verts - verts.mean(axis=0)     # offsets about the vertex centroid
     vsets = [{old2new[int(v)] for m in g for v in tri[m]} for g in groups]
     normals = [B.unit(np.mean(eqs[g, :3], axis=0)) for g in groups]
-    offsets = [np.mean(verts[sorted(vs)] @ n) for vs, n in zip(vsets, normals)]
+    offsets = [np.mean(local[sorted(vs)] @ n) for vs, n in zip(vsets, normals)]
     edges, seen = [], set()
     for s in range(len(tri)):
         for t in nb[s]:
@@ -246,7 +247,9 @@ def _sparse_merge_hull(pts):
     areas = np.bincount(facet_of, tri_areas, nf)
     fv = np.unique(facet_of[:, None] * nv + tri)
     fid, vid = np.divmod(fv, nv)
-    offsets = (np.bincount(fid, np.einsum("ij,ij->i", verts[vid], normals[fid]), nf)
+    o = verts.mean(axis=0)      # the frame: offsets about the vertex centroid
+    offsets = (np.bincount(fid, np.einsum("ij,ij->i", verts[vid] - o, normals[fid]),
+                           nf)
                / np.bincount(fid, minlength=nf))
     facets = B.Facets(normals, offsets, areas)
     fs, ft = facet_of[s], facet_of[t]
@@ -267,7 +270,7 @@ def _sparse_merge_hull(pts):
     edges = B.Edges(np.stack(np.divmod(keys[order], nf), axis=1), tips,
                     B._row_norms(verts[tips[:, 0]] - verts[tips[:, 1]]))
     assert nv - len(edges) + nf == 2
-    return B.Polytope(verts, facets, edges, 3)
+    return B.Polytope(o, verts - o, facets, edges, 3)
 
 
 SPARSE_PARITY_INPUTS = {
@@ -471,8 +474,11 @@ def _assert_same_planar_tables(p, q):
     # q's side of each of p's sides
     side = [0, 1] if p.facets.normals[0] @ q.facets.normals[0] > 0 else [1, 0]
     assert np.allclose(p.facets.normals, q.facets.normals[side], rtol=0, atol=rel)
-    assert np.allclose(p.facets.offsets, q.facets.offsets[side], rtol=0,
-                       atol=rel * scale)
+    # the sides' heights over the origin of space: p and q hold their
+    # offsets about their own origins
+    hp, hq = (b.facets.offsets + B._row_dots(b.facets.normals, b.origin)
+              for b in (p, q))
+    assert np.allclose(hp, hq[side], rtol=0, atol=rel * scale)
     assert np.allclose(p.facets.areas, q.facets.areas, rtol=rel, atol=0)
     ring = {frozenset(e): l for e, l in zip(at[p.edges.vertices].tolist(),
                                             p.edges.lengths)}
@@ -494,7 +500,7 @@ def test_planar_hull_holds_its_two_sides_and_its_boundary(name):
         [np.arange(nv), np.roll(np.arange(nv), -1)]))
     assert np.array_equal(f.normals[1], -f.normals[0])
     c = p.centroid
-    assert np.allclose(f.offsets, p.support(f.normals), rtol=0,
+    assert np.allclose(f.offsets, np.max(p.local @ f.normals.T, axis=0), rtol=0,
                        atol=1e-14 * p.scale)
     # the polygon in coordinates of its plane, for 2-D Qhull: there volume
     # is the area and area the perimeter
@@ -663,8 +669,9 @@ def test_approximate_ball_converges_to_sphere():
 def test_approximate_ball_matches_midpoint_loop(level):
     pts = reference_ball_points(level)
     b = B.approximate_ball(level)
-    # every point is a vertex, in point order
-    assert np.array_equal(b.vertices, pts)
+    # every point is a vertex, in point order, held about their centroid
+    assert np.array_equal(b.origin, pts.mean(axis=0))
+    assert np.array_equal(b.local, pts - b.origin)
     assert_same_polytope(b, B.hull(pts))
 
 
@@ -729,7 +736,7 @@ def test_minkowski_sum_cube_segment(unit_cube, unit_segment):
 def _diameter_reference(p):
     """The all-pairs formula Polytope.diameter is checked against: it
     builds an (n, n, 3) array of vertex differences."""
-    v = p.vertices
+    v = p.local
     if len(v) == 1:
         return 0.0
     d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)

@@ -46,9 +46,9 @@ def test_stability_witness_g_matrix(unit_cube):
 def test_stability_witness_least_squares_optimality(unit_cube, std_simplex):
     k = B.random_hull(10, 3)
     wit = X.stability_witness(k, unit_cube, std_simplex)
-    mc = std_simplex.centered()
-    normals = mc.facets.normals
-    weights = mc.facets.areas / mc.facets.offsets
+    # the offsets are held about the simplex's vertex centroid
+    normals = std_simplex.facets.normals
+    weights = std_simplex.facets.areas / std_simplex.facets.offsets
     delta = k.support(normals) - wit.a * unit_cube.support(normals)
 
     def resid(v):
@@ -75,7 +75,8 @@ def test_weak_stability_random_suite():
     for seed in range(15):
         k = B.random_hull(10, seed)
         l = B.random_hull(10, seed + 500)
-        m = B.random_hull(10, seed + 900).centered()
+        m = B.random_hull(10, seed + 900)
+        m = m.translate(-m.centroid)
         rep = X.weak_stability_check(k, l, m)
         assert rep.holds, f"seed {seed}: margin {rep.margin}"
 
@@ -175,7 +176,8 @@ def test_rigidity_random_suite():
     for seed in range(15):
         k = B.random_hull(10, seed + 5)
         l = B.random_hull(10, seed + 600)
-        m = B.random_hull(10, seed + 1200).centered()
+        m = B.random_hull(10, seed + 1200)
+        m = m.translate(-m.centroid)
         rep = X.rigidity_check(k, l, m)
         assert rep.holds, f"seed {seed}: margin {rep.margin}"
 
@@ -186,7 +188,8 @@ def test_rigidity_dominance_on_equality_instances(unit_cube):
     rng = np.random.default_rng(9)
     for seed in range(5):
         l = B.random_hull(10, seed)
-        m = B.random_hull(10, seed + 33).centered()
+        m = B.random_hull(10, seed + 33)
+        m = m.translate(-m.centroid)
         k = B.hull(l.vertices + rng.standard_normal(3))
         rep = X.rigidity_check(k, l, m)
         bound = (8 * rep.big_r ** 4 / rep.r ** 4) * rep.mu_integral + 1e-9

@@ -120,7 +120,7 @@ def test_constant_function_identity(unit_cube):
     # E(1, 1) = (1/3) * mass(S_{B,M}) exactly: total weight*(l - l)... both
     # routes must agree with V(B, B, M)
     g = G.build_graph(unit_cube)
-    one = SupportEvaluator.constant_one()
+    one = SupportEvaluator.of(B.unit_ball())
     e_val = G.form_value(g, one, one)
     sbm, _ = G.sbm_and_mu(g)
     assert e_val == pytest.approx(sbm.total_mass() / 3.0, rel=1e-13)

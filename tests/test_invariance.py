@@ -138,7 +138,7 @@ def test_certify_inconclusive_under_one_body_rescaled(slot, c):
 def test_facet_sum_invariant_under_a_far_translation(s):
     # (v + t) - t is exact for |v| << |t|, so m and back are one body to the
     # last bit; only the facet sum's own arithmetic may tell them apart
-    k = B.random_hull(12, 1).centered()
+    k = _centered(B.random_hull(12, 1))
     t = s * np.array([1.0, 0.3, 0.0])
     m = B.hull(B.random_hull(12, 3).vertices + t)
     back = B.hull(m.vertices - t)
@@ -275,3 +275,55 @@ def test_lower_certify_residual_keeps_its_digits_far_from_the_origin(s, move_k):
     cert = LD.certify_equality_lowerdim(B.hull(k + t if move_k else k),
                                         B.hull(l + t), B.hull(m), W)
     assert cert.sup_residual <= 1e-12 * cert.diameter
+
+
+# ---------------------------------------------------------------------------
+# Polytope.translate moves the frame alone: exact far from the origin
+# ---------------------------------------------------------------------------
+
+FAR = 1e8 * np.array([1.0, 0.3, 0.0])
+
+
+def _centered(p):
+    return p.translate(-p.centroid)
+
+
+def _equality_triple():
+    k = _centered(B.random_hull(12, 1))
+    return k, k.scaled(2.0), B.random_hull(12, 3)
+
+
+def _deficit_over_scale(cert):
+    return cert.deficit_report.deficit / cert.deficit_report.scale
+
+
+@pytest.mark.parametrize("moved", ["K", "KLM"])
+def test_certify_equality_survives_a_far_translate(moved):
+    bodies = [b.translate(FAR) if name in moved else b
+              for name, b in zip("KLM", _equality_triple())]
+    cert = X.certify_equality_fulldim(*bodies)
+    assert cert.verdict == "equality"
+    assert abs(_deficit_over_scale(cert)) <= 1e-12
+
+
+def test_certify_strict_survives_a_far_translate():
+    bodies = [body(n) for n in ("rand10s1", "rand10s2", "cube")]
+    assert _deficit_over_scale(X.certify_equality_fulldim(*bodies)) >= 0.1
+    cert = X.certify_equality_fulldim(*[b.translate(FAR) for b in bodies])
+    assert cert.verdict == "strict"
+    assert _deficit_over_scale(cert) >= 0.1
+
+
+def test_volume_and_radii_exact_under_a_far_translate():
+    p = B.random_hull(12, 1)
+    far = p.translate(FAR)
+    assert rel_err(far.volume, p.volume) <= 1e-15
+    for a, b in zip(B.enclosing_radii(far), B.enclosing_radii(p)):
+        assert rel_err(a, b) <= 1e-15
+
+
+@pytest.mark.parametrize("check", [X.weak_stability_check, X.rigidity_check])
+def test_stability_and_rigidity_margins_exact_under_a_far_translate(check):
+    k, l, m = B.random_hull(12, 1), B.random_hull(12, 2), B.random_hull(12, 3)
+    assert rel_err(check(k, l, m.translate(FAR)).margin,
+                   check(k, l, m).margin) <= 1e-12

@@ -82,7 +82,7 @@ def test_setup_containment_is_relative_to_the_extent_of_m(unit_square, shift):
 
 def test_sbm_mass_square(unit_square):
     g = LD.lowerdim_setup(unit_square, W)
-    one = SupportEvaluator.constant_one()
+    one = SupportEvaluator.of(B.unit_ball())
     assert quad.integrate_against_measure(one, g.sbm) == pytest.approx(2 * np.pi, rel=1e-12)
 
 
@@ -355,7 +355,7 @@ def test_certify_zero_denominator(unit_square):
 
 
 def test_cylinder_limit_mass(unit_square):
-    one = SupportEvaluator.constant_one()
+    one = SupportEvaluator.of(B.unit_ball())
     rep = LD.cylinder_limit_check(unit_square, W, one, [0.2, 0.1, 0.05, 0.025])
     assert rep.limit_value == pytest.approx(2 * np.pi, rel=1e-12)
     # graph mass of the cylinder is 2*pi + eps*pi for the unit square
@@ -373,7 +373,7 @@ def test_cylinder_limit_support_function(unit_square, unit_cube):
 
 
 def test_cylinder_limit_guards(unit_square):
-    one = SupportEvaluator.constant_one()
+    one = SupportEvaluator.of(B.unit_ball())
     with pytest.raises(DimensionError):
         LD.cylinder_limit_check(unit_square, W, one, [0.1, 0.0])
 

