@@ -1,12 +1,18 @@
 """3D convex bodies: polytopes with full facet/edge combinatorics, balls,
 support evaluation, Minkowski sums, and constructors for test bodies.
 
-A full-dimensional hull is read off Qhull's output in one pass: Qhull merges
-coplanar triangles (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996, centrum
-pre-merge C-n), and the triangles of a merged facet share its plane row.
-Flatness is read off the same facets: V <= width * S / 2 for a convex body,
-so points whose merged facets give 2V/S below FLAT_WIDTH, at unit max-abs
-size, are flat, and only those take an SVD (affine_dim) for their dimension.
+A full-dimensional hull is read off Qhull's output in one pass (Barber,
+Dobkin and Huhdanpaa, ACM TOMS 1996). QHULL_OPTIONS holds Qhull's options:
+C-1e-12, a centrum pre-merge of facets whose centrums lie within 1e-12 of
+each other's planes, at unit max-abs size; Q5, which skips Qhull's final
+check of the outer planes (how far points lie above the facets); and
+SciPy's own Qt, which triangulates the merged facets, so that the triangles
+of a facet share its plane row. The pass reads Qhull's simplices, neighbors
+and equations, and nothing else: no outer planes, and no coplanar point
+list (hence no Qc). Flatness is read off the same facets: V <= width * S / 2
+for a convex body, so points whose merged facets give 2V/S below FLAT_WIDTH,
+at unit max-abs size, are flat, and only those take an SVD (affine_dim) for
+their dimension.
 
 All geometry is IEEE-754 binary64; equalities are tolerance checks. Polytopes
 are immutable after construction and safe to share between workers.
@@ -35,6 +41,9 @@ FLAT_WIDTH = 1.4e-9
 # A singular value of centered points at unit max-abs counts toward their
 # affine dimension above this times max(1, the largest).
 RANK_TOL = 1e-9
+# Qhull's options for a full-dimensional hull, each named in the module
+# docstring.
+QHULL_OPTIONS = "C-1e-12 Q5"
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -99,11 +108,13 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(x, x))
 
 
-def _triangle_areas(corners: np.ndarray) -> np.ndarray:
-    """|(b - a) x (c - a)| / 2 for each (a, b, c) of an (n, 3, 3) array, the
-    products and differences in np.cross's order."""
-    (x1, y1, z1), (x2, y2, z2) = (corners[:, 1:]
-                                  - corners[:, :1]).transpose(1, 2, 0)
+def _triangle_areas(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """|(b - a) x (c - a)| / 2 for the corners (a, b, c) of each row of an
+    (n, 3) index array into points, the products and differences in
+    np.cross's order. The corners are gathered corner-major, so each
+    coordinate difference runs over contiguous rows."""
+    a, b, c = points[triangles.T]
+    (x1, y1, z1), (x2, y2, z2) = (b - a).T, (c - a).T
     cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
     return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
@@ -341,12 +352,14 @@ def affine_dim(points: np.ndarray) -> int:
 def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     """Convex hull with merged coplanar facets and full combinatorics.
 
-    Qhull merges the facets (option C-1e-12 on the points centered and
-    scaled to unit max-abs), so a point within about 1e-12 * scale of the
-    hull is not a vertex, and each facet's normal and offset are those of
-    Qhull's merged plane. The points are flat when 2V/S of Qhull's merged
-    facets, in that unit frame, is below FLAT_WIDTH: V <= width * S / 2
-    for every convex body, so 2V/S bounds the least width from below.
+    Qhull merges the facets (QHULL_OPTIONS: C-1e-12 on the points centered
+    and scaled to unit max-abs, Q5, and SciPy's Qt), so a point within
+    about 1e-12 * scale of the hull is not a vertex, and each facet's normal
+    and offset are those of Qhull's merged plane; of Qhull's output only
+    the simplices, neighbors and equations are read. The points are flat
+    when 2V/S of Qhull's merged facets, in that unit frame, is below
+    FLAT_WIDTH: V <= width * S / 2 for every convex body, so 2V/S bounds
+    the least width from below.
     Flat points, fewer than 4 points, points all equal and points Qhull
     refuses as flat yield a polytope of affine dimension at most 2, unless
     require_full_dim is set: a polygon with its two sides and its boundary
@@ -416,30 +429,36 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:
     # Qhull merges coplanar triangles into facets (centrum pre-merge C-n, an
     # absolute distance, hence the unit max-abs frame) and then triangulates
     # them again (Qt): every triangle of a facet carries the facet's equation
-    # row, and the triangles of a facet come out as one run.
+    # row, and the triangles of a facet come out as one run. The pass reads
+    # Qhull's simplices, neighbors and equations, nothing else.
     c = pts.mean(axis=0)
     x = pts - c
     s = np.abs(x).max()
     if s == 0:
         return None
     try:
-        qh = ConvexHull(x / s, qhull_options="Qc C-1e-12")
+        qh = ConvexHull(x / s, qhull_options=QHULL_OPTIONS)
     except QhullError:      # QH6154: Qhull's initial simplex is flat
         return None
     eqs, nb, simp = qh.equations, qh.neighbors, qh.simplices
     # slot k of nb[t]: across from simp[t, k]. The vertices are the points
-    # Qhull used, in point order.
+    # Qhull used, in point order; when it used them all (points on a sphere)
+    # they need no renumbering.
     used = np.zeros(len(pts), dtype=bool)
     used[simp] = True
-    verts, tri = pts[used], (np.cumsum(used) - 1)[simp]
+    if used.all():
+        verts, tri = pts, simp.astype(np.intp)
+    else:
+        verts, tri = pts[used], (np.cumsum(used) - 1)[simp]
     nv = len(verts)
 
     # facets: runs of identical rows, numbered in run order
     first = np.ones(len(eqs), dtype=bool)
     first[1:] = (eqs[1:] != eqs[:-1]).any(axis=1)
     facet_of = np.cumsum(first) - 1
-    normals, heights = eqs[first, :3] + 0.0, -eqs[first, 3]   # + 0.0 clears -0.0
-    areas = np.bincount(facet_of, _triangle_areas(pts[simp]))
+    planes = eqs[first]
+    normals, heights = planes[:, :3] + 0.0, -planes[:, 3]   # + 0.0 clears -0.0
+    areas = np.bincount(facet_of, _triangle_areas(pts, simp))
     # 2V/S in the unit frame: the heights are taken there, and the frame of
     # the areas cancels in the ratio
     if not 2.0 * (heights @ areas) >= FLAT_WIDTH * 3.0 * areas.sum():
@@ -449,14 +468,18 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:
     o = verts.mean(axis=0)
     facets = Facets(normals, s * heights - _row_dots(normals, o - c), areas)
 
-    # edges: one ridge each, taken from its lower facet's side in (triangle,
-    # slot) order; every ridge between two facets is seen from that side
-    ft = facet_of[nb]
-    t, k = np.nonzero(facet_of[:, None] < ft)
-    if (eqs[t] == eqs[nb[t, k]]).all(axis=1).any():
+    # edges: one ridge (t, k) each, from triangle t to triangle u across
+    # slot k, taken from the lower facet's side in (triangle, slot) order;
+    # every ridge between two facets is seen from that side
+    t, k = np.nonzero(facet_of[:, None] < facet_of[nb])
+    u = nb[t, k]
+    # one plane in two runs: equal rows across a ridge, compared in full
+    # only where the offsets are equal
+    same = eqs[t, 3] == eqs[u, 3]
+    if (eqs[t[same]] == eqs[u[same]]).all(axis=1).any():
         raise NumericalFailure("one facet plane came out as two runs")
     ends = tri[t[:, None], RIDGE_ENDS[k]]
-    edges = Edges(np.stack([facet_of[t], ft[t, k]], axis=1), ends,
+    edges = Edges(np.column_stack([facet_of[t], facet_of[u]]), ends,
                   _row_norms(verts[ends[:, 0]] - verts[ends[:, 1]]))
     if np.bincount(ends.ravel(), minlength=nv).min() < 3:
         raise NumericalFailure("a vertex lies on fewer than 3 edges "
@@ -472,16 +495,24 @@ def _full_dim_hull(pts: np.ndarray, name: str) -> Polytope | None:
 # Minkowski arithmetic and classification
 # ---------------------------------------------------------------------------
 
+def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i + b_j for every row i of a and j of b, i major."""
+    return (a[:, None, :] + b[None, :, :]).reshape(-1, 3)
+
+
 def minkowski_sum(p: Polytope, q: Polytope, name: str = "") -> Polytope:
-    """Hull of all pairwise vertex sums; h_{P+Q} = h_P + h_Q."""
-    return hull(sum_vertices([p, q]), name=name)
+    """Hull of all pairwise vertex sums; h_{P+Q} = h_P + h_Q. The sums are
+    taken on the local rows and the hull moved by p.origin + q.origin, so
+    far origins cost no digits."""
+    return hull(_pair_sums(p.local, q.local), name=name).translate(
+        p.origin + q.origin)
 
 
 def sum_vertices(bodies: Sequence[Polytope]) -> np.ndarray:
     """All sums of one vertex from each polytope (with repeats)."""
     pts = bodies[0].vertices
     for b in bodies[1:]:
-        pts = (pts[:, None, :] + b.vertices[None, :, :]).reshape(-1, 3)
+        pts = _pair_sums(pts, b.vertices)
     return pts
 
 

@@ -28,8 +28,9 @@ from typing import Union
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
-from .bodies import (Ball, Body, Polytope, SupportEvaluator, _row_dots,
-                     _row_norms, _sum_dim, _triangle_areas, hull, unit_ball)
+from .bodies import (Ball, Body, Polytope, SupportEvaluator, _pair_sums,
+                     _row_dots, _row_norms, _sum_dim, _triangle_areas, hull,
+                     unit_ball)
 from .errors import BadSpec, DegenerateInput
 from .graph import build_graph
 from .quadrature import SphericalMeasure, integrate_against_measure
@@ -63,10 +64,6 @@ def merge_atoms(directions: np.ndarray, masses: np.ndarray
 # ---------------------------------------------------------------------------
 # Volumes and polarization
 # ---------------------------------------------------------------------------
-
-def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None, :] + b[None, :, :]).reshape(-1, 3)
-
 
 def _support_sum(x: Union[Ball, np.ndarray], dirs: np.ndarray,
                  masses: np.ndarray) -> float:
@@ -126,7 +123,7 @@ def mixed_volume(k: Body, l: Body, m: Body) -> float:
         # one atom (n_T, |T|) per Qhull triangle, coplanar ones unmerged
         qh = ConvexHull(sums)
         v = _support_sum(x, qh.equations[:, :3],
-                         _triangle_areas(sums[qh.simplices]))
+                         _triangle_areas(sums, qh.simplices))
     else:
         f = hull(sums).facets
         v = _support_sum(x, f.normals, f.areas)
@@ -295,4 +292,5 @@ def vbbm_conewise(m: Polytope) -> float:
     np.add.at(mean_n, owner, a)
     mean_n /= np.bincount(owner, minlength=nv)[:, None]
     s[_row_dots(s, mean_n) < 0] *= -1.0
-    return sum(_row_dots(m.vertices, s).tolist()) / 3.0
+    # sum_v s_v = int u dsigma = 0, so the origin's term drops out
+    return sum(_row_dots(m.local, s).tolist()) / 3.0

@@ -65,9 +65,21 @@ def reference_hull(points) -> B.Polytope:
     return B._lower_dim_hull(pts, dim, "")
 
 
+def _reference_triangle_areas(corners: np.ndarray) -> np.ndarray:
+    """|(b - a) x (c - a)| / 2 for each (a, b, c) of an (n, 3, 3) array of
+    corners, the products and differences in np.cross's order."""
+    (x1, y1, z1), (x2, y2, z2) = (corners[:, 1:]
+                                  - corners[:, :1]).transpose(1, 2, 0)
+    cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
 def _reference_full_dim_hull(pts: np.ndarray) -> B.Polytope:
     c = pts.mean(axis=0)
     s = np.abs(pts - c).max()
+    # the options the hull was first built with, kept literally and not read
+    # from bodies.QHULL_OPTIONS: the parity tests then pin that the library's
+    # options give the same tables bit for bit
     qh = ConvexHull((pts - c) / s, qhull_options="Qc C-1e-12")
     eqs, nb = qh.equations, qh.neighbors   # slot k of nb[t]: across from tri[t, k]
     vid, tri = np.unique(qh.simplices, return_inverse=True)
@@ -79,7 +91,7 @@ def _reference_full_dim_hull(pts: np.ndarray) -> B.Polytope:
     normals = eqs[first, :3] + 0.0
     o = verts.mean(axis=0)      # the frame: offsets about the vertex centroid
     facets = B.Facets(normals, s * -eqs[first, 3] - B._row_dots(normals, o - c),
-                      np.bincount(facet_of, B._triangle_areas(verts[tri])))
+                      np.bincount(facet_of, _reference_triangle_areas(verts[tri])))
     fs, ft = facet_of[:, None], facet_of[nb]
     assert not ((fs != ft) & (eqs[:, None] == eqs[nb]).all(axis=2)).any()
     t, k = np.nonzero(fs < ft)

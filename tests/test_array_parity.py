@@ -112,7 +112,7 @@ def ref_vbbm(p):
         s *= 0.5
         if s @ np.mean(normals, axis=0) < 0:
             s = -s
-        total += float(p.vertices[vid] @ s)
+        total += float(p.local[vid] @ s)     # the cones' s sum to 0
     return total / 3.0
 
 

@@ -327,3 +327,15 @@ def test_stability_and_rigidity_margins_exact_under_a_far_translate(check):
     k, l, m = B.random_hull(12, 1), B.random_hull(12, 2), B.random_hull(12, 3)
     assert rel_err(check(k, l, m.translate(FAR)).margin,
                    check(k, l, m).margin) <= 1e-12
+
+
+def test_minkowski_sum_exact_under_a_far_translate():
+    # the pair sums are taken on the local rows and the origins added after
+    p, q = B.random_hull(12, 1), B.random_hull(12, 2)
+    far = B.minkowski_sum(p.translate(FAR), q)
+    assert rel_err(far.volume, B.minkowski_sum(p, q).volume) <= 1e-13
+
+
+def test_vbbm_conewise_exact_under_a_far_translate():
+    m = B.random_hull(12, 3)
+    assert rel_err(MS.vbbm_conewise(m.translate(FAR)), MS.vbbm_conewise(m)) <= 1e-13
