@@ -17,12 +17,11 @@ from .extremal import (EqualityCertificate, RigidityReport, StabilityReport,
                        rigidity_check, stability_witness,
                        weak_stability_check)
 from .graph import (DiscretizedForm, KernelReport, MetricGraph,
-                    PoincareReport, SpectrumResult, StructuralReport,
-                    assemble, build_graph, edge_poincare_check, form_value,
-                    kernel_analysis, sbm_and_mu, spectrum, structural_checks)
-from .lowerdim import (ClusterReport, CylinderLimitReport, LowerSpectrumReport,
-                       assemble_lowerdim, certify_equality_lowerdim,
-                       cylinder_limit_check, explicit_spectrum,
+                    SpectrumResult, StructuralReport, assemble, build_graph,
+                    form_value, kernel_analysis, sbm_and_mu, spectrum,
+                    structural_checks)
+from .lowerdim import (ClusterReport, LowerSpectrumReport, assemble_lowerdim,
+                       certify_equality_lowerdim, explicit_spectrum,
                        lowerdim_setup, verify_spectrum)
 from .measures import (DeficitReport, classical_functionals, merge_atoms,
                        mixed_area_measure, mixed_volume,

@@ -508,14 +508,6 @@ def minkowski_sum(p: Polytope, q: Polytope, name: str = "") -> Polytope:
         p.origin + q.origin)
 
 
-def sum_vertices(bodies: Sequence[Polytope]) -> np.ndarray:
-    """All sums of one vertex from each polytope (with repeats)."""
-    pts = bodies[0].vertices
-    for b in bodies[1:]:
-        pts = _pair_sums(pts, b.vertices)
-    return pts
-
-
 def _sum_dim(bodies: Sequence[Body]) -> int:
     """Affine dimension of the Minkowski sum: the rank of the summands'
     direction spans together. A flat summand spans the first dim right

@@ -25,9 +25,8 @@ from .errors import MixedVolError
 from .graph import (MetricGraph, assemble, build_graph,
                     form_value, kernel_analysis, sbm_and_mu, spectrum,
                     structural_checks)
-from . import quadrature as quad
 
-CSV_SCHEMA_VERSION = "mixedvol-report-v1"
+CSV_SCHEMA_VERSION = "mixedvol-report-v2"
 # points per random hull of the randomized suites
 RAND_POLY_POINTS = 10
 
@@ -132,7 +131,7 @@ def require_full_dim(p: Polytope, slot: str) -> Polytope:
 
 
 # ---------------------------------------------------------------------------
-# Graph export / import
+# Graph export
 # ---------------------------------------------------------------------------
 
 def graph_to_json(g: MetricGraph) -> dict:
@@ -143,17 +142,6 @@ def graph_to_json(g: MetricGraph) -> dict:
                   for ij, l, w in zip(g.edges.tolist(), g.arcs.lengths.tolist(),
                                       g.weights.tolist())],
     }
-
-
-def graph_from_json(doc: dict) -> MetricGraph:
-    normals = np.asarray(doc["normals"], dtype=float)
-    edges = np.array([e["facets"] for e in doc["edges"]], dtype=np.intp).reshape(-1, 2)
-    arcs = quad.Arcs.between(normals[edges[:, 0]], normals[edges[:, 1]])
-    return MetricGraph(
-        normals, np.asarray(doc["areas"], dtype=float), edges,
-        np.array([e["weight"] for e in doc["edges"]], dtype=float),
-        quad.Arcs(arcs.starts, arcs.tangents,
-                  np.array([e["length"] for e in doc["edges"]], dtype=float)))
 
 
 def graph_to_dot(g: MetricGraph) -> str:
@@ -212,9 +200,9 @@ def render_report(report: dict, fmt: str) -> str:
     return header + row1 + "\n" + row2 + "\n"
 
 
-def base_report(args, command: str, params: dict) -> dict:
-    return {"command": command, "seed": args.seed, "params": params,
-            "values": {}, "margins": {}, "verdicts": {}, "wall_time": 0.0}
+def base_report(command: str, params: dict) -> dict:
+    return {"command": command, "params": params, "values": {}, "margins": {},
+            "verdicts": {}, "wall_time": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +213,7 @@ def cmd_mixvol(args):
     k, l = parse_body(args.K), parse_body(args.L)
     m = parse_body(args.M)
     v = MS.mv3(k, l, m)
-    rep = base_report(args, "mixvol", {"K": args.K, "L": args.L, "M": args.M})
+    rep = base_report("mixvol", {"K": args.K, "L": args.L, "M": args.M})
     rep["values"]["V"] = v
     return rep, 0
 
@@ -234,10 +222,10 @@ def cmd_deficit(args):
     k, l = parse_body(args.K), parse_body(args.L)
     m = require_full_dim(parse_body(args.M), "M")
     dr = MS.quadratic_deficit(k, l, m)
-    rep = base_report(args, "deficit", {"K": args.K, "L": args.L, "M": args.M})
+    rep = base_report("deficit", {"K": args.K, "L": args.L, "M": args.M})
     rep["values"].update({"V_KL": dr.v_kl, "V_KK": dr.v_kk, "V_LL": dr.v_ll,
                           "deficit": dr.deficit, "scale": dr.scale})
-    ok = dr.deficit >= -X.DEFICIT_THRESHOLD * dr.scale
+    ok = dr.deficit >= -X.deficit_tolerance(dr.scale)
     rep["params"]["deficit_threshold"] = X.DEFICIT_THRESHOLD
     rep["margins"]["deficit_over_scale"] = dr.deficit / dr.scale
     rep["verdicts"]["nonnegative"] = bool(ok)
@@ -252,17 +240,23 @@ def cmd_graph(args):
     return None, 0
 
 
+def p1_window(k: int, h: float) -> float:
+    """Twice the a-priori P1 eigenvalue error k^4 h^2 / 36 of eigenvalue
+    cluster k at mesh size h: the window of spectrum's kernel (k = 1) and
+    lower-spectrum's default --tol (k = kmax)."""
+    return 2.0 * k ** 4 * h ** 2 / 36.0
+
+
 def cmd_spectrum(args):
     m = require_full_dim(parse_body(args.M), "M")
     g = build_graph(m)
     form = assemble(g, args.mesh_h)
     spec = spectrum(form, args.kmax)
-    # twice the a-priori P1 eigenvalue error k^4 h^2 / 36 at k = 1, the rule
-    # of lower-spectrum: the kernel's discrete eigenvalues lie within h^2 / 36
-    # of 0, and the next ones are of order 1
-    tau = 2.0 * args.mesh_h ** 2 / 36.0
+    # the kernel's discrete eigenvalues lie within h^2 / 36 of 0, and the
+    # next ones are of order 1
+    tau = p1_window(1, args.mesh_h)
     ker = kernel_analysis(spec, tau)
-    rep = base_report(args, "spectrum",
+    rep = base_report("spectrum",
                       {"M": args.M, "mesh_h": args.mesh_h, "kmax": args.kmax,
                        "kernel_window": tau})
     rep["values"].update({
@@ -275,11 +269,11 @@ def cmd_spectrum(args):
     return rep, 0
 
 
-def certificate_report(args, command: str, params: dict, cert,
+def certificate_report(command: str, params: dict, cert,
                        coefficients: dict) -> tuple:
     """The report of an equality certificate, its values led by the
     coefficients of its criterion."""
-    rep = base_report(args, command, params)
+    rep = base_report(command, params)
     rep["values"].update(coefficients)
     rep["values"].update({
         "deficit": cert.deficit_report.deficit,
@@ -294,7 +288,7 @@ def cmd_certify_full(args):
     k, l = parse_body(args.K), parse_body(args.L)
     m = require_full_dim(parse_body(args.M), "M")
     cert = X.certify_equality_fulldim(k, l, m)
-    return certificate_report(args, "certify-full",
+    return certificate_report("certify-full",
                               {"K": args.K, "L": args.L, "M": args.M}, cert,
                               {"a": cert.a, "v": cert.v.tolist()})
 
@@ -305,16 +299,15 @@ def cmd_certify_lower(args):
     w = parse_direction(args.w)
     cert = LD.certify_equality_lowerdim(k, l, m, w)
     return certificate_report(
-        args, "certify-lower",
-        {"K": args.K, "L": args.L, "M": args.M, "w": args.w}, cert,
-        {"c": cert.a})
+        "certify-lower", {"K": args.K, "L": args.L, "M": args.M, "w": args.w},
+        cert, {"c": cert.a})
 
 
 def cmd_stability(args):
     k, l = parse_body(args.K), parse_body(args.L)
     m = require_full_dim(parse_body(args.M), "M")
     r = X.weak_stability_check(k, l, m)
-    rep = base_report(args, "stability", {"K": args.K, "L": args.L, "M": args.M})
+    rep = base_report("stability", {"K": args.K, "L": args.L, "M": args.M})
     rep["values"].update({"lhs": r.lhs, "rhs": r.rhs,
                           "a": r.witness.a, "v": r.witness.v.tolist(),
                           "C_M": r.witness.c_m, "residual": r.witness.residual,
@@ -328,7 +321,7 @@ def cmd_rigidity(args):
     k, l = parse_body(args.K), parse_body(args.L)
     m = require_full_dim(parse_body(args.M), "M")
     r = X.rigidity_check(k, l, m)
-    rep = base_report(args, "rigidity", {"K": args.K, "L": args.L, "M": args.M})
+    rep = base_report("rigidity", {"K": args.K, "L": args.L, "M": args.M})
     rep["values"].update({"lhs": r.lhs, "rhs": r.rhs,
                           "sbm_integral": r.sbm_integral,
                           "mu_integral": r.mu_integral,
@@ -344,10 +337,9 @@ def cmd_lower_spectrum(args):
     g = LD.lowerdim_setup(m, w)
     tol = args.tol
     if tol is None:
-        # twice the a-priori P1 eigenvalue error k^4 h^2 / 36 at k = kmax
-        tol = 2.0 * args.kmax ** 4 * args.mesh_h ** 2 / 36.0
+        tol = p1_window(args.kmax, args.mesh_h)
     r = LD.verify_spectrum(g, args.kmax, args.mesh_h, tol)
-    rep = base_report(args, "lower-spectrum",
+    rep = base_report("lower-spectrum",
                       {"M": args.M, "w": args.w, "kmax": args.kmax,
                        "mesh_h": args.mesh_h, "tol": tol})
     rep["values"]["multiplicity"] = len(g.edges)
@@ -369,7 +361,7 @@ def cmd_demo(args):
     spec = spectrum(form, 8)
     cert = X.certify_equality_fulldim(
         B.truncate_vertex(c, 0, 0.1, vertex_only=False), c, c)
-    rep = base_report(args, "demo", {"mesh_h": args.mesh_h})
+    rep = base_report("demo", {"mesh_h": args.mesh_h})
     rep["values"].update({
         "cube_volume": vol, "cube_surface": surf, "cube_mean_width": width,
         "sbm_mass": sbm.total_mass(), "mu_mass": mu.total_mass(),
@@ -449,7 +441,7 @@ def verdict_check(cert, expect_equality: bool = False) -> tuple[bool, dict]:
     exactly when the deficit is small, and never inconclusive (for a
     constructed equality instance: equality, with a small deficit)."""
     dr = cert.deficit_report
-    deficit_small = dr.deficit <= X.DEFICIT_THRESHOLD * dr.scale
+    deficit_small = dr.deficit <= X.deficit_tolerance(dr.scale)
     if expect_equality:
         ok = cert.verdict == "equality" and deficit_small
     else:
@@ -521,8 +513,8 @@ def cmd_randtest(args):
         ok, vals = fun(s)
         if not ok:
             failures.append({"index": idx, "instance_seed": s, **vals})
-    rep = base_report(args, "randtest",
-                      {"suite": args.suite, "n": args.n})
+    rep = base_report("randtest",
+                      {"suite": args.suite, "n": args.n, "seed": args.seed})
     rep["values"]["passed"] = args.n - len(failures)
     rep["values"]["failed"] = len(failures)
     rep["values"]["failures"] = failures
@@ -561,11 +553,12 @@ FLAGS = {
     "kmax": dict(type=int, default=8),
     "suite": dict(default="mixvol"),
     "n": dict(type=nonnegative_int, default=10),
+    "seed": dict(type=nonnegative_int, default=0),
 }
 
 # The flags each subcommand reads. Every command except graph writes a report
-# and also takes --seed, --format json|csv and --out; graph takes
-# --format dot|json and --out.
+# and also takes --format json|csv and --out; graph takes --format dot|json
+# and --out.
 COMMAND_FLAGS = {
     "mixvol": "K L M",
     "deficit": "K L M",
@@ -576,7 +569,7 @@ COMMAND_FLAGS = {
     "stability": "K L M",
     "rigidity": "K L M",
     "lower-spectrum": "M w kmax mesh-h tol",
-    "randtest": "suite n",
+    "randtest": "suite n seed",
     "demo": "mesh-h",
 }
 
@@ -595,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "graph":
             p.add_argument("--format", choices=["dot", "json"], default="json")
         else:
-            p.add_argument("--seed", type=nonnegative_int, default=0)
             p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None)
         for flag in flags.split():

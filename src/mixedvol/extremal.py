@@ -22,6 +22,13 @@ DEFICIT_THRESHOLD = 1e-9      # relative to max(vKL^2, vKK*vLL)
 RESIDUAL_THRESHOLD = 1e-6     # relative to the instance diameter
 
 
+def deficit_tolerance(scale: float) -> float:
+    """The bound below which a deficit, or a margin taken against it, counts
+    as zero: DEFICIT_THRESHOLD times the deficit's scale. Every deficit
+    verdict reads it."""
+    return DEFICIT_THRESHOLD * scale
+
+
 @dataclass(frozen=True)
 class StabilityWitness:
     a: float
@@ -73,7 +80,7 @@ class StabilityReport:
 
     @property
     def holds(self) -> bool:
-        return self.margin >= -1e-9 * self.deficit.scale
+        return self.margin >= -deficit_tolerance(self.deficit.scale)
 
 
 def weak_stability_check(k: Body, l: Body, m: Polytope) -> StabilityReport:
@@ -102,9 +109,9 @@ class EqualityCertificate:
 
 
 def _verdict(deficit: float, scale: float, sup_res: float, diam: float) -> str:
-    small = (deficit <= DEFICIT_THRESHOLD * scale
+    small = (deficit <= deficit_tolerance(scale)
              and sup_res <= RESIDUAL_THRESHOLD * diam)
-    large = (deficit > 10 * DEFICIT_THRESHOLD * scale
+    large = (deficit > 10 * deficit_tolerance(scale)
              and sup_res > 10 * RESIDUAL_THRESHOLD * diam)
     if small:
         return "equality"
@@ -193,7 +200,7 @@ class RigidityReport:
 
     @property
     def holds(self) -> bool:
-        return self.margin >= -1e-9 * self.deficit.scale
+        return self.margin >= -deficit_tolerance(self.deficit.scale)
 
 
 def rigidity_check(k: Body, l: Body, m: Polytope) -> RigidityReport:

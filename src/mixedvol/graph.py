@@ -36,8 +36,6 @@ from .errors import (BadMesh, BadParam, DegenerateInput, InsufficientSpectrum,
                      NumericalFailure)
 from .quadrature import SphericalMeasure
 
-N_DIM = 3  # ambient dimension; prefactors 1/(n(n-1)) = 1/6 and 1/(n-1) = 1/2
-
 
 @dataclass(frozen=True)
 class MetricGraph:
@@ -353,7 +351,6 @@ def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
 class KernelReport:
     dimension: int
     principal_angle_residual: float   # max sin of principal angles vs linear span
-    window: float
 
 
 def kernel_analysis(spec: SpectrumResult, tau: float) -> KernelReport:
@@ -375,7 +372,7 @@ def kernel_analysis(spec: SpectrumResult, tau: float) -> KernelReport:
     # window of fewer than 3 dimensions leaves sines of 1
     r = c_orth - q @ (q.T @ (mass @ c_orth))
     sines = np.sqrt(np.clip(np.linalg.eigvalsh(r.T @ (mass @ r)), 0.0, None))
-    return KernelReport(dim, float(sines.max()), tau)
+    return KernelReport(dim, float(sines.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -404,50 +401,3 @@ def structural_checks(g: MetricGraph, r: float, big_r: float,
                             float(balance_margins.min()),
                             tuple(violations))
 
-
-@dataclass(frozen=True)
-class PoincareReport:
-    lhs: float
-    rhs: float
-    corollary_lhs: float | None
-    corollary_rhs: float | None
-
-    @property
-    def holds(self) -> bool:
-        scale = max(abs(self.lhs), abs(self.rhs), 1.0)
-        return self.lhs >= self.rhs - 1e-9 * scale
-
-
-def _pl_integrals(f: np.ndarray, l: float) -> tuple[float, float]:
-    """(int f^2, int f'^2) of the piecewise-linear interpolant of uniform samples."""
-    ne = len(f) - 1
-    he = l / ne
-    a, b = f[:-1], f[1:]
-    int_f2 = float(np.sum(he / 3.0 * (a * a + a * b + b * b)))
-    int_df2 = float(np.sum((b - a) ** 2 / he))
-    return int_f2, int_df2
-
-
-def edge_poincare_check(f: np.ndarray, l: float, eps: float,
-                        r: float | None = None,
-                        big_r: float | None = None) -> PoincareReport:
-    """Both sides of the single-edge Poincare inequality
-    l^2 int f'^2 >= (1-eps)^2 pi^2 int f^2 - (2/eps) l (f(0)^2 + f(l)^2),
-    and of its r,R-corollary when (r, R) are supplied."""
-    if not 0.0 < eps < 1.0:
-        raise BadParam("eps must lie in (0, 1)")
-    if not 0.0 < l < np.pi:
-        raise BadParam("edge length must lie in (0, pi)")
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or len(f) < 2:
-        raise BadParam("need at least two samples")
-    int_f2, int_df2 = _pl_integrals(f, l)
-    boundary = f[0] ** 2 + f[-1] ** 2
-    lhs = l * l * int_df2
-    rhs = (1 - eps) ** 2 * np.pi ** 2 * int_f2 - (2.0 / eps) * l * boundary
-    cor_lhs = cor_rhs = None
-    if r is not None and big_r is not None:
-        cor_lhs = int_df2 - int_f2
-        cor_rhs = (r * r / (2 * big_r * big_r)) * int_f2 \
-            - (4 * big_r * big_r / (r * r)) * l * boundary
-    return PoincareReport(float(lhs), float(rhs), cor_lhs, cor_rhs)

@@ -18,18 +18,16 @@ spectrum is fully explicit: lambda_k = (1 - k^2)/3 with multiplicities
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import quadrature as quad
 from .bodies import (Polytope, SupportEvaluator, _row_dots, _row_norms,
-                     as_unit_vector, minkowski_sum, segment, unit)
+                     as_unit_vector, unit)
 from .errors import (BadParam, DimensionError, InsufficientSpectrum,
                      NumericalFailure)
 from .extremal import EqualityCertificate, certify
-from .graph import (DiscretizedForm, MetricGraph, assemble, build_graph,
-                    spectrum)
+from .graph import DiscretizedForm, MetricGraph, assemble, spectrum
 
 HYPERPLANE_TOL = 1e-9
 
@@ -88,7 +86,6 @@ def assemble_lowerdim(g: MetricGraph, h: float) -> DiscretizedForm:
 class ClusterReport:
     k: int
     predicted: float           # (1 - k^2)/3
-    expected_multiplicity: int
     observed: tuple[float, ...]
 
 
@@ -134,7 +131,7 @@ def verify_spectrum(g: MetricGraph, k_max: int, h: float,
     for k, (lam, mult) in enumerate(predicted):
         chunk = vals[pos:pos + mult]
         pos += mult
-        clusters.append(ClusterReport(k, lam, mult, tuple(float(v) for v in chunk)))
+        clusters.append(ClusterReport(k, lam, tuple(float(v) for v in chunk)))
         worst = max(worst, float(np.abs(chunk - lam).max()))
     return LowerSpectrumReport(tuple(clusters), worst, tol,
                                float(spec.residuals[:needed].max()))
@@ -164,41 +161,3 @@ def certify_equality_lowerdim(k: Polytope, l: Polytope, m: Polytope,
 
     return certify(k, l, m, face_residual)
 
-
-# ---------------------------------------------------------------------------
-# Cylinder degeneration: M_eps = M + eps [0, w]
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CylinderLimitReport:
-    eps: tuple[float, ...]
-    full_dim_values: tuple[float, ...]    # int f dS_{B, M_eps} via the graph
-    limit_value: float                    # int f dS_{B, M} (lower-dim formula)
-    errors: tuple[float, ...]
-    ratios: tuple[float, ...]             # decay factors error_i / error_{i+1}
-
-
-def cylinder_limit_check(m: Polytope, w, f: SupportEvaluator,
-                         eps_seq: Sequence[float]) -> CylinderLimitReport:
-    """Degenerate-cylinder consistency: the full-dimensional graph integral
-    over M + eps[0, w] converges at first order in eps to the
-    lower-dimensional half-circle formula."""
-    if m.dim != 2:
-        raise DimensionError("cylinder check needs a 2-dimensional base")
-    for eps in eps_seq:
-        if eps <= 0:
-            raise DimensionError(
-                "eps must be positive: at eps = 0 the cylinder is degenerate "
-                "and has no metric graph")
-    g = lowerdim_setup(m, w)
-    limit = quad.integrate_against_measure(f, g.sbm)
-    values = []
-    for eps in eps_seq:
-        cyl = minkowski_sum(m, segment(np.zeros(3), eps * g.normals[0]))
-        values.append(quad.integrate_against_measure(f, build_graph(cyl).sbm))
-    errors = [abs(v - limit) for v in values]
-    ratios = tuple(errors[i] / errors[i + 1] if errors[i + 1] > 1e-300 else np.inf
-                   for i in range(len(errors) - 1))
-    return CylinderLimitReport(tuple(float(e) for e in eps_seq),
-                               tuple(values), limit,
-                               tuple(errors), ratios)

@@ -162,16 +162,9 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
 # Mixed volumes with ball slots and the deficit
 # ---------------------------------------------------------------------------
 
-def _as_evaluator(body: Union[Body, SupportEvaluator]) -> SupportEvaluator:
-    if isinstance(body, SupportEvaluator):
-        return body
-    return SupportEvaluator.of(body)
-
-
-def mixed_volume_via_measure(f: Union[Body, SupportEvaluator], l: Body,
-                             m: Polytope) -> float:
-    """(1/3) int f dS_{L,M}; ball L-slots use the arc measure S_{B,M}."""
-    ev = _as_evaluator(f)
+def mixed_volume_via_measure(k: Body, l: Body, m: Polytope) -> float:
+    """(1/3) int h_K dS_{L,M}; ball L-slots use the arc measure S_{B,M}."""
+    ev = SupportEvaluator.of(k)
     if isinstance(l, Ball):
         return l.radius * integrate_against_measure(ev, build_graph(m).sbm) / 3.0
     return integrate_against_measure(ev, mixed_area_measure(l, m)) / 3.0

@@ -293,14 +293,6 @@ class SphericalMeasure:
         return (sum(self.masses.tolist())
                 + sum((self.weights * self.arcs.lengths).tolist()))
 
-    def barycenter_residual(self) -> float:
-        """Norm of int u dmu; vanishes for area measures of closed bodies."""
-        # int over an arc of u dH^1 = sin(l) * a + (1 - cos(l)) * e
-        l, w = self.arcs.lengths, self.weights
-        s = (self.masses @ self.directions + (w * np.sin(l)) @ self.arcs.starts
-             + (w * (1 - np.cos(l))) @ self.arcs.tangents)
-        return float(np.linalg.norm(s))
-
     def validate_nonnegative(self, gross: float) -> "SphericalMeasure":
         """Raise NegativeMass for a mass below -NEGATIVE_MASS_TOL * gross,
         where gross is the total absolute mass the measure was computed

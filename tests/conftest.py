@@ -150,6 +150,39 @@ def facet_vertices(p) -> list[list[int]]:
     return [sorted(v) for v in out]
 
 
+def sum_vertices(bodies) -> np.ndarray:
+    """All sums of one vertex from each polytope (with repeats), taken on
+    the absolute vertex rows."""
+    pts = bodies[0].vertices
+    for b in bodies[1:]:
+        pts = B._pair_sums(pts, b.vertices)
+    return pts
+
+
+def barycenter_residual(s: quad.SphericalMeasure) -> float:
+    """|int u ds|, which vanishes for the area measures of closed bodies; an
+    arc of length l from a along e gives int u = sin(l) a + (1 - cos(l)) e."""
+    l, w = s.arcs.lengths, s.weights
+    return float(np.linalg.norm(
+        s.masses @ s.directions + (w * np.sin(l)) @ s.arcs.starts
+        + (w * (1 - np.cos(l))) @ s.arcs.tangents))
+
+
+def cylinder_integrals(m, w, f: B.SupportEvaluator, eps_seq) -> list[float]:
+    """int f dS_{B, M + eps[0, w]} on the metric graph of each thin cylinder
+    over the polygon M; as eps -> 0 they tend at first order in eps to the
+    half-circle integral on M of the lower-dimensional pipeline."""
+    w = B.as_unit_vector(w)
+    return [quad.integrate_against_measure(f, G.build_graph(B.minkowski_sum(
+        m, B.segment(np.zeros(3), eps * w))).sbm) for eps in eps_seq]
+
+
+def decay_ratios(values, limit: float) -> list[float]:
+    """The decay factors error_i / error_{i+1} of values against a limit."""
+    errors = [abs(v - limit) for v in values]
+    return [a / b for a, b in zip(errors, errors[1:])]
+
+
 @pytest.fixture
 def unit_cube():
     return B.cube()

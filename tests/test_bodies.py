@@ -14,7 +14,8 @@ from mixedvol import bodies as B
 from mixedvol.errors import BadSpec, DegenerateInput, NumericalFailure
 
 from conftest import (NEAR_TOP, TILT, assert_same_polytope, facet_vertices,
-                      reference_ball_points, reference_hull, rel_err)
+                      reference_ball_points, reference_hull, rel_err,
+                      sum_vertices)
 
 # the facet merge tolerance of the reference builders below
 MERGE_TOL = 1e-9
@@ -100,7 +101,7 @@ def _sphere_points(n):
 HULL_INPUTS = {
     "grid-3x3x3": lambda: _grid(3, 3, 3),
     "grid-4x2x3": lambda: _grid(4, 2, 3),
-    "cube+sheared-cube": lambda: B.sum_vertices(
+    "cube+sheared-cube": lambda: sum_vertices(
         [B.cube(), B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 0.3)]),
     **{f"ball@{k}": (lambda k=k: B.approximate_ball(k).vertices) for k in range(4)},
     "deep-truncation": lambda: B.truncate_vertex(

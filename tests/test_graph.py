@@ -5,8 +5,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mixedvol import bodies as B
 from mixedvol import graph as G
@@ -482,32 +480,3 @@ def test_restrict_support_function(unit_cube):
     assert f.shape == (form.size,)
     assert np.all(f >= -1e-12)
 
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(0.05, 0.95), st.floats(0.3, 3.0), st.integers(0, 10**6))
-def test_edge_poincare_inequality(eps, l, seed):
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(41)
-    rep = G.edge_poincare_check(f, l, eps)
-    assert rep.holds
-
-
-def test_edge_poincare_corollary_sharp_case():
-    # f vanishing at the endpoints, one bump: both forms of the inequality
-    t = np.linspace(0, 1.0, 201)
-    f = np.sin(np.pi * t)
-    rep = G.edge_poincare_check(f, 1.0, 0.5, r=0.5, big_r=np.sqrt(3) / 2)
-    assert rep.holds
-    assert rep.corollary_lhs is not None
-    assert rep.corollary_lhs >= rep.corollary_rhs - 1e-9
-
-
-def test_edge_poincare_guards():
-    with pytest.raises(BadParam):
-        G.edge_poincare_check(np.ones(5), 1.0, 0.0)
-    with pytest.raises(BadParam):
-        G.edge_poincare_check(np.ones(5), 1.0, 1.0)
-    with pytest.raises(BadParam):
-        G.edge_poincare_check(np.ones(5), 3.5, 0.5)
-    with pytest.raises(BadParam):
-        G.edge_poincare_check(np.ones(1), 1.0, 0.5)

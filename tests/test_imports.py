@@ -1,11 +1,16 @@
 """The package's modules import one another without a cycle. Imports made
 inside a function count too: a lazy import hides a cycle from the import
-system, not from the design."""
+system, not from the design. Every public module-level function and class
+has a caller in the library or the benchmark, not only in the tests."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mixedvol"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mixedvol"
+
+# the documented Minkowski-sum primitive, kept although only tests call it
+TEST_ONLY_ALLOWED = {"minkowski_sum"}
 
 
 def _sibling_imports(path: Path) -> set[str]:
@@ -59,3 +64,59 @@ def test_package_imports_form_no_cycle():
     graph = {p.stem: _sibling_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert "bodies" in graph["measures"]
     assert _cycle(graph) is None, " -> ".join(_cycle(graph))
+
+
+def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names a syntax tree reads, as names, attributes, imported names
+    or string constants (the benchmark's tracer names the functions it
+    wraps by string), outside the subtree skip."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _uncalled_public_names(root: Path) -> list[str]:
+    """module.name for each public module-level def or class of the package
+    that nothing in the package (outside its own definition and
+    __init__.py) and nothing in bench/*.py refers to."""
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p))
+               for p in sorted((root / "src" / "mixedvol").glob("*.py"))
+               if p.name != "__init__.py"}
+    bench = set().union(*(_names(ast.parse(p.read_text(), filename=str(p)))
+                          for p in sorted((root / "bench").glob("*.py"))))
+    return [f"{stem}.{node.name}"
+            for stem, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in bench | TEST_ONLY_ALLOWED
+            and not any(node.name in _names(t, skip=node)
+                        for t in modules.values())]
+
+
+def test_guard_sees_a_test_only_function(tmp_path):
+    pkg, bench = tmp_path / "src" / "mixedvol", tmp_path / "bench"
+    pkg.mkdir(parents=True)
+    bench.mkdir()
+    (pkg / "__init__.py").write_text("from .a import lonely, used, traced\n")
+    (pkg / "a.py").write_text(
+        "def lonely():\n    return lonely\n\n\ndef used():\n    pass\n\n\n"
+        "def traced():\n    pass\n\n\nclass _Private:\n    pass\n")
+    (pkg / "b.py").write_text("from .a import used\n")
+    (bench / "spans.py").write_text('LAYERS = {"a": ("traced",)}\n')
+    assert _uncalled_public_names(tmp_path) == ["a.lonely"]
+
+
+def test_every_public_function_has_a_library_or_benchmark_caller():
+    assert _uncalled_public_names(ROOT) == []

@@ -13,7 +13,8 @@ from mixedvol.errors import (BadMesh, DimensionError, InsufficientSpectrum,
                              ZeroDenominator)
 from mixedvol.graph import kernel_analysis, spectrum
 
-from conftest import NEAR_TOP, TILT, adaptive_gauss, rel_err, sup_on_arcs
+from conftest import (NEAR_TOP, TILT, adaptive_gauss, cylinder_integrals,
+                      decay_ratios, rel_err, sup_on_arcs)
 
 W = np.array([0.0, 0.0, 1.0])
 
@@ -354,28 +355,29 @@ def test_certify_zero_denominator(unit_square):
         LD.certify_equality_lowerdim(unit_square, unit_square, unit_square, W)
 
 
+CYLINDER_EPS = [0.2, 0.1, 0.05, 0.025]
+
+
 def test_cylinder_limit_mass(unit_square):
     one = SupportEvaluator.of(B.unit_ball())
-    rep = LD.cylinder_limit_check(unit_square, W, one, [0.2, 0.1, 0.05, 0.025])
-    assert rep.limit_value == pytest.approx(2 * np.pi, rel=1e-12)
+    limit = quad.integrate_against_measure(
+        one, LD.lowerdim_setup(unit_square, W).sbm)
+    values = cylinder_integrals(unit_square, W, one, CYLINDER_EPS)
+    assert limit == pytest.approx(2 * np.pi, rel=1e-12)
     # graph mass of the cylinder is 2*pi + eps*pi for the unit square
-    for eps, val in zip(rep.eps, rep.full_dim_values):
+    for eps, val in zip(CYLINDER_EPS, values):
         assert val == pytest.approx(2 * np.pi + eps * np.pi, rel=1e-10)
-    for ratio in rep.ratios:
+    for ratio in decay_ratios(values, limit):
         assert 1.7 <= ratio <= 2.3
 
 
 def test_cylinder_limit_support_function(unit_square, unit_cube):
-    rep = LD.cylinder_limit_check(unit_square, W, SupportEvaluator.of(unit_cube),
-                                  [0.2, 0.1, 0.05, 0.025])
-    for ratio in rep.ratios:
+    f = SupportEvaluator.of(unit_cube)
+    limit = quad.integrate_against_measure(
+        f, LD.lowerdim_setup(unit_square, W).sbm)
+    values = cylinder_integrals(unit_square, W, f, CYLINDER_EPS)
+    for ratio in decay_ratios(values, limit):
         assert 1.7 <= ratio <= 2.3
-
-
-def test_cylinder_limit_guards(unit_square):
-    one = SupportEvaluator.of(B.unit_ball())
-    with pytest.raises(DimensionError):
-        LD.cylinder_limit_check(unit_square, W, one, [0.1, 0.0])
 
 
 def test_sbm_consistency_with_mixed_volume(unit_square, unit_cube):
@@ -384,6 +386,6 @@ def test_sbm_consistency_with_mixed_volume(unit_square, unit_cube):
     g = LD.lowerdim_setup(unit_square, W)
     f = SupportEvaluator.of(unit_cube)
     direct = quad.integrate_against_measure(f, g.sbm)
-    rep = LD.cylinder_limit_check(unit_square, W, f, [0.02, 0.01])
-    extrapolated = (2 * rep.full_dim_values[1] - rep.full_dim_values[0])
+    values = cylinder_integrals(unit_square, W, f, [0.02, 0.01])
+    extrapolated = (2 * values[1] - values[0])
     assert rel_err(direct, extrapolated) < 1e-4

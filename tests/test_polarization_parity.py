@@ -18,7 +18,7 @@ from mixedvol import measures as MS
 from mixedvol.bodies import SupportEvaluator
 from mixedvol.quadrature import integrate_against_measure
 
-from conftest import BODIES, rel_err
+from conftest import BODIES, rel_err, sum_vertices
 
 TOL = 1e-13
 
@@ -26,7 +26,7 @@ TOL = 1e-13
 # -- reference -----------------------------------------------------------------
 
 def ref_sum_volume(bodies):
-    pts = B.sum_vertices(bodies)
+    pts = sum_vertices(bodies)
     return float(ConvexHull(pts).volume) if B.affine_dim(pts) == 3 else 0.0
 
 
