@@ -3,11 +3,10 @@ graphs, and executable equality/stability/rigidity checks for the Minkowski
 quadratic inequality, including the lower-dimensional (hyperplane) pipeline.
 """
 
-from .bodies import (Ball, Body, Edges, Facets, Polytope, SupportEvaluator,
-                     TrivialityReport, affine_dim, approximate_ball,
-                     as_unit_vector, classify_trivial, cube, enclosing_radii,
+from .bodies import (Edges, Facets, Polytope, SupportEvaluator, affine_dim,
+                     approximate_ball, as_unit_vector, cube, enclosing_radii,
                      hull, minkowski_sum, random_hull, segment, shear,
-                     simplex, truncate_vertex, unit, unit_ball)
+                     simplex, truncate_vertex, unit, v_llm_zero)
 from .errors import (BadMesh, BadParam, BadSpec, DegenerateInput,
                      DimensionError, InsufficientSpectrum, MixedVolError,
                      NegativeMass, NumericalFailure, QuadratureFailure,

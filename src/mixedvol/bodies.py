@@ -1,5 +1,5 @@
-"""3D convex bodies: polytopes with full facet/edge combinatorics, balls,
-support evaluation, Minkowski sums, and constructors for test bodies.
+"""3D convex polytopes with full facet/edge combinatorics, support
+evaluation, Minkowski sums, and constructors for test bodies.
 
 A full-dimensional hull is read off Qhull's output in one pass (Barber,
 Dobkin and Huhdanpaa, ACM TOMS 1996). QHULL_OPTIONS holds Qhull's options:
@@ -153,10 +153,6 @@ class Polytope:
         return v
 
     @cached_property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-    @cached_property
     def diameter(self) -> float:
         if len(self.local) == 1:
             return 0.0
@@ -253,69 +249,26 @@ class Polytope:
                 f"{len(self.edges)}E/{len(self.facets)}F, dim={self.dim})")
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Euclidean ball; participates through closed-form support values only."""
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise BadSpec("ball radius must be strictly positive")
-
-    def support(self, u) -> Union[float, np.ndarray]:
-        u = np.asarray(u, dtype=float)
-        out = u @ self.center + self._local_support(u)
-        return float(out) if out.ndim == 0 else out
-
-    def _local_support(self, u: np.ndarray) -> np.ndarray:
-        return self.radius * np.linalg.norm(u, axis=-1)
-
-    def face(self, u) -> Polytope:
-        u = as_unit_vector(u)
-        return hull((self.center + self.radius * u)[None, :])
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    @property
-    def dim(self) -> int:
-        return 3
-
-
-Body = Union[Polytope, Ball]
-
-
-def unit_ball() -> Ball:
-    return Ball(np.zeros(3), 1.0)
-
-
 # ---------------------------------------------------------------------------
-# Support evaluators: finite combinations sum_i c_i h_{B_i} + <v, .>
+# Support evaluators: finite combinations sum_i c_i h_{P_i} + <v, .>
 # ---------------------------------------------------------------------------
 
 class SupportEvaluator:
-    """Formal combination <shift, .> + sum_i c_i h_{B_i - o_i}, o_i the
-    origin of a polytope B_i or the center of a ball B_i: of() puts c o_i
-    into shift, so far bodies' linear parts cancel there before any local
-    part is added. Positively homogeneous of degree 1; linear combinations
-    of support functions extend the mixed-volume functionals by linearity.
+    """Formal combination <shift, .> + sum_i c_i h_{P_i - o_i}, o_i the
+    origin of the polytope P_i: of() puts c o_i into shift, so far bodies'
+    linear parts cancel there before any local part is added. Positively
+    homogeneous of degree 1; linear combinations of support functions extend
+    the mixed-volume functionals by linearity.
     """
 
-    def __init__(self, terms: Sequence[tuple[float, Body]] = (), shift=(0.0, 0.0, 0.0)):
+    def __init__(self, terms: Sequence[tuple[float, Polytope]] = (),
+                 shift=(0.0, 0.0, 0.0)):
         self.terms = tuple((float(c), b) for c, b in terms)
         self.shift = np.asarray(shift, dtype=float)
 
     @classmethod
-    def of(cls, body: Body, coef: float = 1.0) -> "SupportEvaluator":
-        o = body.center if isinstance(body, Ball) else body.origin
-        return cls([(coef, body)], shift=coef * o)
-
-    @classmethod
-    def linear(cls, v) -> "SupportEvaluator":
-        return cls([], shift=v)
+    def of(cls, body: Polytope, coef: float = 1.0) -> "SupportEvaluator":
+        return cls([(coef, body)], shift=coef * body.origin)
 
     def __call__(self, u) -> Union[float, np.ndarray]:
         u = np.asarray(u, dtype=float)
@@ -326,12 +279,6 @@ class SupportEvaluator:
 
     def __add__(self, other: "SupportEvaluator") -> "SupportEvaluator":
         return SupportEvaluator(self.terms + other.terms, self.shift + other.shift)
-
-    def __sub__(self, other: "SupportEvaluator") -> "SupportEvaluator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, c: float) -> "SupportEvaluator":
-        return SupportEvaluator([(c * ci, b) for ci, b in self.terms], c * self.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -508,50 +455,22 @@ def minkowski_sum(p: Polytope, q: Polytope, name: str = "") -> Polytope:
         p.origin + q.origin)
 
 
-def _sum_dim(bodies: Sequence[Body]) -> int:
+def _sum_dim(bodies: Sequence[Polytope]) -> int:
     """Affine dimension of the Minkowski sum: the rank of the summands'
     direction spans together. A flat summand spans the first dim right
     singular vectors of its local rows less the first, unit rows, so that a
     small summand is not lost against a large one and a single summand
     reads its own dim."""
-    if any(isinstance(b, Ball) or b.dim == 3 for b in bodies):
+    if any(b.dim == 3 for b in bodies):
         return 3
     spans = [np.linalg.svd(b.local - b.local[0])[2][:b.dim] for b in bodies]
     return affine_dim(np.vstack([np.zeros((1, 3))] + spans))
 
 
-@dataclass(frozen=True)
-class TrivialityReport:
-    dims: dict
-    v_llm_zero: bool          # V(L, L, M) = 0 by the dimension rule
-    equality_trivial: bool    # V(K, L, M) = 0, i.e. equality holds trivially
-    reasons: tuple[str, ...]
-
-
-def classify_trivial(k: Body, l: Body, m: Body) -> TrivialityReport:
-    """Dimension-based classification of the trivial equality regime.
-
-    V(L,L,M) = 0 iff dim L <= 1, dim M <= 0, or dim(L+M) <= 2; when it
-    vanishes, equality holds iff V(K,L,M) = 0, characterized by the listed
-    dimension conditions.
-    """
-    dims = {
-        "K": _sum_dim([k]), "L": _sum_dim([l]), "M": _sum_dim([m]),
-        "K+L": _sum_dim([k, l]), "K+M": _sum_dim([k, m]),
-        "L+M": _sum_dim([l, m]), "K+L+M": _sum_dim([k, l, m]),
-    }
-    v_llm_zero = dims["L"] <= 1 or dims["M"] <= 0 or dims["L+M"] <= 2
-    conditions = [
-        (dims["K"] == 0, "dim K = 0"),
-        (dims["L"] == 0, "dim L = 0"),
-        (dims["K+L"] <= 1, "dim(K+L) <= 1"),
-        (dims["M"] <= 0, "dim M <= 0"),
-        (dims["K+M"] <= 1, "dim(K+M) <= 1"),
-        (dims["L+M"] <= 1, "dim(L+M) <= 1"),
-        (dims["K+L+M"] <= 2, "dim(K+L+M) <= 2"),
-    ]
-    reasons = tuple(msg for ok, msg in conditions if ok)
-    return TrivialityReport(dims, v_llm_zero, bool(reasons), reasons)
+def v_llm_zero(l: Polytope, m: Polytope) -> bool:
+    """V(L, L, M) = 0 by the dimension rule: dim L <= 1, dim M <= 0, or
+    dim(L + M) <= 2."""
+    return l.dim <= 1 or m.dim <= 0 or _sum_dim([l, m]) <= 2
 
 
 def enclosing_radii(m: Polytope) -> tuple[float, float]:
@@ -571,9 +490,9 @@ def enclosing_radii(m: Polytope) -> tuple[float, float]:
 # Test-body constructors
 # ---------------------------------------------------------------------------
 
-def cube(side: float = 1.0) -> Polytope:
-    corners = np.array([[x, y, z] for x in (0, side) for y in (0, side)
-                        for z in (0, side)], dtype=float)
+def cube() -> Polytope:
+    corners = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
+                        for z in (0, 1)], dtype=float)
     return hull(corners, name="cube")
 
 
@@ -586,10 +505,10 @@ def segment(a, b) -> Polytope:
     return hull(np.array([a, b], dtype=float), name="segment")
 
 
-def truncate_vertex(p: Polytope, vertex_id: int, depth: float,
-                    vertex_only: bool = True) -> Polytope:
+def truncate_vertex(p: Polytope, vertex_id: int, depth: float) -> Polytope:
     """Cut off one vertex with the halfspace <x,u> <= h_P(u) - depth, where u
-    is the normalized sum of the vertex's incident edge directions."""
+    is the normalized sum of the vertex's incident edge directions; a deep
+    cut takes neighboring vertices with it."""
     if p.dim < 3:
         raise DegenerateInput("truncate_vertex requires a full-dimensional polytope")
     if depth <= 0:
@@ -606,11 +525,8 @@ def truncate_vertex(p: Polytope, vertex_id: int, depth: float,
     c = float(p.support(u)) - depth
     tol = p._height_tol(u)
     vals = p.vertices @ u
-    removed = np.flatnonzero(vals > c + tol)
-    if vertex_id not in removed:
+    if not vals[vertex_id] > c + tol:
         raise BadSpec("truncation depth too small to separate the vertex")
-    if vertex_only and set(removed.tolist()) != {vertex_id}:
-        raise BadSpec("truncation depth deletes a neighboring vertex")
     kept = p.vertices[vals <= c + tol]
     # the crossing point of each edge with one end on each side of the cut
     a, b = ends[(vals[ends] > c + tol).sum(axis=1) == 1].T
@@ -628,8 +544,8 @@ def shear(p: Polytope, a, b, amount: float) -> Polytope:
     return hull(pts, name=f"{p.name}-shear{amount:g}")
 
 
-def approximate_ball(level: int, radius: float = 1.0) -> Polytope:
-    """Icosahedral sphere refinement inscribed in the radius-ball."""
+def approximate_ball(level: int) -> Polytope:
+    """Icosahedral sphere refinement inscribed in the unit ball."""
     if level < 0:
         raise BadSpec("subdivision level must be >= 0")
     phi = (1 + np.sqrt(5)) / 2
@@ -659,14 +575,13 @@ def approximate_ball(level: int, radius: float = 1.0) -> Polytope:
         (i, j, k), (ij, jk, ki) = faces.T, number[edge_of].reshape(-1, 3).T
         faces = np.stack([i, ij, ki, ij, j, jk, jk, k, ki, ij, jk, ki],
                          axis=1).reshape(-1, 3)
-    pts = radius * (v / _row_norms(v)[:, None])
-    return hull(pts, name=f"ball@{level}")
+    return hull(v / _row_norms(v)[:, None], name=f"ball@{level}")
 
 
-def random_hull(count: int, seed: int, scale: float = 1.0) -> Polytope:
+def random_hull(count: int, seed: int) -> Polytope:
     """Deterministic random polytope: hull of seeded Gaussian points."""
     if count < 4:
         raise BadSpec("need at least 4 points for a full-dimensional hull")
     rng = np.random.default_rng(seed)
-    pts = scale * rng.standard_normal((count, 3))
+    pts = rng.standard_normal((count, 3))
     return hull(pts, require_full_dim=True, name=f"rand{count}s{seed}")

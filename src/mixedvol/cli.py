@@ -32,7 +32,7 @@ RAND_POLY_POINTS = 10
 
 
 # ---------------------------------------------------------------------------
-# Body and file parsing
+# Bodies and file parsing
 # ---------------------------------------------------------------------------
 
 def parse_polytope(path: str) -> Polytope:
@@ -91,8 +91,7 @@ def parse_body(spec: str):
         return B.shear(B.cube(), [1, 0, 0], [0, 0, 1],
                        _float_param(spec, "shear:"))
     if spec.startswith("trunc:"):
-        return B.truncate_vertex(B.cube(), 0, _float_param(spec, "trunc:"),
-                                 vertex_only=False)
+        return B.truncate_vertex(B.cube(), 0, _float_param(spec, "trunc:"))
     return parse_polytope(spec)
 
 
@@ -360,7 +359,7 @@ def cmd_demo(args):
     form = assemble(g, args.mesh_h)
     spec = spectrum(form, 8)
     cert = X.certify_equality_fulldim(
-        B.truncate_vertex(c, 0, 0.1, vertex_only=False), c, c)
+        B.truncate_vertex(c, 0, 0.1), c, c)
     rep = base_report("demo", {"mesh_h": args.mesh_h})
     rep["values"].update({
         "cube_volume": vol, "cube_surface": surf, "cube_mean_width": width,

@@ -10,7 +10,7 @@ class DegenerateInput(MixedVolError):
 
 
 class DimensionError(MixedVolError):
-    """Body has the wrong affine dimension for the lower-dimensional pipeline."""
+    """A body of the wrong affine dimension for the lower-dimensional pipeline."""
 
 
 class BadSpec(MixedVolError):

@@ -12,8 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature as quad
-from .bodies import (Ball, Body, Polytope, SupportEvaluator, classify_trivial,
-                     enclosing_radii)
+from .bodies import Polytope, SupportEvaluator, enclosing_radii, v_llm_zero
 from .errors import DegenerateInput, SingularGM, ZeroDenominator
 from .graph import MetricGraph, build_graph, sbm_and_mu
 from .measures import DeficitReport, mixed_volume_xpp, quadratic_deficit
@@ -40,7 +39,7 @@ class StabilityWitness:
     residual: float          # int (h_K - a h_L - <v,.>)^2 dS_{M,M}/h_M
 
 
-def stability_witness(k: Body, l: Body, m: Polytope) -> StabilityWitness:
+def stability_witness(k: Polytope, l: Polytope, m: Polytope) -> StabilityWitness:
     """Optimal (a, v) for the weighted deficit witness on supp S_{M,M}.
 
     a = V(K,M,M)/V(L,M,M); v solves the G_M-weighted normal equations, whose
@@ -50,8 +49,7 @@ def stability_witness(k: Body, l: Body, m: Polytope) -> StabilityWitness:
     r, big_r = enclosing_radii(m)
     v_lmm = mixed_volume_xpp(l, m)
     # V(L, M, M) = 0 for full-dimensional M exactly when L is a point
-    l_is_point = not isinstance(l, Ball) and l.dim == 0
-    if v_lmm <= 0 or l_is_point:
+    if v_lmm <= 0 or l.dim == 0:
         raise ZeroDenominator("V(L, M, M) must be positive")
     a = mixed_volume_xpp(k, m) / v_lmm
     normals = m.facets.normals
@@ -83,7 +81,7 @@ class StabilityReport:
         return self.margin >= -deficit_tolerance(self.deficit.scale)
 
 
-def weak_stability_check(k: Body, l: Body, m: Polytope) -> StabilityReport:
+def weak_stability_check(k: Polytope, l: Polytope, m: Polytope) -> StabilityReport:
     """V(K,L,M)^2 >= V(K,K,M) V(L,L,M) + C_M V(L,L,M) * residual."""
     w = stability_witness(k, l, m)
     dr = quadratic_deficit(k, l, m)
@@ -120,16 +118,16 @@ def _verdict(deficit: float, scale: float, sup_res: float, diam: float) -> str:
     return "inconclusive"
 
 
-def certify(k: Body, l: Body, m: Polytope,
+def certify(k: Polytope, l: Polytope, m: Polytope,
             residual: Callable[[float], tuple]) -> EqualityCertificate:
     """The verdict step of both certifiers: with a = V(K,L,M)/V(L,L,M),
     residual(a) gives (v, the residual restricted to the arcs of
     supp S_{B,M}); equality holds iff the deficit and the residual's sup
     both vanish."""
     dr = quadratic_deficit(k, l, m)
-    if dr.v_ll <= 0 or classify_trivial(k, l, m).v_llm_zero:
+    if dr.v_ll <= 0 or v_llm_zero(l, m):
         raise ZeroDenominator(
-            "V(L, L, M) = 0: route through classify_trivial instead")
+            "V(L, L, M) = 0, so a = V(K,L,M)/V(L,L,M) is undefined")
     a = dr.v_kl / dr.v_ll
     v, resid = residual(a)
     sup_res = sup_on_sbm(resid)
@@ -171,7 +169,8 @@ def sup_on_sbm(resid: quad.ArcRestriction) -> float:
     return float(np.abs(a * np.cos(t) + b * np.sin(t) + c).max(initial=0.0))
 
 
-def certify_equality_fulldim(k: Body, l: Body, m: Polytope) -> EqualityCertificate:
+def certify_equality_fulldim(k: Polytope, l: Polytope, m: Polytope
+                             ) -> EqualityCertificate:
     """Certify or falsify equality: deficit ~ 0 iff h_K - a h_L - <v,.>
     vanishes on supp S_{B,M} (the closure of 1-extreme normal directions)."""
     if m.dim < 3:
@@ -203,7 +202,7 @@ class RigidityReport:
         return self.margin >= -deficit_tolerance(self.deficit.scale)
 
 
-def rigidity_check(k: Body, l: Body, m: Polytope) -> RigidityReport:
+def rigidity_check(k: Polytope, l: Polytope, m: Polytope) -> RigidityReport:
     """V(K,L,M)^2 >= V(K,K,M) V(L,L,M) + V(L,L,M) *
     [ (r^2/(6R^2)) int (h_K-h_L)^2 dS_{B,M} - (4R^2/(3r^2)) int (h_K-h_L)^2 dmu_M ]."""
     if m.dim < 3:

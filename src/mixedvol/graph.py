@@ -36,6 +36,10 @@ from .errors import (BadMesh, BadParam, DegenerateInput, InsufficientSpectrum,
                      NumericalFailure)
 from .quadrature import SphericalMeasure
 
+# slack of structural_checks: on R/r against tan(l/2), and relative to the
+# total edge weight on each vertex's balance residual
+STRUCTURAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class MetricGraph:
@@ -386,12 +390,12 @@ class StructuralReport:
     violations: tuple[str, ...]
 
 
-def structural_checks(g: MetricGraph, r: float, big_r: float,
-                      tol: float = 1e-9) -> StructuralReport:
-    """tan(l/2) <= R/r on every edge; weighted tangent balance per vertex."""
-    length_margins = big_r / r + tol - np.tan(g.arcs.lengths / 2.0)
+def structural_checks(g: MetricGraph, r: float, big_r: float) -> StructuralReport:
+    """tan(l/2) <= R/r on every edge; weighted tangent balance per vertex;
+    both to within STRUCTURAL_TOL."""
+    length_margins = big_r / r + STRUCTURAL_TOL - np.tan(g.arcs.lengths / 2.0)
     residuals = g.vertex_balance_residuals()
-    balance_margins = tol * g.total_weight() - residuals
+    balance_margins = STRUCTURAL_TOL * g.total_weight() - residuals
     long = np.flatnonzero(length_margins < 0)
     violations = [f"edge ({i}, {j}): tan(l/2) exceeds R/r by {-m:g}"
                   for (i, j), m in zip(g.edges[long].tolist(), length_margins[long])]

@@ -3,35 +3,33 @@
 Both routes to V(K, L, M) integrate a support function against the mixed
 area measure S_{A,B} = (1/2)[S(A+B) - S(A) - S(B)] (Schneider, Convex
 Bodies, 5.1). The primary route, mixed_volume, sums h_X over the raw Qhull
-triangles of hull(A+B), with X a Ball slot or else the body with the most
-vertices, and subtracts the facet sums of A and B: one Qhull call, no facet
-merge, no quadrature. mv3 takes it for every triple but two balls, for which
-V(B, B, M) is a third of the mass of the arc measure S_{B,M}. The oracle
-route, mixed_volume_via_measure, integrates h_K in the slot it is given
-against S_{L,M} built from merged hulls (bodies.hull), merged atoms and a
-nonnegativity check, or against arc measures for Ball slots; nothing else
-reaches mixed_area_measure. The two routes share that identity and nothing
-else: they differ in the hull (raw triangles against merged facets), in the
-atoms and, in general, in the slot that holds the support function. The
-all-sums polarization of hull volumes in the tests is independent of both.
-No hull is needed when two slots hold the same polytope P: V(X, P, P) is a
-sum over the facets of P. Every route reads the surface area measure S_P off
-P's facet table, in every dimension: one atom per facet of a 3-polytope, the
-two sides of a polygon, none for a segment or a point.
+triangles of hull(A+B), with X the body with the most vertices, and
+subtracts the facet sums of A and B: one Qhull call, no facet merge, no
+quadrature; mv3 is its name on the command paths. The oracle route,
+mixed_volume_via_measure, integrates h_K in the slot it is given against
+S_{L,M} built from merged hulls (bodies.hull), merged atoms and a
+nonnegativity check; nothing else reaches mixed_area_measure. The two routes
+share that identity and nothing else: they differ in the hull (raw
+triangles against merged facets), in the atoms and, in general, in the slot
+that holds the support function. The all-sums polarization of hull volumes
+in the tests is independent of both. No hull is needed when two slots hold
+the same polytope P: V(X, P, P) is a sum over the facets of P. Every route
+reads the surface area measure S_P off P's facet table, in every dimension:
+one atom per facet of a 3-polytope, the two sides of a polygon, none for a
+segment or a point. The unit ball B enters only through the arc measure
+S_{B,M} of M's metric graph, whose mass is 3 V(B, B, M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
-from .bodies import (Ball, Body, Polytope, SupportEvaluator, _pair_sums,
-                     _row_dots, _row_norms, _sum_dim, _triangle_areas, hull,
-                     unit_ball)
-from .errors import BadSpec, DegenerateInput
+from .bodies import (Polytope, SupportEvaluator, _pair_sums, _row_dots,
+                     _row_norms, _sum_dim, _triangle_areas, hull)
+from .errors import DegenerateInput
 from .graph import build_graph
 from .quadrature import SphericalMeasure, integrate_against_measure
 
@@ -65,29 +63,13 @@ def merge_atoms(directions: np.ndarray, masses: np.ndarray
 # Volumes and polarization
 # ---------------------------------------------------------------------------
 
-def _support_sum(x: Union[Ball, np.ndarray], dirs: np.ndarray,
-                 masses: np.ndarray) -> float:
-    """sum over the atoms (u, mass) of h_X(u) mass, for X a Ball taken about
-    its center or the rows of a vertex array."""
-    if isinstance(x, Ball):
-        h = x.radius * np.linalg.norm(dirs, axis=-1)
-    else:
-        h = np.max(dirs @ x.T, axis=1)
-    return float(h @ masses)
+def _support_sum(x: np.ndarray, dirs: np.ndarray, masses: np.ndarray) -> float:
+    """sum over the atoms (u, mass) of h_X(u) mass, X the rows of a vertex
+    array."""
+    return float(np.max(dirs @ x.T, axis=1) @ masses)
 
 
-def _unit_frame(b: Body) -> tuple[Union[Ball, np.ndarray], float]:
-    """b in its own frame at unit size, and that size: the unit ball at the
-    origin and the radius for a ball; a polytope's local rows over their
-    max-abs, and the max-abs (0 for a point, left unscaled)."""
-    if isinstance(b, Ball):
-        return unit_ball(), b.radius
-    v = b.local
-    s = float(np.abs(v).max())
-    return (v / s if s else v), s
-
-
-def mixed_volume(k: Body, l: Body, m: Body) -> float:
+def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
     """V(K, L, M) by one Qhull call and facet sums; symmetric, multilinear.
 
     V(X, A, B) = (1/3) int h_X dS_{A,B} with S_{A,B} = (1/2)[S(A+B) - S(A)
@@ -96,27 +78,22 @@ def mixed_volume(k: Body, l: Body, m: Body) -> float:
         6 V = sum_{T in A+B} h_X(n_T) |T| - sum_{F in A} h_X(u_F) |F|
               - sum_{F in B} h_X(u_F) |F|.
 
-    V is symmetric, so X is a Ball slot, or else the body with the most
-    vertices (the first in slot order on a tie), and Qhull runs once, on the
-    vertex sums of the other two. The integral is linear in the measure, so
-    the triangles of hull(A+B) enter as they are, with no facet merge. Each
-    body is taken in its own frame (a polytope's local rows, a ball about
-    its center) and scaled to unit size (max-abs, radius), and the product of
-    the scales is multiplied back in, so rescaling one body costs no digits
-    against the others; a ball X is then the unit ball, h_X(u) = |u|. A flat
-    K+L+M gives exactly 0. A flat A+B enters through its facet table: its
-    two sides, or none. At most one slot may hold a Ball (V(B, B, M) is
-    mv3's)."""
+    V is symmetric, so X is the body with the most vertices (the first in
+    slot order on a tie), and Qhull runs once, on the vertex sums of the
+    other two. The integral is linear in the measure, so the triangles of
+    hull(A+B) enter as they are, with no facet merge. Each body is taken in
+    its own frame (its local rows) and scaled to unit max-abs, and the
+    product of the scales is multiplied back in, so rescaling one body costs
+    no digits against the others. A flat K+L+M gives exactly 0. A flat A+B
+    enters through its facet table: its two sides, or none."""
     bodies = (k, l, m)
-    balls = [j for j, b in enumerate(bodies) if isinstance(b, Ball)]
-    if len(balls) > 1:
-        raise BadSpec("mixed_volume takes at most one Ball; mv3 takes two")
     if _sum_dim(bodies) < 3:
         return 0.0
-    pts, scales = zip(*map(_unit_frame, bodies))
+    scales = [float(np.abs(b.local).max()) for b in bodies]
     if min(scales) == 0.0:
         return 0.0    # a point in any slot
-    i = balls[0] if balls else max(range(3), key=lambda j: len(pts[j]))
+    pts = [b.local / s for b, s in zip(bodies, scales)]
+    i = max(range(3), key=lambda j: len(pts[j]))
     ia, ib = (j for j in range(3) if j != i)
     x, sums = pts[i], _pair_sums(pts[ia], pts[ib])
     if _sum_dim((bodies[ia], bodies[ib])) == 3:
@@ -159,27 +136,17 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Mixed volumes with ball slots and the deficit
+# The oracle route and the deficit
 # ---------------------------------------------------------------------------
 
-def mixed_volume_via_measure(k: Body, l: Body, m: Polytope) -> float:
-    """(1/3) int h_K dS_{L,M}; ball L-slots use the arc measure S_{B,M}."""
-    ev = SupportEvaluator.of(k)
-    if isinstance(l, Ball):
-        return l.radius * integrate_against_measure(ev, build_graph(m).sbm) / 3.0
-    return integrate_against_measure(ev, mixed_area_measure(l, m)) / 3.0
+def mixed_volume_via_measure(k: Polytope, l: Polytope, m: Polytope) -> float:
+    """(1/3) int h_K dS_{L,M}."""
+    return integrate_against_measure(SupportEvaluator.of(k),
+                                     mixed_area_measure(l, m)) / 3.0
 
 
-def mv3(k: Body, l: Body, m: Polytope) -> float:
-    """V(K, L, M) for polytope M, allowing Ball bodies in the K/L slots.
-
-    Two balls take the arc measure S_{B,M}: V(b1, b2, M) = rho1 rho2
-    V(B, B, M), since the centers enter only through linear parts that
-    integrate to 0. Every other triple, one ball included, is
-    mixed_volume's."""
-    if isinstance(k, Ball) and isinstance(l, Ball):
-        vbbm = build_graph(m).sbm.total_mass() / 3.0
-        return k.radius * l.radius * vbbm
+def mv3(k: Polytope, l: Polytope, m: Polytope) -> float:
+    """V(K, L, M): mixed_volume, under the name the command paths call."""
     return mixed_volume(k, l, m)
 
 
@@ -198,38 +165,33 @@ class DeficitReport:
         return max(self.v_kl ** 2, self.v_kk * self.v_ll, 1e-300)
 
 
-def mixed_volume_xpp(x: Body, p: Polytope) -> float:
+def mixed_volume_xpp(x: Polytope, p: Polytope) -> float:
     """V(X, P, P) = (1/3) sum h_X(u) mass over the atoms of the surface area
     measure S_P: the facets of a full-dimensional P, the two sides of a planar
-    P, none for dim P <= 1. X may be a Ball. This is V(P, P, X) too, so it
-    gives V(K, K, M) = (1/3) sum_F h_M(u_F) |F| without polarization.
+    P, none for dim P <= 1. This is V(P, P, X) too, so it gives V(K, K, M) =
+    (1/3) sum_F h_M(u_F) |F| without polarization.
 
-    X is taken in its own frame (a polytope's local rows, a ball about its
-    center): the linear part <o, u> integrates to 0 over the balanced S_P,
-    and summed as it sits it cancels only to about eps |o| S(P)."""
-    xc = x if isinstance(x, Ball) else x.local
-    return _support_sum(xc, p.facets.normals, p.facets.areas) / 3.0
-
-
-def _v_xxm(x: Body, m: Polytope) -> float:
-    """V(X, X, M): a facet sum over X, or the arc measure for a ball X."""
-    return mv3(x, x, m) if isinstance(x, Ball) else mixed_volume_xpp(m, x)
+    X is taken in its own frame (its local rows): the linear part <o, u>
+    integrates to 0 over the balanced S_P, and summed as it sits it cancels
+    only to about eps |o| S(P)."""
+    return _support_sum(x.local, p.facets.normals, p.facets.areas) / 3.0
 
 
-def quadratic_deficit(k: Body, l: Body, m: Polytope) -> DeficitReport:
+def quadratic_deficit(k: Polytope, l: Polytope, m: Polytope) -> DeficitReport:
     """Minkowski quadratic deficit V(K,L,M)^2 - V(K,K,M) V(L,L,M) >= 0.
 
     Only V(K,L,M) is polarized; V(K,K,M) and V(L,L,M) are facet sums."""
-    return DeficitReport(mv3(k, l, m), _v_xxm(k, m), _v_xxm(l, m))
+    return DeficitReport(mv3(k, l, m), mixed_volume_xpp(m, k),
+                         mixed_volume_xpp(m, l))
 
 
 def classical_functionals(k: Polytope) -> tuple[float, float, float]:
     """(Vol, surface area, mean width) = (Vol, 3 V(B,K,K), (3/2pi) V(B,B,K)).
 
-    The surface area 3 V(B,K,K) is the total mass of S_K."""
-    ball = unit_ball()
+    The surface area 3 V(B,K,K) is the total mass of S_K, and V(B,B,K) a
+    third of the mass of the arc measure S_{B,K}."""
     s = sum(k.facets.areas.tolist())
-    w = (3.0 / (2.0 * np.pi)) * mv3(ball, ball, k)
+    w = (3.0 / (2.0 * np.pi)) * (build_graph(k).sbm.total_mass() / 3.0)
     return k.volume, s, w
 
 

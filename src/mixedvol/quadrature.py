@@ -2,13 +2,14 @@
 the sphere made of atoms and weighted arcs.
 
 On an arc u(t) = a cos t + e sin t the restriction of a support-function
-combination is a piecewise trig polynomial A cos t + B sin t + C (C from
-balls), cut where some polytope term switches active vertex. Those cuts are
-the crossings of the arc with the polytope's normal fan, so they are found
-for every arc of an ``Arcs`` table at once. An ``ArcRestriction`` holds the
-smooth segments of all arcs as rows, with their coefficients, so integrals
-of products (and of derivative products) are closed-form sums over segments,
-reduced per arc.
+combination is a piecewise trig polynomial A cos t + B sin t, cut where some
+polytope term switches active vertex. Those cuts are the crossings of the
+arc with the polytope's normal fan, so they are found for every arc of an
+``Arcs`` table at once. An ``ArcRestriction`` holds the smooth segments of
+all arcs as rows, with their coefficients (A, B, C): C, a constant term,
+is 0 for a support function and lets the integrals take the constant 1 as
+a factor. Integrals of products (and of derivative products) are
+closed-form sums over segments, reduced per arc.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bodies import Ball, Polytope, SupportEvaluator, _row_dots, _row_norms
+from .bodies import Polytope, SupportEvaluator, _row_dots, _row_norms
 from .errors import NegativeMass, QuadratureFailure
 
 # |<n, pole>| at or below this puts a fan vertex n on an arc's great circle
@@ -83,8 +84,7 @@ class Arcs:
 
 def _polytopes(evaluators: Sequence[SupportEvaluator]) -> list[Polytope]:
     """The distinct polytope terms of the evaluators, by identity."""
-    return list({id(b): b for f in evaluators for _, b in f.terms
-                 if isinstance(b, Polytope)}.values())
+    return list({id(b): b for f in evaluators for _, b in f.terms}.values())
 
 
 def _fan_crossings(fan: np.ndarray, arcs: Arcs
@@ -145,10 +145,7 @@ def _segment_blocks(arcs: Arcs, evaluators: Sequence[SupportEvaluator]
     width = sum(2 * len(p.fan) + len(p.local)
                 for p in _polytopes(evaluators))
     step = max(1, BLOCK_ENTRIES // max(1, width))
-    if step >= len(arcs):           # one block: keep the table's cached poles
-        yield 0, arcs, segments(arcs, *evaluators)
-        return
-    for lo in range(0, len(arcs), step):
+    for lo in range(0, max(1, len(arcs)), step):
         block = arcs[lo:lo + step]
         yield lo, block, segments(block, *evaluators)
 
@@ -232,10 +229,7 @@ def _coefficients(arcs: Arcs, arc: np.ndarray, t0: np.ndarray,
     for cf, f in zip(coef, evaluators):
         cf[:, :2] = plane @ f.shift
         for c, body in f.terms:
-            if isinstance(body, Ball):
-                cf[:, 2] += c * body.radius
-            else:
-                cf[:, :2] += c * ab[id(body)]
+            cf[:, :2] += c * ab[id(body)]
     return coef
 
 

@@ -168,13 +168,20 @@ def barycenter_residual(s: quad.SphericalMeasure) -> float:
         + (w * (1 - np.cos(l))) @ s.arcs.tangents))
 
 
-def cylinder_integrals(m, w, f: B.SupportEvaluator, eps_seq) -> list[float]:
-    """int f dS_{B, M + eps[0, w]} on the metric graph of each thin cylinder
-    over the polygon M; as eps -> 0 they tend at first order in eps to the
-    half-circle integral on M of the lower-dimensional pipeline."""
+def cylinder_measures(m, w, eps_seq) -> list[quad.SphericalMeasure]:
+    """S_{B, M + eps[0, w]} on the metric graph of each thin cylinder over
+    the polygon M; as eps -> 0 their masses and integrals tend at first
+    order in eps to those of the half-circle measure on M of the
+    lower-dimensional pipeline."""
     w = B.as_unit_vector(w)
-    return [quad.integrate_against_measure(f, G.build_graph(B.minkowski_sum(
-        m, B.segment(np.zeros(3), eps * w))).sbm) for eps in eps_seq]
+    return [G.build_graph(B.minkowski_sum(m, B.segment(np.zeros(3), eps * w))).sbm
+            for eps in eps_seq]
+
+
+def cylinder_integrals(m, w, f: B.SupportEvaluator, eps_seq) -> list[float]:
+    """int f dS_{B, M + eps[0, w]} over the cylinder_measures."""
+    return [quad.integrate_against_measure(f, mu)
+            for mu in cylinder_measures(m, w, eps_seq)]
 
 
 def decay_ratios(values, limit: float) -> list[float]:
@@ -350,7 +357,7 @@ def loop_breakpoints(f: B.SupportEvaluator, arc: quad.Arcs) -> list[float]:
     term."""
     bps: list[float] = []
     for _, body in f.terms:
-        if isinstance(body, B.Polytope) and len(body.vertices) > 1:
+        if len(body.vertices) > 1:
             alpha = body.vertices @ arc.starts[0]
             beta = body.vertices @ arc.tangents[0]
             bps += _envelope_breakpoints(alpha, beta, arc.lengths[0])
@@ -369,9 +376,6 @@ def loop_restriction(f: B.SupportEvaluator, arc: quad.Arcs, cuts=None):
     coef = np.zeros((len(mid), 3))
     coef[:, :2] = plane @ f.shift
     for c, b in f.terms:
-        if isinstance(b, B.Ball):
-            coef[:, 2] += c * b.radius
-        else:
-            ab = b.local @ plane.T
-            coef[:, :2] += c * ab[np.argmax(ab @ trig, axis=0)]
+        ab = b.local @ plane.T
+        coef[:, :2] += c * ab[np.argmax(ab @ trig, axis=0)]
     return cuts, coef

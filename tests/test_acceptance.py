@@ -13,10 +13,9 @@ from mixedvol import extremal as X
 from mixedvol import graph as G
 from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
-from mixedvol import quadrature as quad
 from mixedvol.bodies import SupportEvaluator
 
-from conftest import cylinder_integrals, decay_ratios, rel_err
+from conftest import cylinder_measures, decay_ratios, rel_err
 
 W = np.array([0.0, 0.0, 1.0])
 
@@ -62,7 +61,7 @@ def test_02_cube_constants():
     """Vol, surface, and V(B,B,C) for the unit cube, two independent routes."""
     c = B.cube()
     vol_err = abs(c.volume - 1.0)
-    surf = 3.0 * MS.mv3(B.unit_ball(), c, c)
+    surf = MS.mixed_area_measure(c, c).total_mass()
     surf_err = abs(surf - 6.0)
     # graph-mass route
     sbm, _ = G.sbm_and_mu(G.build_graph(c))
@@ -155,7 +154,7 @@ def test_06_equality_certification_fulldim():
              and eq.deficit_report.deficit <= 1e-10 * eq.deficit_report.scale
              and eq.sup_residual <= 1e-8 * eq.diameter)
     deep = X.certify_equality_fulldim(
-        B.truncate_vertex(cube, 0, 0.8, vertex_only=False), cube, cube)
+        B.truncate_vertex(cube, 0, 0.8), cube, cube)
     strict_ok = deep.verdict == "strict"
     disagreements = 0
     rng = np.random.default_rng(6006)
@@ -184,7 +183,7 @@ def test_06_equality_certification_fulldim():
 
 def test_07_weak_stability():
     """Stability inequality with C_M = r^2/(18 R^2): 100 pairs x 10 bodies."""
-    ms = [m.translate(-m.centroid) for m in seeded_hulls(10, 7007)]
+    ms = [m.translate(-m.origin) for m in seeded_hulls(10, 7007)]
     pairs = seeded_hulls(20, 7008)
     worst_margin = np.inf
     violations = 0
@@ -211,7 +210,7 @@ def test_08_rigidity():
     for i in range(100):
         k, l = hulls[i], hulls[i + 1]
         m = B.random_hull(10, 80000 + i)
-        m = m.translate(-m.centroid)
+        m = m.translate(-m.origin)
         rep = X.rigidity_check(k, l, m)
         worst_margin = min(worst_margin, rep.margin / rep.deficit.scale)
         if not rep.holds:
@@ -271,9 +270,9 @@ def test_11_cylinder_limit():
     """Graph mass of the thin cylinder converges to 2 pi at first order."""
     sq = B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
                          dtype=float))
-    one = SupportEvaluator.of(B.unit_ball())
-    limit = quad.integrate_against_measure(one, LD.lowerdim_setup(sq, W).sbm)
-    values = cylinder_integrals(sq, W, one, [0.2, 0.1, 0.05, 0.025])
+    limit = LD.lowerdim_setup(sq, W).sbm.total_mass()
+    values = [mu.total_mass()
+              for mu in cylinder_measures(sq, W, [0.2, 0.1, 0.05, 0.025])]
     ratios = decay_ratios(values, limit)
     ok = (abs(limit - 2 * np.pi) < 1e-12
           and all(1.7 <= r <= 2.3 for r in ratios))

@@ -36,7 +36,7 @@ def ref_truncate_points(p, vertex_id, depth):
             dirs.append(B.unit(v0 - p.vertices[other]))
     u = B.unit(np.sum(dirs, axis=0))
     c = float(p.support(u)) - depth
-    tol = (B.FACE_TOL * np.abs(p.vertices - p.centroid).max()
+    tol = (B.FACE_TOL * np.abs(p.vertices - p.vertices.mean(axis=0)).max()
            + 4 * np.finfo(float).eps * (np.abs(p.vertices) @ np.abs(u)).max())
     vals = p.vertices @ u
     if vals[vertex_id] <= c + tol:
@@ -149,14 +149,13 @@ def test_truncate_vertex_matches_row_loops(name):
         expected = B.hull(ref_truncate_points(p, 0, depth))
     except BadSpec:
         with pytest.raises(BadSpec):
-            B.truncate_vertex(p, 0, depth, vertex_only=False)
+            B.truncate_vertex(p, 0, depth)
         return
-    assert_same_polytope(B.truncate_vertex(p, 0, depth, vertex_only=False),
-                         expected)
+    assert_same_polytope(B.truncate_vertex(p, 0, depth), expected)
 
 
 @pytest.mark.parametrize("name", list(BODIES))
-def test_graph_matches_row_loops(name):
+def test_graph_matches_row_loops(name, monkeypatch):
     p = body(name)
     g = G.build_graph(p)
     assert np.array_equal(g.normals, p.facets.normals)
@@ -175,10 +174,12 @@ def test_graph_matches_row_loops(name):
     assert mu.masses.tolist() == ref_mu_masses(g)
     assert g.total_weight() == sum(w for w in g.weights.tolist())
     r, big_r = B.enclosing_radii(p)
-    # the defaults pass; the other two settings make every check fail, so
-    # each violation message is compared
-    for rr, tol in ((r, 1e-9), (100.0 * big_r, 1e-9), (r, -1.0)):
-        rep = G.structural_checks(g, rr, big_r, tol)
+    # the default tolerance passes; the other two settings make every check
+    # fail, so each violation message is compared
+    for rr, tol in ((r, G.STRUCTURAL_TOL), (100.0 * big_r, G.STRUCTURAL_TOL),
+                    (r, -1.0)):
+        monkeypatch.setattr(G, "STRUCTURAL_TOL", tol)
+        rep = G.structural_checks(g, rr, big_r)
         assert ((rep.worst_length_margin, rep.worst_balance_margin,
                  rep.violations) == ref_structural(g, rr, big_r, tol))
     assert MS.vbbm_conewise(p) == ref_vbbm(p)

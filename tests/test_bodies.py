@@ -104,8 +104,7 @@ HULL_INPUTS = {
     "cube+sheared-cube": lambda: sum_vertices(
         [B.cube(), B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 0.3)]),
     **{f"ball@{k}": (lambda k=k: B.approximate_ball(k).vertices) for k in range(4)},
-    "deep-truncation": lambda: B.truncate_vertex(
-        B.cube(), 0, 0.9, vertex_only=False).vertices,
+    "deep-truncation": lambda: B.truncate_vertex(B.cube(), 0, 0.9).vertices,
     # each cap is a fan of 48 triangles
     "prism-50": lambda: _prism(50),
     "sphere1000": lambda: _sphere_points(1000),
@@ -562,7 +561,7 @@ def test_planar_hull_holds_its_two_sides_and_its_boundary(name):
     assert np.array_equal(e.vertices, np.column_stack(
         [np.arange(nv), np.roll(np.arange(nv), -1)]))
     assert np.array_equal(f.normals[1], -f.normals[0])
-    c = p.centroid
+    c = p.vertices.mean(axis=0)
     assert np.allclose(f.offsets, np.max(p.local @ f.normals.T, axis=0), rtol=0,
                        atol=1e-14 * p.scale)
     # the polygon in coordinates of its plane, for 2-D Qhull: there volume
@@ -574,7 +573,7 @@ def test_planar_hull_holds_its_two_sides_and_its_boundary(name):
     out = p.fan[:nv, 1]
     for end in (0, 1):
         assert np.all(B._row_dots(out, p.vertices[e.vertices[:, end]] - c) > 0)
-    for v in ([3.0, -2.0, 1e3], -p.centroid):
+    for v in ([3.0, -2.0, 1e3], -p.origin):
         _assert_same_planar_tables(p.translate(v), B.hull(p.vertices + v))
     for k in (2.5, 1e-3):
         _assert_same_planar_tables(p.scaled(k), B.hull(k * p.vertices))
@@ -632,9 +631,8 @@ def test_classify_trivial_reads_the_hull_dimension(t, count, seed):
     # the 10-point seed-2 slab at t = 2e-9 hulls to a planar polytope whose
     # vertices an SVD at 1e-9 calls 3-dimensional
     p = B.hull(_slab(t, count, seed))
-    rep = B.classify_trivial(p, p, p)
-    assert rep.dims["K"] == rep.dims["K+L"] == rep.dims["K+L+M"] == p.dim
-    assert rep.v_llm_zero == (p.dim < 3)
+    assert B._sum_dim([p]) == B._sum_dim([p, p]) == B._sum_dim([p, p, p]) == p.dim
+    assert B.v_llm_zero(p, p) == (p.dim < 3)
 
 
 def _needle():
@@ -678,16 +676,10 @@ def test_translate_scale_support(unit_cube):
     assert abs(s.volume - 2.5 ** 3) < 1e-12
 
 
-def test_ball_support():
-    b = B.Ball(np.array([1.0, 0.0, 0.0]), 2.0)
-    assert b.support([1, 0, 0]) == pytest.approx(3.0)
-    assert b.support([0, 1, 0]) == pytest.approx(2.0)
-
-
 def test_support_evaluator_combination(unit_cube, std_simplex):
     f = (B.SupportEvaluator.of(unit_cube)
          + B.SupportEvaluator.of(std_simplex, -0.5)
-         + B.SupportEvaluator.linear([1.0, 2.0, 3.0]))
+         + B.SupportEvaluator([], shift=[1.0, 2.0, 3.0]))
     us = np.random.default_rng(1).standard_normal((20, 3))
     expected = (unit_cube.support(us) - 0.5 * std_simplex.support(us)
                 + us @ np.array([1.0, 2.0, 3.0]))
@@ -708,10 +700,8 @@ def test_truncate_vertex_guards(unit_cube):
         B.truncate_vertex(unit_cube, 0, -1.0)
     with pytest.raises(BadSpec):
         B.truncate_vertex(unit_cube, 0, 1e-15)   # does not separate
-    with pytest.raises(BadSpec):
-        B.truncate_vertex(unit_cube, 0, 0.9)     # removes neighbors
-    # ... unless explicitly allowed
-    deep = B.truncate_vertex(unit_cube, 0, 0.9, vertex_only=False)
+    # a deep cut removes neighboring vertices too
+    deep = B.truncate_vertex(unit_cube, 0, 0.9)
     assert deep.volume < unit_cube.volume
 
 
@@ -759,35 +749,26 @@ def test_enclosing_radii_interior(unit_cube):
 
 def test_classify_trivial_dimension_rules(unit_cube, unit_segment):
     point = B.hull(np.zeros((1, 3)))
-    rep = B.classify_trivial(unit_cube, unit_segment, unit_cube)
-    assert rep.v_llm_zero            # dim L = 1
-    assert not rep.equality_trivial  # V(K,L,M) > 0
-    rep2 = B.classify_trivial(unit_cube, unit_cube, point)
-    assert rep2.v_llm_zero and rep2.equality_trivial
-    rep3 = B.classify_trivial(unit_segment, unit_segment, unit_cube)
-    assert not rep3.v_llm_zero is True or rep3.dims["L"] == 1
-    # parallel segments: dim(K+L) = 1 makes equality trivial
-    rep4 = B.classify_trivial(unit_segment, unit_segment.translate([0, 1, 0]),
-                              unit_cube)
-    assert rep4.equality_trivial
-    assert "dim(K+L) <= 1" in rep4.reasons
+    assert B.v_llm_zero(unit_segment, unit_cube)       # dim L = 1
+    assert B.v_llm_zero(unit_cube, point)              # dim M = 0
+    assert not B.v_llm_zero(unit_cube, unit_cube)
+    assert not B.v_llm_zero(unit_cube, unit_segment)
+    # parallel segments
+    assert B._sum_dim([unit_segment, unit_segment.translate([0, 1, 0])]) == 1
 
 
 def test_classify_trivial_sum_dims_do_not_depend_on_summand_size(unit_cube):
-    # each summand's span counts at unit size, however small it is; here
-    # V(K, L, M) = 1/3
+    # each summand's span counts at unit size, however small it is
     k, l = unit_cube.scaled(1e-8), B.segment([0, 0, 0], [1e8, 0, 0])
-    rep = B.classify_trivial(k, l, unit_cube)
-    assert rep.dims["K+L"] == 3 and not rep.equality_trivial
+    assert B._sum_dim([k, l]) == 3
     k, l = B.segment([0, 0, 0], [1e-8, 0, 0]), B.segment([0, 0, 0], [0, 1e8, 0])
-    rep = B.classify_trivial(k, l, unit_cube)
-    assert rep.dims["K+L"] == 2 and not rep.equality_trivial
+    assert B._sum_dim([k, l]) == 2
+    assert B._sum_dim([k, l, unit_cube]) == 3
 
 
 def test_classify_trivial_planar_sum(unit_square):
-    rep = B.classify_trivial(unit_square, unit_square, unit_square)
-    assert rep.v_llm_zero and rep.equality_trivial
-    assert "dim(K+L+M) <= 2" in rep.reasons
+    assert B.v_llm_zero(unit_square, unit_square)      # dim(L+M) = 2
+    assert B._sum_dim([unit_square] * 3) == 2
 
 
 def test_minkowski_sum_cube_segment(unit_cube, unit_segment):

@@ -76,7 +76,7 @@ def test_weak_stability_random_suite():
         k = B.random_hull(10, seed)
         l = B.random_hull(10, seed + 500)
         m = B.random_hull(10, seed + 900)
-        m = m.translate(-m.centroid)
+        m = m.translate(-m.origin)
         rep = X.weak_stability_check(k, l, m)
         assert rep.holds, f"seed {seed}: margin {rep.margin}"
 
@@ -84,7 +84,7 @@ def test_weak_stability_random_suite():
 def test_weak_stability_inscribed_ball_strict(unit_cube):
     # a ball-like body inside the cube, in a generic rotation: the deficit
     # strictly dominates the correction term
-    ball = B.approximate_ball(2, radius=0.5)
+    ball = B.approximate_ball(2).scaled(0.5)
     turn = Rotation.from_euler("xyz", [1.0, 0.4, 0.2]).as_matrix()
     k = B.hull(ball.vertices @ turn.T + 0.5)
     rep = X.weak_stability_check(k, unit_cube, unit_cube)
@@ -123,7 +123,7 @@ def test_certify_truncated_cube_equality(unit_cube):
 
 
 def test_certify_deep_truncation_strict(unit_cube):
-    k = B.truncate_vertex(unit_cube, 0, 0.8, vertex_only=False)
+    k = B.truncate_vertex(unit_cube, 0, 0.8)
     cert = X.certify_equality_fulldim(k, unit_cube, unit_cube)
     assert cert.verdict == "strict"
     assert cert.deficit_report.deficit > 1e-6 * cert.deficit_report.scale
@@ -177,7 +177,7 @@ def test_rigidity_random_suite():
         k = B.random_hull(10, seed + 5)
         l = B.random_hull(10, seed + 600)
         m = B.random_hull(10, seed + 1200)
-        m = m.translate(-m.centroid)
+        m = m.translate(-m.origin)
         rep = X.rigidity_check(k, l, m)
         assert rep.holds, f"seed {seed}: margin {rep.margin}"
 
@@ -189,7 +189,7 @@ def test_rigidity_dominance_on_equality_instances(unit_cube):
     for seed in range(5):
         l = B.random_hull(10, seed)
         m = B.random_hull(10, seed + 33)
-        m = m.translate(-m.centroid)
+        m = m.translate(-m.origin)
         k = B.hull(l.vertices + rng.standard_normal(3))
         rep = X.rigidity_check(k, l, m)
         bound = (8 * rep.big_r ** 4 / rep.r ** 4) * rep.mu_integral + 1e-9
@@ -209,8 +209,7 @@ def test_certify_small_homothetic_copy(seed, s):
 
 CERT_TRIPLES = [
     lambda: (B.truncate_vertex(B.cube(), 0, 0.1), B.cube(), B.cube()),
-    lambda: (B.truncate_vertex(B.cube(), 0, 0.8, vertex_only=False), B.cube(),
-             B.cube()),
+    lambda: (B.truncate_vertex(B.cube(), 0, 0.8), B.cube(), B.cube()),
     lambda: (B.shear(B.cube(), [1, 0, 0], [0, 0, 1], 1e-8), B.cube(), B.simplex()),
     lambda: (B.approximate_ball(2), B.cube(), B.approximate_ball(1)),
     *[(lambda s=s: tuple(B.random_hull(n, s + i) for i, n in
@@ -235,7 +234,7 @@ def test_certify_finds_the_cuts_once(monkeypatch, make):
     # residual itself, which finds its own cuts
     g = X.build_graph(m)
     resid = (B.SupportEvaluator.of(k) + B.SupportEvaluator.of(l, -cert.a)
-             + B.SupportEvaluator.linear(-cert.v))
+             + B.SupportEvaluator([], shift=-cert.v))
     ref = sup_on_arcs(resid, g.arcs)
     assert abs(cert.sup_residual - ref) <= 1e-12 * cert.diameter
     dr = cert.deficit_report

@@ -10,6 +10,7 @@ from mixedvol import bodies as B
 from mixedvol import graph as G
 from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
+from mixedvol import quadrature as quad
 from mixedvol.bodies import SupportEvaluator
 from mixedvol.errors import (BadMesh, BadParam, DegenerateInput,
                              InsufficientSpectrum, NumericalFailure)
@@ -115,11 +116,14 @@ def test_form_value_random_triples():
 
 
 def test_constant_function_identity(unit_cube):
-    # E(1, 1) = (1/3) * mass(S_{B,M}) exactly: total weight*(l - l)... both
-    # routes must agree with V(B, B, M)
+    # E(1, 1) = (1/3) * mass(S_{B,M}) = V(B, B, M): the constant 1 is the
+    # restriction with coefficients (0, 0, 1) on every arc, as form_value
+    # pairs restrictions
     g = G.build_graph(unit_cube)
-    one = SupportEvaluator.of(B.unit_ball())
-    e_val = G.form_value(g, one, one)
+    (r,) = quad.restrict(g.arcs, SupportEvaluator())
+    one = dataclasses.replace(r, coef=np.tile([0.0, 0.0, 1.0], (len(r.arc), 1)))
+    ifg, idfdg = one.pair(one)
+    e_val = sum((g.weights * (ifg - idfdg)).tolist()) / 6.0
     sbm, _ = G.sbm_and_mu(g)
     assert e_val == pytest.approx(sbm.total_mass() / 3.0, rel=1e-13)
 

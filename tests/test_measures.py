@@ -7,8 +7,6 @@ from scipy.stats import special_ortho_group
 from mixedvol import bodies as B
 from mixedvol import extremal as X
 from mixedvol import measures as MS
-from mixedvol.bodies import SupportEvaluator
-from mixedvol.errors import BadSpec
 from mixedvol.quadrature import SphericalMeasure
 
 from conftest import barycenter_residual, rel_err
@@ -92,24 +90,16 @@ def test_representation_formula_vs_polarization():
         assert rel_err(v1, v2) < 1e-10
 
 
-def test_mv3_ball_slots(unit_cube):
-    ball = B.unit_ball()
-    # V(B, C, C) = surface/3 = 2; V(B, B, C) = pi via the arc measure
-    assert MS.mv3(ball, unit_cube, unit_cube) == pytest.approx(2.0, abs=1e-12)
-    assert MS.mv3(ball, ball, unit_cube) == pytest.approx(np.pi, rel=1e-12)
-    # radius scaling
-    b2 = B.Ball(np.array([1.0, 2.0, 3.0]), 0.5)
-    assert MS.mv3(b2, unit_cube, unit_cube) == pytest.approx(1.0, abs=1e-12)
-
-
 def _refuse(*args, **kwargs):
     raise AssertionError("the merged-atom route serves only the oracle")
 
 
 def test_ball_slots_take_the_one_hull_route(monkeypatch):
-    # one ball beside two polytopes is a sum over one Qhull call's
-    # triangles; S_{L,M} is built only by mixed_volume_via_measure
-    ball, l, m = B.Ball([0.3, -2.0, 5.0], 1.7), B.random_hull(10, 1), B.cube()
+    # an approximate ball far from the origin beside two polytopes is a sum
+    # over one Qhull call's triangles; S_{L,M} is built only by
+    # mixed_volume_via_measure
+    ball = B.approximate_ball(2).scaled(1.7).translate([0.3, -2.0, 5.0])
+    l, m = B.random_hull(10, 1), B.cube()
     ref = MS.mixed_volume_via_measure(ball, l, m)
     monkeypatch.setattr(MS, "mixed_area_measure", _refuse)
     monkeypatch.setattr(MS, "merge_atoms", _refuse)
@@ -120,12 +110,21 @@ def test_ball_slots_take_the_one_hull_route(monkeypatch):
     assert MS.classical_functionals(m)[1] == pytest.approx(6.0, abs=1e-12)
 
 
-def test_mixed_volume_takes_at_most_one_ball(unit_cube):
-    ball = B.unit_ball()
-    for slots in ((ball, ball, unit_cube), (ball, unit_cube, ball),
-                  (unit_cube, ball, ball), (ball, ball, ball)):
-        with pytest.raises(BadSpec):
-            MS.mixed_volume(*slots)
+def test_mixed_volume_is_zero_by_the_dimension_rules(unit_cube, unit_segment,
+                                                     unit_square):
+    point = B.hull(np.zeros((1, 3)))
+    assert MS.mixed_volume(unit_cube, unit_segment, unit_cube) > 0.0
+    assert MS.mixed_volume(unit_cube, unit_cube, point) == 0.0
+    # parallel segments: dim(K+L) = 1
+    assert MS.mixed_volume(unit_segment, unit_segment.translate([0, 1, 0]),
+                           unit_cube) == 0.0
+    # dim(K+L+M) = 2
+    assert MS.mixed_volume(unit_square, unit_square, unit_square) == 0.0
+    # each summand's span counts however small it is
+    k, l = unit_cube.scaled(1e-8), B.segment([0, 0, 0], [1e8, 0, 0])
+    assert MS.mixed_volume(k, l, unit_cube) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    k, l = B.segment([0, 0, 0], [1e-8, 0, 0]), B.segment([0, 0, 0], [0, 1e8, 0])
+    assert MS.mixed_volume(k, l, unit_cube) > 0.0
 
 
 def test_quadratic_deficit_nonnegative_random():
@@ -156,16 +155,15 @@ def test_vbbm_conewise_cube_and_simplex(unit_cube, std_simplex):
     # total normal-cone solid angles tile the sphere; h integrates exactly
     assert MS.vbbm_conewise(unit_cube) == pytest.approx(np.pi, rel=1e-12)
     v1 = MS.vbbm_conewise(std_simplex)
-    v2 = MS.mv3(B.unit_ball(), B.unit_ball(), std_simplex)
+    v2 = MS.build_graph(std_simplex).sbm.total_mass() / 3.0
     assert rel_err(v1, v2) < 1e-10
 
 
 def test_integrate_constant_against_sbm(unit_cube):
+    # int 1 dS_{B,C} = 3 V(B, B, C) = 3 pi
     from mixedvol.graph import build_graph, sbm_and_mu
     sbm, _ = sbm_and_mu(build_graph(unit_cube))
-    one = SupportEvaluator.of(B.unit_ball())
-    val = MS.integrate_against_measure(one, sbm)
-    assert val == pytest.approx(3 * np.pi, rel=1e-12)
+    assert sbm.total_mass() == pytest.approx(3 * np.pi, rel=1e-12)
 
 
 def test_merge_atoms():

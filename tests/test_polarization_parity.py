@@ -1,10 +1,9 @@
 """Facet sums and the reduced, normalized polarization against the all-sums
 polarization of hull volumes, which is kept here as the reference: it hands
 Qhull every sum of one vertex from each body, unscaled, the way V(K,L,M),
-V(K,K,M) and V(X,M,M) were all computed before. The surface area and the
-Ball slots are checked against the mixed area measure S_{K,L} of merged
-atoms (mixed_volume_via_measure), the route they took before. Both sides
-round differently, so they must agree to TOL, not exactly."""
+V(K,K,M) and V(X,M,M) were all computed before. The surface area is checked
+against the mass of the mixed area measure S_{K,K} of merged atoms. Both
+sides round differently, so they must agree to TOL, not exactly."""
 
 import functools
 import itertools
@@ -15,8 +14,6 @@ from scipy.spatial import ConvexHull
 
 from mixedvol import bodies as B
 from mixedvol import measures as MS
-from mixedvol.bodies import SupportEvaluator
-from mixedvol.quadrature import integrate_against_measure
 
 from conftest import BODIES, rel_err, sum_vertices
 
@@ -55,8 +52,6 @@ CASES = {
     "sphere300": functools.partial(_sphere_hull, 300, 2),
     "planar": _planar_hexagon,
 }
-BALL = B.Ball(np.array([0.2, -0.1, 0.3]), 0.7)
-FAR_BALL = B.Ball(np.array([0.3, -2.0, 5.0]), 1.7)
 
 
 @functools.cache
@@ -106,31 +101,15 @@ def test_v_xmm_matches_all_sums(name):
     x = case(name)
     _, m = partners()
     assert rel_err(MS.mixed_volume_xpp(x, m), ref_mixed_volume(x, m, m)) <= TOL
-    # a Ball in the X slot, against the merged-atom S_{M,M} route
-    assert rel_err(MS.mixed_volume_xpp(BALL, m),
-                   MS.mixed_volume_via_measure(BALL, m, m)) <= TOL
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_surface_area_matches_mixed_area_measure(name, unit_square,
-                                                 unit_segment):
+def test_surface_area_matches_mixed_area_measure(name):
     x = case(name)
-    s_kk = MS.mixed_area_measure(x, x)
-    area = integrate_against_measure(SupportEvaluator.of(B.unit_ball()), s_kk)
-    assert rel_err(3.0 * MS.mixed_volume_xpp(B.unit_ball(), x), area) <= TOL
+    area = MS.mixed_area_measure(x, x).total_mass()
+    assert rel_err(sum(x.facets.areas.tolist()), area) <= TOL
     if x.dim == 3:
         assert rel_err(MS.classical_functionals(x)[1], area) <= TOL
-    ref = integrate_against_measure(SupportEvaluator.of(BALL), s_kk) / 3.0
-    assert rel_err(MS.mixed_volume_xpp(BALL, x), ref) <= TOL
-    # a ball far from the origin in the K and L slots of mv3 and the M slot
-    # of mixed_volume, beside X and a full-dimensional, planar, segment or
-    # point partner Y, against (1/3) int h_B dS_{X,Y}
-    point = B.hull(np.array([[0.3, 0.1, -0.2]]))
-    for y in [case(n) for n in CASES] + [unit_square, unit_segment, point]:
-        ref = MS.mixed_volume_via_measure(FAR_BALL, x, y)
-        for v in (MS.mv3(FAR_BALL, x, y), MS.mv3(x, FAR_BALL, y),
-                  MS.mixed_volume(x, y, FAR_BALL)):
-            assert rel_err(v, ref) <= TOL
 
 
 def test_lower_dimensional_sums_match_all_sums(unit_square, unit_segment):

@@ -58,7 +58,7 @@ def test_integrate_evaluator_exactness():
 
 def test_integrate_pair_derivative():
     # f = g = cos t on [0, pi/2]: int f g = pi/4, int f' g' = pi/4
-    f = B.SupportEvaluator.linear([1.0, 0.0, 0.0])
+    f = B.SupportEvaluator([], shift=[1.0, 0.0, 0.0])
     fr = quad.Arcs.between(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
     ifg, idfdg = quad.integrate_pair(f, f, fr)
     assert ifg == pytest.approx(np.pi / 4, abs=1e-14)
@@ -72,16 +72,15 @@ def _sphere_hull(n: int, seed: int) -> B.Polytope:
 
 def _arc_derivative(ev: B.SupportEvaluator, fr: quad.Arcs):
     """t -> d/dt ev(u(t)), from the active local row of each polytope term
-    at t; a ball term adds its radius, which is constant along the arc."""
+    at t."""
     def fun(t):
         u = fr.points(0, t)
         du = (np.multiply.outer(-np.sin(t), fr.starts[0])
               + np.multiply.outer(np.cos(t), fr.tangents[0]))
         out = du @ ev.shift
         for c, body in ev.terms:
-            if isinstance(body, B.Polytope):
-                v = body.local[np.argmax(u @ body.local.T, axis=-1)]
-                out = out + c * np.sum(v * du, axis=-1)
+            v = body.local[np.argmax(u @ body.local.T, axis=-1)]
+            out = out + c * np.sum(v * du, axis=-1)
         return out
     return fun
 
@@ -92,11 +91,12 @@ PAIRS = {
     "300pt-sphere-hulls": lambda: (B.SupportEvaluator.of(_sphere_hull(300, 1)),
                                        B.SupportEvaluator.of(_sphere_hull(300, 2))),
     "ball-plus-linear-shift": lambda: (
-        B.SupportEvaluator.of(B.Ball([0.2, -0.1, 0.3], 0.7))
+        B.SupportEvaluator.of(
+            B.approximate_ball(1).scaled(0.7).translate([0.2, -0.1, 0.3]))
         + B.SupportEvaluator.of(B.random_hull(10, 5), -0.5)
-        + B.SupportEvaluator.linear([0.3, -1.2, 0.4]),
+        + B.SupportEvaluator([], shift=[0.3, -1.2, 0.4]),
         B.SupportEvaluator.of(B.random_hull(10, 6))
-        + B.SupportEvaluator.linear([-0.5, 0.1, 0.2])),
+        + B.SupportEvaluator([], shift=[-0.5, 0.1, 0.2])),
 }
 
 
