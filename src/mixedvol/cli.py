@@ -129,6 +129,13 @@ def require_full_dim(p: Polytope, slot: str) -> Polytope:
     return p
 
 
+def parse_triple(args, full_dim: bool) -> tuple[Polytope, Polytope, Polytope]:
+    """The bodies of --K, --L and --M, parsed in that order; a
+    full-dimensional command also requires M to be 3-dimensional."""
+    k, l, m = parse_body(args.K), parse_body(args.L), parse_body(args.M)
+    return k, l, require_full_dim(m, "M") if full_dim else m
+
+
 # ---------------------------------------------------------------------------
 # Graph export
 # ---------------------------------------------------------------------------
@@ -153,22 +160,6 @@ def graph_to_dot(g: MetricGraph) -> str:
         lines.append(f'  v{i} -- v{j} [label="l={l:.6g}, w={w:.6g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_graph(g: MetricGraph, fmt: str, out: str | None) -> str:
-    if fmt == "dot":
-        text = graph_to_dot(g)
-    elif fmt == "json":
-        text = json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
-    else:
-        raise InputError(f"--format: graph export supports dot|json, got {fmt!r}")
-    if out is not None:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"--out: cannot write {out!r}: {exc}") from exc
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -199,44 +190,32 @@ def render_report(report: dict, fmt: str) -> str:
     return header + row1 + "\n" + row2 + "\n"
 
 
-def base_report(command: str, params: dict) -> dict:
-    return {"command": command, "params": params, "values": {}, "margins": {},
-            "verdicts": {}, "wall_time": 0.0}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_mixvol(args):
-    k, l = parse_body(args.K), parse_body(args.L)
-    m = parse_body(args.M)
-    v = MS.mv3(k, l, m)
-    rep = base_report("mixvol", {"K": args.K, "L": args.L, "M": args.M})
-    rep["values"]["V"] = v
-    return rep, 0
+def cmd_mixvol(args, rep):
+    rep["values"]["V"] = MS.mv3(*parse_triple(args, full_dim=False))
+    return 0
 
 
-def cmd_deficit(args):
-    k, l = parse_body(args.K), parse_body(args.L)
-    m = require_full_dim(parse_body(args.M), "M")
-    dr = MS.quadratic_deficit(k, l, m)
-    rep = base_report("deficit", {"K": args.K, "L": args.L, "M": args.M})
+def cmd_deficit(args, rep):
+    dr = MS.quadratic_deficit(*parse_triple(args, full_dim=True))
     rep["values"].update({"V_KL": dr.v_kl, "V_KK": dr.v_kk, "V_LL": dr.v_ll,
                           "deficit": dr.deficit, "scale": dr.scale})
     ok = dr.deficit >= -X.deficit_tolerance(dr.scale)
     rep["params"]["deficit_threshold"] = X.DEFICIT_THRESHOLD
     rep["margins"]["deficit_over_scale"] = dr.deficit / dr.scale
     rep["verdicts"]["nonnegative"] = bool(ok)
-    return rep, 0 if ok else 1
+    return 0 if ok else 1
 
 
-def cmd_graph(args):
-    m = require_full_dim(parse_body(args.M), "M")
-    g = build_graph(m)
-    text = export_graph(g, args.format, args.out)
-    sys.stdout.write(text)
-    return None, 0
+def cmd_graph(args, rep):
+    """The graph export is the whole output: no report."""
+    g = build_graph(require_full_dim(parse_body(args.M), "M"))
+    if args.format == "dot":
+        return graph_to_dot(g)
+    return json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
 
 
 def p1_window(k: int, h: float) -> float:
@@ -246,18 +225,15 @@ def p1_window(k: int, h: float) -> float:
     return 2.0 * k ** 4 * h ** 2 / 36.0
 
 
-def cmd_spectrum(args):
+def cmd_spectrum(args, rep):
     m = require_full_dim(parse_body(args.M), "M")
-    g = build_graph(m)
-    form = assemble(g, args.mesh_h)
+    form = assemble(build_graph(m), args.mesh_h)
     spec = spectrum(form, args.kmax)
     # the kernel's discrete eigenvalues lie within h^2 / 36 of 0, and the
     # next ones are of order 1
     tau = p1_window(1, args.mesh_h)
     ker = kernel_analysis(spec, tau)
-    rep = base_report("spectrum",
-                      {"M": args.M, "mesh_h": args.mesh_h, "kmax": args.kmax,
-                       "kernel_window": tau})
+    rep["params"]["kernel_window"] = tau
     rep["values"].update({
         "eigenvalues": [float(v) for v in spec.eigenvalues],
         "kernel_dimension": ker.dimension,
@@ -265,14 +241,12 @@ def cmd_spectrum(args):
         "eigen_residual_max": float(spec.residuals.max()),
         "dofs": form.size,
     })
-    return rep, 0
+    return 0
 
 
-def certificate_report(command: str, params: dict, cert,
-                       coefficients: dict) -> tuple:
+def certificate_report(rep, cert, coefficients: dict) -> int:
     """The report of an equality certificate, its values led by the
     coefficients of its criterion."""
-    rep = base_report(command, params)
     rep["values"].update(coefficients)
     rep["values"].update({
         "deficit": cert.deficit_report.deficit,
@@ -280,67 +254,52 @@ def certificate_report(command: str, params: dict, cert,
         "diameter": cert.diameter,
     })
     rep["verdicts"]["verdict"] = cert.verdict
-    return rep, 0 if cert.verdict != "inconclusive" else 1
+    return 0 if cert.verdict != "inconclusive" else 1
 
 
-def cmd_certify_full(args):
-    k, l = parse_body(args.K), parse_body(args.L)
-    m = require_full_dim(parse_body(args.M), "M")
-    cert = X.certify_equality_fulldim(k, l, m)
-    return certificate_report("certify-full",
-                              {"K": args.K, "L": args.L, "M": args.M}, cert,
-                              {"a": cert.a, "v": cert.v.tolist()})
+def cmd_certify_full(args, rep):
+    cert = X.certify_equality_fulldim(*parse_triple(args, full_dim=True))
+    return certificate_report(rep, cert, {"a": cert.a, "v": cert.v.tolist()})
 
 
-def cmd_certify_lower(args):
-    k, l = parse_body(args.K), parse_body(args.L)
-    m = parse_body(args.M)
-    w = parse_direction(args.w)
-    cert = LD.certify_equality_lowerdim(k, l, m, w)
-    return certificate_report(
-        "certify-lower", {"K": args.K, "L": args.L, "M": args.M, "w": args.w},
-        cert, {"c": cert.a})
+def cmd_certify_lower(args, rep):
+    k, l, m = parse_triple(args, full_dim=False)
+    cert = LD.certify_equality_lowerdim(k, l, m, parse_direction(args.w))
+    return certificate_report(rep, cert, {"c": cert.a})
 
 
-def cmd_stability(args):
-    k, l = parse_body(args.K), parse_body(args.L)
-    m = require_full_dim(parse_body(args.M), "M")
-    r = X.weak_stability_check(k, l, m)
-    rep = base_report("stability", {"K": args.K, "L": args.L, "M": args.M})
-    rep["values"].update({"lhs": r.lhs, "rhs": r.rhs,
-                          "a": r.witness.a, "v": r.witness.v.tolist(),
-                          "C_M": r.witness.c_m, "residual": r.witness.residual,
-                          "r": r.witness.r, "R": r.witness.big_r})
+def margin_report(rep, r, values: dict) -> int:
+    """The report of an inequality check with a margin (stability,
+    rigidity): lhs, rhs and the check's own values."""
+    rep["values"].update({"lhs": r.lhs, "rhs": r.rhs, **values})
     rep["margins"]["margin"] = r.margin
     rep["verdicts"]["holds"] = bool(r.holds)
-    return rep, 0 if r.holds else 1
+    return 0 if r.holds else 1
 
 
-def cmd_rigidity(args):
-    k, l = parse_body(args.K), parse_body(args.L)
-    m = require_full_dim(parse_body(args.M), "M")
-    r = X.rigidity_check(k, l, m)
-    rep = base_report("rigidity", {"K": args.K, "L": args.L, "M": args.M})
-    rep["values"].update({"lhs": r.lhs, "rhs": r.rhs,
-                          "sbm_integral": r.sbm_integral,
-                          "mu_integral": r.mu_integral,
-                          "r": r.r, "R": r.big_r})
-    rep["margins"]["margin"] = r.margin
-    rep["verdicts"]["holds"] = bool(r.holds)
-    return rep, 0 if r.holds else 1
+def cmd_stability(args, rep):
+    r = X.weak_stability_check(*parse_triple(args, full_dim=True))
+    w = r.witness
+    return margin_report(rep, r, {"a": w.a, "v": w.v.tolist(), "C_M": w.c_m,
+                                  "residual": w.residual, "r": w.r,
+                                  "R": w.big_r})
 
 
-def cmd_lower_spectrum(args):
+def cmd_rigidity(args, rep):
+    r = X.rigidity_check(*parse_triple(args, full_dim=True))
+    return margin_report(rep, r, {"sbm_integral": r.sbm_integral,
+                                  "mu_integral": r.mu_integral,
+                                  "r": r.r, "R": r.big_r})
+
+
+def cmd_lower_spectrum(args, rep):
     m = parse_body(args.M)
-    w = parse_direction(args.w)
-    g = LD.lowerdim_setup(m, w)
+    g = LD.lowerdim_setup(m, parse_direction(args.w))
     tol = args.tol
     if tol is None:
         tol = p1_window(args.kmax, args.mesh_h)
     r = LD.verify_spectrum(g, args.kmax, args.mesh_h, tol)
-    rep = base_report("lower-spectrum",
-                      {"M": args.M, "w": args.w, "kmax": args.kmax,
-                       "mesh_h": args.mesh_h, "tol": tol})
+    rep["params"]["tol"] = tol
     rep["values"]["multiplicity"] = len(g.edges)
     rep["values"]["eigen_residual_max"] = r.eigen_residual_max
     rep["values"]["clusters"] = [
@@ -348,10 +307,10 @@ def cmd_lower_spectrum(args):
          "observed": list(c.observed)} for c in r.clusters]
     rep["margins"]["worst_deviation"] = r.worst_deviation
     rep["verdicts"]["ok"] = bool(r.ok)
-    return rep, 0 if r.ok else 1
+    return 0 if r.ok else 1
 
 
-def cmd_demo(args):
+def cmd_demo(args, rep):
     c = B.cube()
     g = build_graph(c)
     sbm, mu = sbm_and_mu(g)
@@ -360,14 +319,13 @@ def cmd_demo(args):
     spec = spectrum(form, 8)
     cert = X.certify_equality_fulldim(
         B.truncate_vertex(c, 0, 0.1), c, c)
-    rep = base_report("demo", {"mesh_h": args.mesh_h})
     rep["values"].update({
         "cube_volume": vol, "cube_surface": surf, "cube_mean_width": width,
         "sbm_mass": sbm.total_mass(), "mu_mass": mu.total_mass(),
         "top_eigenvalues": [float(v) for v in spec.eigenvalues[:5]],
         "truncated_cube_verdict": cert.verdict,
     })
-    return rep, 0
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +341,13 @@ def _rand_poly(seed: int) -> Polytope:
     return B.random_hull(RAND_POLY_POINTS, seed)
 
 
+def _rand_triple(seed: int) -> tuple[Polytope, Polytope, Polytope]:
+    """(K, L, M) drawn from the seeds seed, seed + 1 and seed + 2."""
+    return _rand_poly(seed), _rand_poly(seed + 1), _rand_poly(seed + 2)
+
+
 def suite_mixvol(seed: int) -> tuple[bool, dict]:
-    k = _rand_poly(seed)
-    l = _rand_poly(seed + 1)
-    m = _rand_poly(seed + 2)
+    k, l, m = _rand_triple(seed)
     v1 = MS.mixed_volume(k, l, m)
     v2 = MS.mixed_volume_via_measure(k, l, m)
     rel = abs(v1 - v2) / max(abs(v1), 1e-30)
@@ -409,9 +370,7 @@ def suite_graph(seed: int) -> tuple[bool, dict]:
 
 
 def suite_form(seed: int) -> tuple[bool, dict]:
-    k = _rand_poly(seed)
-    l = _rand_poly(seed + 1)
-    m = _rand_poly(seed + 2)
+    k, l, m = _rand_triple(seed)
     v1 = MS.mixed_volume(k, l, m)
     v2 = form_value(build_graph(m), SupportEvaluator.of(k),
                     SupportEvaluator.of(l))
@@ -419,19 +378,10 @@ def suite_form(seed: int) -> tuple[bool, dict]:
     return rel <= 1e-6, {"polarization": v1, "form": v2, "rel": rel}
 
 
-def suite_stability(seed: int) -> tuple[bool, dict]:
-    k = _rand_poly(seed)
-    l = _rand_poly(seed + 1)
-    m = _rand_poly(seed + 2)
-    r = X.weak_stability_check(k, l, m)
-    return bool(r.holds), {"lhs": r.lhs, "rhs": r.rhs, "margin": r.margin}
-
-
-def suite_rigidity(seed: int) -> tuple[bool, dict]:
-    k = _rand_poly(seed)
-    l = _rand_poly(seed + 1)
-    m = _rand_poly(seed + 2)
-    r = X.rigidity_check(k, l, m)
+def suite_margin(check, seed: int) -> tuple[bool, dict]:
+    """An inequality check with a margin (stability, rigidity) on a random
+    triple."""
+    r = check(*_rand_triple(seed))
     return bool(r.holds), {"lhs": r.lhs, "rhs": r.rhs, "margin": r.margin}
 
 
@@ -493,18 +443,16 @@ SUITES = {
     "mixvol": suite_mixvol,
     "graph": suite_graph,
     "form": suite_form,
-    "stability": suite_stability,
-    "rigidity": suite_rigidity,
+    # the checks are looked up at call time, not bound here
+    "stability": lambda seed: suite_margin(X.weak_stability_check, seed),
+    "rigidity": lambda seed: suite_margin(X.rigidity_check, seed),
     "certify": suite_certify,
     "classical": suite_classical,
     "lower": suite_lower,
 }
 
 
-def cmd_randtest(args):
-    if args.suite not in SUITES:
-        raise InputError(f"--suite: unknown suite {args.suite!r} "
-                         f"(choose from {sorted(SUITES)})")
+def cmd_randtest(args, rep):
     fun = SUITES[args.suite]
     seeds = _instance_seeds(args.seed, args.n)
     failures = []
@@ -512,13 +460,11 @@ def cmd_randtest(args):
         ok, vals = fun(s)
         if not ok:
             failures.append({"index": idx, "instance_seed": s, **vals})
-    rep = base_report("randtest",
-                      {"suite": args.suite, "n": args.n, "seed": args.seed})
     rep["values"]["passed"] = args.n - len(failures)
     rep["values"]["failed"] = len(failures)
     rep["values"]["failures"] = failures
     rep["verdicts"]["all_pass"] = not failures
-    return rep, 0 if not failures else 1
+    return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +493,16 @@ FLAGS = {
     "w": dict(default="0,0,1"),
     # None: derived from kmax and the mesh size
     "tol": dict(type=positive_float, default=None),
-    "mesh-h": dict(dest="mesh_h", type=positive_float,
-                   default=float(np.pi) / 100),
+    "mesh-h": dict(type=positive_float, default=float(np.pi) / 100),
     "kmax": dict(type=int, default=8),
-    "suite": dict(default="mixvol"),
+    "suite": dict(choices=sorted(SUITES), metavar="SUITE", default="mixvol"),
     "n": dict(type=nonnegative_int, default=10),
     "seed": dict(type=nonnegative_int, default=0),
 }
 
-# The flags each subcommand reads. Every command except graph writes a report
-# and also takes --format json|csv and --out; graph takes --format dot|json
-# and --out.
+# The flags each subcommand reads, which are also its report's params (with
+# - read as _). Every command except graph writes a report and also takes
+# --format json|csv and --out; graph takes --format dot|json and --out.
 COMMAND_FLAGS = {
     "mixvol": "K L M",
     "deficit": "K L M",
@@ -616,27 +561,33 @@ def run_command(argv: list[str]) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    names = [f.replace("-", "_") for f in COMMAND_FLAGS[args.command].split()]
+    report = {"command": args.command,
+              "params": {n: getattr(args, n) for n in names},
+              "values": {}, "margins": {}, "verdicts": {}, "wall_time": 0.0}
     start = time.perf_counter()
     try:
-        report, code = COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args, report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MixedVolError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if report is not None:
+    if isinstance(code, str):       # graph returns its export, not a code
+        text, code = code, 0
+    else:
         report["wall_time"] = time.perf_counter() - start
         text = render_report(report, args.format)
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"error: --out: cannot write {args.out!r}: {exc}",
-                      file=sys.stderr)
-                return 2
-        sys.stdout.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: --out: cannot write {args.out!r}: {exc}",
+                  file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return code
 
 

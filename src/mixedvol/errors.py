@@ -22,7 +22,7 @@ class BadParam(MixedVolError):
 
 
 class BadMesh(MixedVolError):
-    """Mesh size incompatible with the edge lengths (need >= 2 elements per edge)."""
+    """Mesh size that is not a positive number."""
 
 
 class NegativeMass(MixedVolError):

@@ -242,6 +242,21 @@ def test_spectrum_kernel_window_is_the_p1_bound(capsys, h, kmax):
     assert doc["values"]["kernel_dimension"] == 3
 
 
+@pytest.mark.parametrize("n, seed", [(10, 0), (20, 3)])
+def test_spectrum_at_the_default_mesh_on_short_arcs(tmp_path, capsys, n, seed):
+    # shortest arcs 3.5e-3 and 4.3e-5, below the default h = pi/100: such an
+    # edge gets 2 elements instead of a BadMesh refusal
+    p = B.random_hull(n, seed)
+    assert build_graph(p).arcs.lengths.min() < np.pi / 100
+    path = tmp_path / "hull.json"
+    path.write_text(json.dumps({"vertices": p.vertices.tolist()}))
+    code, out, err = run(capsys, ["spectrum", "--M", str(path)])
+    assert code == 0, err
+    values = json.loads(out)["values"]
+    assert values["kernel_dimension"] == 3
+    assert values["eigenvalues"][0] == pytest.approx(1 / 3, abs=1e-10)
+
+
 def test_spectrum_refuses_a_spectrum_that_ends_in_the_kernel(capsys):
     # kmax = 4 computes 1/3 and the three kernel eigenvalues only: nothing
     # shows where the kernel ends
@@ -436,8 +451,41 @@ def _readme_usage_lines() -> list[str]:
     return [line for line in block.splitlines() if line.startswith("mixedvol ")]
 
 
+# the keys of params, values, margins and verdicts of each report
+REPORT_KEYS = {
+    "mixvol": ("K L M", "V", "", ""),
+    "deficit": ("K L M deficit_threshold", "V_KL V_KK V_LL deficit scale",
+                "deficit_over_scale", "nonnegative"),
+    "spectrum": ("M mesh_h kmax kernel_window",
+                 "eigenvalues kernel_dimension kernel_principal_angle_residual"
+                 " eigen_residual_max dofs", "", ""),
+    "certify-full": ("K L M", "a v deficit scale sup_residual diameter", "",
+                     "verdict"),
+    "certify-lower": ("K L M w", "c deficit scale sup_residual diameter", "",
+                      "verdict"),
+    "stability": ("K L M", "lhs rhs a v C_M residual r R", "margin", "holds"),
+    "rigidity": ("K L M", "lhs rhs sbm_integral mu_integral r R", "margin",
+                 "holds"),
+    "lower-spectrum": ("M w kmax mesh_h tol",
+                       "multiplicity eigen_residual_max clusters",
+                       "worst_deviation", "ok"),
+    "randtest": ("suite n seed", "passed failed failures", "", "all_pass"),
+    "demo": ("mesh_h", "cube_volume cube_surface cube_mean_width sbm_mass "
+             "mu_mass top_eigenvalues truncated_cube_verdict", "", ""),
+}
+
+
 @pytest.mark.parametrize("line", _readme_usage_lines())
 def test_readme_usage_line_exits_0(capsys, line):
-    code, out, err = run(capsys, line.split()[1:])
+    argv = line.split()[1:]
+    code, out, err = run(capsys, argv)
     assert code == 0, err
     assert out
+    if argv[0] == "graph":
+        return
+    doc = json.loads(out)
+    assert set(doc) == SECTIONS
+    assert doc["command"] == argv[0]
+    for section, keys in zip(("params", "values", "margins", "verdicts"),
+                             REPORT_KEYS[argv[0]]):
+        assert set(doc[section]) == set(keys.split()), section

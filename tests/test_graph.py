@@ -132,8 +132,8 @@ def test_assemble_guards(unit_cube):
     g = G.build_graph(unit_cube)
     with pytest.raises(BadMesh):
         G.assemble(g, -0.1)
-    with pytest.raises(BadMesh):
-        G.assemble(g, 10.0)   # fewer than 2 elements per edge
+    # an edge no longer than h gets 2 elements: one interior DOF per edge
+    assert G.assemble(g, 10.0).size == 6 + 12
 
 
 def test_assemble_dof_count(unit_cube):
