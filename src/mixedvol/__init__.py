@@ -9,8 +9,8 @@ from .bodies import (Edges, Facets, Polytope, SupportEvaluator, affine_dim,
                      simplex, truncate_vertex, unit, v_llm_zero)
 from .errors import (BadMesh, BadParam, BadSpec, DegenerateInput,
                      DimensionError, InsufficientSpectrum, MixedVolError,
-                     NegativeMass, NumericalFailure, QuadratureFailure,
-                     SingularGM, ZeroDenominator)
+                     NumericalFailure, QuadratureFailure, SingularGM,
+                     ZeroDenominator)
 from .extremal import (EqualityCertificate, RigidityReport, StabilityReport,
                        StabilityWitness, certify_equality_fulldim,
                        rigidity_check, stability_witness,
@@ -22,13 +22,12 @@ from .graph import (DiscretizedForm, KernelReport, MetricGraph,
 from .lowerdim import (ClusterReport, LowerSpectrumReport, assemble_lowerdim,
                        certify_equality_lowerdim, explicit_spectrum,
                        lowerdim_setup, verify_spectrum)
-from .measures import (DeficitReport, classical_functionals, merge_atoms,
-                       mixed_area_measure, mixed_volume,
+from .measures import (DeficitReport, NegativeMass, classical_functionals,
+                       merge_atoms, mixed_area_measure, mixed_volume,
                        mixed_volume_via_measure, mixed_volume_xpp, mv3,
                        quadratic_deficit, vbbm_conewise)
 from .quadrature import (ArcRestriction, Arcs, SphericalMeasure,
-                         arc_sample_nodes, integrate_against_measure,
-                         integrate_evaluator, integrate_pair,
-                         product_integral, restrict)
+                         arc_sample_nodes, integrate_evaluator,
+                         integrate_pair, product_integral, restrict)
 
 __version__ = "0.1.0"

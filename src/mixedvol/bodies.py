@@ -447,11 +447,11 @@ def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] + b[None, :, :]).reshape(-1, 3)
 
 
-def minkowski_sum(p: Polytope, q: Polytope, name: str = "") -> Polytope:
+def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     """Hull of all pairwise vertex sums; h_{P+Q} = h_P + h_Q. The sums are
     taken on the local rows and the hull moved by p.origin + q.origin, so
     far origins cost no digits."""
-    return hull(_pair_sums(p.local, q.local), name=name).translate(
+    return hull(_pair_sums(p.local, q.local)).translate(
         p.origin + q.origin)
 
 

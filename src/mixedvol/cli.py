@@ -229,9 +229,9 @@ def cmd_spectrum(args, rep):
     m = require_full_dim(parse_body(args.M), "M")
     form = assemble(build_graph(m), args.mesh_h)
     spec = spectrum(form, args.kmax)
-    # the kernel's discrete eigenvalues lie within h^2 / 36 of 0, and the
-    # next ones are of order 1
-    tau = p1_window(1, args.mesh_h)
+    # the kernel's discrete eigenvalues lie within h^2 / 36 of 0, h the
+    # longest element, and the next ones are of order 1
+    tau = p1_window(1, form.max_element)
     ker = kernel_analysis(spec, tau)
     rep["params"]["kernel_window"] = tau
     rep["values"].update({

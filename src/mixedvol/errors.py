@@ -14,7 +14,10 @@ class DimensionError(MixedVolError):
 
 
 class BadSpec(MixedVolError):
-    """Invalid parameters for a test-body constructor."""
+    """Invalid input to a body constructor or a vector check: a point array
+    of the wrong shape, empty or not finite (hull, affine_dim), a vector
+    that is near zero (unit) or not a unit 3-vector (as_unit_vector), or a
+    scale factor that is not positive (Polytope.scaled)."""
 
 
 class BadParam(MixedVolError):
@@ -25,16 +28,16 @@ class BadMesh(MixedVolError):
     """Mesh size that is not a positive number."""
 
 
-class NegativeMass(MixedVolError):
-    """A measure that must be nonnegative has a significantly negative atom."""
-
-
 class QuadratureFailure(MixedVolError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """An arc whose ends coincide or are antipodal, so no unique shortest
+    geodesic joins them (Arcs.between)."""
 
 
 class NumericalFailure(MixedVolError):
-    """Linear-algebra backend failure (e.g. Cholesky on a non-SPD mass matrix)."""
+    """A numerical step broke an invariant it relies on: a hull table that
+    Qhull laid out unexpectedly, assembled matrices that are not symmetric,
+    a mass matrix that is not positive definite, a singular factorization or
+    an eigensolver that did not converge."""
 
 
 class InsufficientSpectrum(MixedVolError):

@@ -143,15 +143,14 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator
     dS_{B,M}, and the residual delta - <v,.> restricted to the arcs.
 
     On an arc u(t) = a cos t + e sin t the coordinate x_i has the single
-    segment coefficients (a_i, e_i, 0), so the normal equations need one
+    segment coefficients (a_i, e_i), so the normal equations need one
     restriction of delta and the closed-form Gram matrices
     int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc of the arcs. The
     linear term adds no cut, so the residual keeps delta's segments. v is fit
     on delta's local part and its shift added after: the residual never holds it."""
     arcs, w = g.arcs, g.sbm.weights
     # coords[j, i]: the coefficients of x_i on arc j
-    coords = np.stack([arcs.starts, arcs.tangents, np.zeros_like(arcs.starts)],
-                      axis=2)
+    coords = np.stack([arcs.starts, arcs.tangents], axis=2)
     a_mat = np.tensordot(w, quad.product_integral(
         coords[:, :, None], coords[:, None], 0.0, arcs.lengths[:, None, None]), 1)
     (r,) = quad.restrict(arcs, SupportEvaluator(delta.terms))
@@ -165,8 +164,8 @@ def sup_on_sbm(resid: quad.ArcRestriction) -> float:
     """Sup of |resid| over quadrature.NODES_PER_SEGMENT nodes of each of its
     segments on the arcs of supp S_{B,M}, endpoints included."""
     t = np.linspace(resid.t0, resid.t1, quad.NODES_PER_SEGMENT, axis=1)
-    a, b, c = resid.coef.T[:, :, None]
-    return float(np.abs(a * np.cos(t) + b * np.sin(t) + c).max(initial=0.0))
+    a, b = resid.coef.T[:, :, None]
+    return float(np.abs(a * np.cos(t) + b * np.sin(t)).max(initial=0.0))
 
 
 def certify_equality_fulldim(k: Polytope, l: Polytope, m: Polytope

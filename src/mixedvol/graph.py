@@ -149,6 +149,7 @@ class DiscretizedForm:
     e_matrix: CSRMatrix        # quadratic form E
     mass: CSRMatrix            # L^2(S_{B,M}) inner product, SPD
     node_points: np.ndarray    # (N, 3) sphere position of each DOF
+    max_element: float         # the longest element, at most h
 
     @property
     def size(self) -> int:
@@ -252,7 +253,7 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
         g.normals,
         np.cos(t)[:, None] * g.arcs.starts[node_edge]
         + np.sin(t)[:, None] * g.arcs.tangents[node_edge]])
-    return DiscretizedForm(e_mat, mass, points)
+    return DiscretizedForm(e_mat, mass, points, float(edge_h.max()))
 
 
 @dataclass

@@ -6,10 +6,9 @@ combination is a piecewise trig polynomial A cos t + B sin t, cut where some
 polytope term switches active vertex. Those cuts are the crossings of the
 arc with the polytope's normal fan, so they are found for every arc of an
 ``Arcs`` table at once. An ``ArcRestriction`` holds the smooth segments of
-all arcs as rows, with their coefficients (A, B, C): C, a constant term,
-is 0 for a support function and lets the integrals take the constant 1 as
-a factor. Integrals of products (and of derivative products) are
-closed-form sums over segments, reduced per arc.
+all arcs as rows, with their coefficients (A, B): a support function has
+no constant term. Integrals of a restriction, of products and of derivative
+products are closed-form sums over segments, reduced per arc.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bodies import Polytope, SupportEvaluator, _row_dots, _row_norms
-from .errors import NegativeMass, QuadratureFailure
+from .errors import QuadratureFailure
 
 # |<n, pole>| at or below this puts a fan vertex n on an arc's great circle
 PLANE_TOL = 1e-12
@@ -30,9 +29,6 @@ CUT_TOL = 1e-12
 # entries (8 bytes each), per smooth segment of an arc, of the sign tables and
 # the midpoint argmax of one block of arcs (8 MB)
 BLOCK_ENTRIES = 1 << 20
-# a mass below -NEGATIVE_MASS_TOL times the gross mass it was computed from
-# is negative
-NEGATIVE_MASS_TOL = 1e-9
 # nodes of a segment scan per smooth segment, ends included
 NODES_PER_SEGMENT = 17
 
@@ -161,42 +157,40 @@ def evaluator_breakpoints(f: SupportEvaluator, arc: Arcs) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def product_integral(p, q, t0, t1):
-    """Exact integral over [t0, t1] of the product of two A cos + B sin + C
-    terms. p and q are (..., 3) coefficient arrays; t0 and t1 broadcast
+    """Exact integral over [t0, t1] of the product of two A cos + B sin
+    terms. p and q are (..., 2) coefficient arrays; t0 and t1 broadcast
     against their leading axes, one integral per segment."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    a1, b1, c1 = p[..., 0], p[..., 1], p[..., 2]
-    a2, b2, c2 = q[..., 0], q[..., 1], q[..., 2]
+    a1, b1 = p[..., 0], p[..., 1]
+    a2, b2 = q[..., 0], q[..., 1]
     s0, k0, s1, k1 = np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
     half = 0.5 * (t1 - t0)
     cc = half + 0.5 * (s1 * k1 - s0 * k0)       # int cos^2
     ss = half - 0.5 * (s1 * k1 - s0 * k0)       # int sin^2
     sc = 0.5 * (s1 * s1 - s0 * s0)              # int sin cos
-    return (a1 * a2 * cc + b1 * b2 * ss + (a1 * b2 + a2 * b1) * sc
-            + (a1 * c2 + a2 * c1) * (s1 - s0) + (b1 * c2 + b2 * c1) * (k0 - k1)
-            + c1 * c2 * (t1 - t0))
+    return a1 * a2 * cc + b1 * b2 * ss + (a1 * b2 + a2 * b1) * sc
 
 
-# (A, B, C) @ _DERIVATIVE = (B, -A, 0), the coefficients of the arc derivative
-_DERIVATIVE = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_ONE = np.array([0.0, 0.0, 1.0])
+# (A, B) @ _DERIVATIVE = (B, -A), the coefficients of the arc derivative
+_DERIVATIVE = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
 class ArcRestriction:
     """A support-function combination on every arc of a table: on segment
-    i, the part [t0[i], t1[i]] of arc arc[i], it is A cos t + B sin t + C
-    with (A, B, C) = coef[i]."""
+    i, the part [t0[i], t1[i]] of arc arc[i], it is A cos t + B sin t
+    with (A, B) = coef[i]."""
     arcs: Arcs
     arc: np.ndarray      # (S,) ascending
     t0: np.ndarray       # (S,)
     t1: np.ndarray       # (S,)
-    coef: np.ndarray     # (S, 3)
+    coef: np.ndarray     # (S, 2)
 
     def integral(self) -> np.ndarray:
         """int f dt over each arc."""
-        return np.bincount(self.arc, product_integral(self.coef, _ONE, self.t0,
-                                                      self.t1),
+        a, b = self.coef.T
+        return np.bincount(self.arc, a * (np.sin(self.t1) - np.sin(self.t0))
+                           + b * (np.cos(self.t0) - np.cos(self.t1)),
                            minlength=len(self.arcs))
 
     def pair(self, other: "ArcRestriction") -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +211,7 @@ class ArcRestriction:
 def _coefficients(arcs: Arcs, arc: np.ndarray, t0: np.ndarray,
                   t1: np.ndarray, evaluators: Sequence[SupportEvaluator]
                   ) -> np.ndarray:
-    """(evaluators, S, 3) coefficients of the evaluators on the segments.
+    """(evaluators, S, 2) coefficients of the evaluators on the segments.
     Each polytope term looks up its active local row at all segment
     midpoints at once; the bodies' frames are in the evaluators' shifts."""
     plane = np.stack([arcs.starts[arc], arcs.tangents[arc]], axis=1)  # (S, 2, 3)
@@ -225,11 +219,11 @@ def _coefficients(arcs: Arcs, arc: np.ndarray, t0: np.ndarray,
     ab = {id(p): (plane @ p.local[np.argmax(u @ p.local.T, axis=1), :,
                                   None])[:, :, 0]
           for p in _polytopes(evaluators)}
-    coef = np.zeros((len(evaluators), len(arc), 3))
+    coef = np.empty((len(evaluators), len(arc), 2))
     for cf, f in zip(coef, evaluators):
-        cf[:, :2] = plane @ f.shift
+        cf[:] = plane @ f.shift
         for c, body in f.terms:
-            cf[:, :2] += c * ab[id(body)]
+            cf += c * ab[id(body)]
     return coef
 
 
@@ -286,21 +280,3 @@ class SphericalMeasure:
     def total_mass(self) -> float:
         return (sum(self.masses.tolist())
                 + sum((self.weights * self.arcs.lengths).tolist()))
-
-    def validate_nonnegative(self, gross: float) -> "SphericalMeasure":
-        """Raise NegativeMass for a mass below -NEGATIVE_MASS_TOL * gross,
-        where gross is the total absolute mass the measure was computed
-        from: differences of measures round relative to the masses that
-        cancel."""
-        floor = -NEGATIVE_MASS_TOL * max(gross, 1e-30)
-        for kind, m in (("atom mass", self.masses), ("arc weight", self.weights)):
-            if len(m) and m.min() < floor:
-                raise NegativeMass(f"{kind} {m.min():g} below {floor:g}")
-        return self
-
-
-def integrate_against_measure(f: SupportEvaluator, mu: SphericalMeasure) -> float:
-    """sum over atoms of f(u) * mass plus the exact arc integrals of f dH^1."""
-    (r,) = restrict(mu.arcs, f)
-    return (float(f(mu.directions) @ mu.masses)
-            + sum((mu.weights * r.integral()).tolist()))

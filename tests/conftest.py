@@ -178,10 +178,16 @@ def cylinder_measures(m, w, eps_seq) -> list[quad.SphericalMeasure]:
             for eps in eps_seq]
 
 
+def arc_integral(f: B.SupportEvaluator, mu: quad.SphericalMeasure) -> float:
+    """int f dmu for a measure of weighted arcs and no atoms, such as a
+    graph's S_{B,M}: the weights times the exact per-arc integrals."""
+    (r,) = quad.restrict(mu.arcs, f)
+    return sum((mu.weights * r.integral()).tolist())
+
+
 def cylinder_integrals(m, w, f: B.SupportEvaluator, eps_seq) -> list[float]:
     """int f dS_{B, M + eps[0, w]} over the cylinder_measures."""
-    return [quad.integrate_against_measure(f, mu)
-            for mu in cylinder_measures(m, w, eps_seq)]
+    return [arc_integral(f, mu) for mu in cylinder_measures(m, w, eps_seq)]
 
 
 def decay_ratios(values, limit: float) -> list[float]:
@@ -365,17 +371,16 @@ def loop_breakpoints(f: B.SupportEvaluator, arc: quad.Arcs) -> list[float]:
 
 
 def loop_restriction(f: B.SupportEvaluator, arc: quad.Arcs, cuts=None):
-    """(cuts, coef): f on a one-row arc table as A cos t + B sin t + C with
-    (A, B, C) = coef[i] on [cuts[i], cuts[i + 1]], cut at loop_breakpoints
+    """(cuts, coef): f on a one-row arc table as A cos t + B sin t with
+    (A, B) = coef[i] on [cuts[i], cuts[i + 1]], cut at loop_breakpoints
     unless cuts are given."""
     if cuts is None:
         cuts = np.array([0.0, *loop_breakpoints(f, arc), arc.lengths[0]])
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     trig = np.array([np.cos(mid), np.sin(mid)])
     plane = np.array([arc.starts[0], arc.tangents[0]])
-    coef = np.zeros((len(mid), 3))
-    coef[:, :2] = plane @ f.shift
+    coef = np.tile(plane @ f.shift, (len(mid), 1))
     for c, b in f.terms:
         ab = b.local @ plane.T
-        coef[:, :2] += c * ab[np.argmax(ab @ trig, axis=0)]
+        coef += c * ab[np.argmax(ab @ trig, axis=0)]
     return cuts, coef

@@ -229,16 +229,19 @@ def test_spectrum_reports_eigen_residual(capsys):
     assert 0 <= values["eigen_residual_max"] < 1e-8
 
 
-@pytest.mark.parametrize("h, kmax", [(0.2, 8), (0.3, 5)])
+@pytest.mark.parametrize("h, kmax", [(0.2, 8), (0.3, 5), (10.0, 8)])
 def test_spectrum_kernel_window_is_the_p1_bound(capsys, h, kmax):
     # a window of 10 h^2 took in the cube's constants at 1/3 and its pair at
     # -0.26 (kernel dimension 6 at h = 0.2), or reached the end of the
-    # computed spectrum (exit 2 at h = 0.3, kmax = 5)
+    # computed spectrum (exit 2 at h = 0.3, kmax = 5). The window reads the
+    # longest element h_e on the cube's arcs of length pi/2, at least 2 to an
+    # arc: at h = 10, 2 h^2 / 36 = 5.6 would hold every computed eigenvalue
     code, out, err = run(capsys, ["spectrum", "--M", "cube", "--mesh-h", str(h),
                                   "--kmax", str(kmax)])
     assert code == 0, err
     doc = json.loads(out)
-    assert doc["params"]["kernel_window"] == 2 * h ** 2 / 36
+    h_e = (np.pi / 2) / max(2, np.ceil((np.pi / 2) / h))
+    assert doc["params"]["kernel_window"] == 2 * h_e ** 2 / 36
     assert doc["values"]["kernel_dimension"] == 3
 
 

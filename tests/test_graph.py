@@ -10,7 +10,6 @@ from mixedvol import bodies as B
 from mixedvol import graph as G
 from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
-from mixedvol import quadrature as quad
 from mixedvol.bodies import SupportEvaluator
 from mixedvol.errors import (BadMesh, BadParam, DegenerateInput,
                              InsufficientSpectrum, NumericalFailure)
@@ -116,14 +115,12 @@ def test_form_value_random_triples():
 
 
 def test_constant_function_identity(unit_cube):
-    # E(1, 1) = (1/3) * mass(S_{B,M}) = V(B, B, M): the constant 1 is the
-    # restriction with coefficients (0, 0, 1) on every arc, as form_value
-    # pairs restrictions
+    # E(1, 1) = (1/3) * mass(S_{B,M}) = V(B, B, M): the constant 1 lies in
+    # the P1 space, so the assembled form holds the identity exactly
     g = G.build_graph(unit_cube)
-    (r,) = quad.restrict(g.arcs, SupportEvaluator())
-    one = dataclasses.replace(r, coef=np.tile([0.0, 0.0, 1.0], (len(r.arc), 1)))
-    ifg, idfdg = one.pair(one)
-    e_val = sum((g.weights * (ifg - idfdg)).tolist()) / 6.0
+    form = G.assemble(g, np.pi / 30)
+    ones = np.ones(form.size)
+    e_val = ones @ form.e_matrix @ ones
     sbm, _ = G.sbm_and_mu(g)
     assert e_val == pytest.approx(sbm.total_mass() / 3.0, rel=1e-13)
 

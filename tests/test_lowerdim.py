@@ -13,8 +13,9 @@ from mixedvol.errors import (BadMesh, DimensionError, InsufficientSpectrum,
                              ZeroDenominator)
 from mixedvol.graph import kernel_analysis, spectrum
 
-from conftest import (NEAR_TOP, TILT, adaptive_gauss, cylinder_integrals,
-                      cylinder_measures, decay_ratios, rel_err, sup_on_arcs)
+from conftest import (NEAR_TOP, TILT, adaptive_gauss, arc_integral,
+                      cylinder_integrals, cylinder_measures, decay_ratios,
+                      rel_err, sup_on_arcs)
 
 W = np.array([0.0, 0.0, 1.0])
 
@@ -89,13 +90,13 @@ def test_sbm_mass_square(unit_square):
 def test_sbm_odd_function_vanishes(unit_square):
     g = LD.lowerdim_setup(unit_square, W)
     f = SupportEvaluator([], shift=W)   # cos(theta) integrates to zero
-    assert abs(quad.integrate_against_measure(f, g.sbm)) < 1e-12
+    assert abs(arc_integral(f, g.sbm)) < 1e-12
 
 
 def test_sbm_callable_matches_evaluator(unit_square, unit_cube):
     g = LD.lowerdim_setup(unit_square, W)
     ev = SupportEvaluator.of(unit_cube)
-    exact = quad.integrate_against_measure(ev, g.sbm)
+    exact = arc_integral(ev, g.sbm)
     arcs = g.sbm.arcs
     numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(arcs.points(i, t))),
                                      0.0, arcs.lengths[i], 1e-11)
@@ -371,8 +372,7 @@ def test_cylinder_limit_mass(unit_square):
 
 def test_cylinder_limit_support_function(unit_square, unit_cube):
     f = SupportEvaluator.of(unit_cube)
-    limit = quad.integrate_against_measure(
-        f, LD.lowerdim_setup(unit_square, W).sbm)
+    limit = arc_integral(f, LD.lowerdim_setup(unit_square, W).sbm)
     values = cylinder_integrals(unit_square, W, f, CYLINDER_EPS)
     for ratio in decay_ratios(values, limit):
         assert 1.7 <= ratio <= 2.3
@@ -383,7 +383,7 @@ def test_sbm_consistency_with_mixed_volume(unit_square, unit_cube):
     # extrapolation of the full-dimensional graph values
     g = LD.lowerdim_setup(unit_square, W)
     f = SupportEvaluator.of(unit_cube)
-    direct = quad.integrate_against_measure(f, g.sbm)
+    direct = arc_integral(f, g.sbm)
     values = cylinder_integrals(unit_square, W, f, [0.02, 0.01])
     extrapolated = (2 * values[1] - values[0])
     assert rel_err(direct, extrapolated) < 1e-4

@@ -174,6 +174,29 @@ def test_merge_atoms():
     assert sorted(masses) == pytest.approx([3.0, 3.0])
 
 
+def _two_atoms(fraction):
+    """A merge_atoms stand-in: the first two directions, the second with
+    fraction times the gross mass |S(L+M)|/2 + |S(L)|/2 + |S(M)|/2 of the
+    raw atoms it is given."""
+    def merge(directions, masses):
+        gross = sum(np.abs(masses).tolist())
+        return directions[:2], np.array([0.5, fraction * gross])
+    return merge
+
+
+def test_negative_atom_raises_beyond_the_rounding_floor(monkeypatch):
+    # the floor is NEGATIVE_MASS_TOL = 1e-9 of the gross mass: an atom at
+    # -1e-6 of it is negative, one at -1e-12 is rounding and dropped
+    l, m = B.random_hull(10, 1), B.cube()
+    monkeypatch.setattr(MS, "merge_atoms", _two_atoms(-1e-6))
+    with pytest.raises(MS.NegativeMass):
+        MS.mixed_area_measure(l, m)
+    monkeypatch.setattr(MS, "merge_atoms", _two_atoms(-1e-12))
+    mu = MS.mixed_area_measure(l, m)
+    assert len(mu.masses) == 1
+    assert mu.masses[0] == 0.5 * l.diameter * m.diameter
+
+
 def _merge_atoms_reference(raw):
     """The double loop merge_atoms must reproduce: each atom joins the first
     earlier representative within ATOM_MERGE_ANGLE or becomes one."""

@@ -140,18 +140,18 @@ def test_restriction_on_merged_cuts_of_large_sphere_hulls():
     assert rf.t0 is rg.t0 and len(rf.coef) == nf + ng + 1
     # the coefficients reproduce each function at every segment midpoint
     mid = 0.5 * (rf.t0 + rf.t1)
-    trig = np.column_stack([np.cos(mid), np.sin(mid), np.ones_like(mid)])
+    trig = np.column_stack([np.cos(mid), np.sin(mid)])
     for r, h in ((rf, f), (rg, g)):
         vals = np.sum(r.coef * trig, axis=1)
         assert np.abs(vals - h(arcs.points(0, mid))).max() < 1e-14
 
 
 def test_product_integral_polynomial_identity():
-    # (2cos+3sin+1)(cos-sin+2) integrated on [0.2, 1.4] vs dense sampling
-    p, q = (2.0, 3.0, 1.0), (1.0, -1.0, 2.0)
+    # (2cos+3sin)(cos-sin) integrated on [0.2, 1.4] vs dense sampling
+    p, q = (2.0, 3.0), (1.0, -1.0)
     t = np.linspace(0.2, 1.4, 200001)
-    vals = (p[0] * np.cos(t) + p[1] * np.sin(t) + p[2]) * \
-           (q[0] * np.cos(t) + q[1] * np.sin(t) + q[2])
+    vals = (p[0] * np.cos(t) + p[1] * np.sin(t)) * \
+           (q[0] * np.cos(t) + q[1] * np.sin(t))
     # the trapezoid rule, written out: np.trapezoid is numpy >= 2 only
     trapezoid = float(((vals[1:] + vals[:-1]) * np.diff(t)).sum() / 2)
     assert quad.product_integral(p, q, 0.2, 1.4) == pytest.approx(
