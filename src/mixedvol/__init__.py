@@ -17,8 +17,7 @@ from .extremal import (EqualityCertificate, RigidityReport, StabilityReport,
                        weak_stability_check)
 from .graph import (DiscretizedForm, KernelReport, MetricGraph,
                     SpectrumResult, StructuralReport, assemble, build_graph,
-                    form_value, kernel_analysis, sbm_and_mu, spectrum,
-                    structural_checks)
+                    form_value, kernel_analysis, spectrum, structural_checks)
 from .lowerdim import (ClusterReport, LowerSpectrumReport, assemble_lowerdim,
                        certify_equality_lowerdim, explicit_spectrum,
                        lowerdim_setup, verify_spectrum)
@@ -26,8 +25,8 @@ from .measures import (DeficitReport, NegativeMass, classical_functionals,
                        merge_atoms, mixed_area_measure, mixed_volume,
                        mixed_volume_via_measure, mixed_volume_xpp, mv3,
                        quadratic_deficit, vbbm_conewise)
-from .quadrature import (ArcRestriction, Arcs, SphericalMeasure,
-                         arc_sample_nodes, integrate_evaluator,
-                         integrate_pair, product_integral, restrict)
+from .quadrature import (ArcRestriction, Arcs, arc_sample_nodes,
+                         integrate_evaluator, integrate_pair,
+                         product_integral, restrict)
 
 __version__ = "0.1.0"

@@ -159,10 +159,6 @@ class Polytope:
         return float(pdist(self.local).max())
 
     @cached_property
-    def scale(self) -> float:
-        return max(float(np.abs(self.vertices).max()), 1e-30)
-
-    @cached_property
     def volume(self) -> float:
         # divergence theorem: (1/3) sum_F h_F * area_F, summed in facet order;
         # a polygon's two sides cancel exactly
@@ -296,7 +292,7 @@ def affine_dim(points: np.ndarray) -> int:
     return int((s > RANK_TOL * max(1.0, s[0] if len(s) else 1.0)).sum())
 
 
-def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
+def hull(points, name: str = "") -> Polytope:
     """Convex hull with merged coplanar facets and full combinatorics.
 
     Qhull merges the facets (QHULL_OPTIONS: C-1e-12 on the points centered
@@ -308,9 +304,9 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     FLAT_WIDTH: V <= width * S / 2 for every convex body, so 2V/S bounds
     the least width from below.
     Flat points, fewer than 4 points, points all equal and points Qhull
-    refuses as flat yield a polytope of affine dimension at most 2, unless
-    require_full_dim is set: a polygon with its two sides and its boundary
-    ring (see Polytope), a segment or a point with tables of zero rows.
+    refuses as flat yield a polytope of affine dimension at most 2: a
+    polygon with its two sides and its boundary ring (see Polytope), a
+    segment or a point with tables of zero rows.
     Raises NumericalFailure when Qhull's output does not form a polytope:
     one plane split into two facets, a vertex on fewer than 3 edges, or a
     failed Euler check.
@@ -323,10 +319,7 @@ def hull(points, require_full_dim: bool = False, name: str = "") -> Polytope:
     p = _full_dim_hull(pts, name) if len(pts) >= 4 else None
     if p is not None:
         return p
-    dim = min(affine_dim(pts), 2)
-    if require_full_dim:
-        raise DegenerateInput(f"points span affine dimension {dim} < 3")
-    return _lower_dim_hull(pts, dim, name)
+    return _lower_dim_hull(pts, min(affine_dim(pts), 2), name)
 
 
 def _lower_dim_hull(pts: np.ndarray, dim: int, name: str) -> Polytope:
@@ -584,4 +577,4 @@ def random_hull(count: int, seed: int) -> Polytope:
         raise BadSpec("need at least 4 points for a full-dimensional hull")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((count, 3))
-    return hull(pts, require_full_dim=True, name=f"rand{count}s{seed}")
+    return hull(pts, name=f"rand{count}s{seed}")

@@ -22,9 +22,8 @@ from . import lowerdim as LD
 from . import measures as MS
 from .bodies import Polytope, SupportEvaluator
 from .errors import MixedVolError
-from .graph import (MetricGraph, assemble, build_graph,
-                    form_value, kernel_analysis, sbm_and_mu, spectrum,
-                    structural_checks)
+from .graph import (MetricGraph, assemble, build_graph, form_value,
+                    kernel_analysis, spectrum, structural_checks)
 
 CSV_SCHEMA_VERSION = "mixedvol-report-v2"
 # points per random hull of the randomized suites
@@ -313,7 +312,6 @@ def cmd_lower_spectrum(args, rep):
 def cmd_demo(args, rep):
     c = B.cube()
     g = build_graph(c)
-    sbm, mu = sbm_and_mu(g)
     vol, surf, width = MS.classical_functionals(c)
     form = assemble(g, args.mesh_h)
     spec = spectrum(form, 8)
@@ -321,7 +319,7 @@ def cmd_demo(args, rep):
         B.truncate_vertex(c, 0, 0.1), c, c)
     rep["values"].update({
         "cube_volume": vol, "cube_surface": surf, "cube_mean_width": width,
-        "sbm_mass": sbm.total_mass(), "mu_mass": mu.total_mass(),
+        "sbm_mass": g.sbm_mass(), "mu_mass": sum(g.mu_masses().tolist()),
         "top_eigenvalues": [float(v) for v in spec.eigenvalues[:5]],
         "truncated_cube_verdict": cert.verdict,
     })
@@ -357,11 +355,10 @@ def suite_mixvol(seed: int) -> tuple[bool, dict]:
 def suite_graph(seed: int) -> tuple[bool, dict]:
     m = _rand_poly(seed)
     g = build_graph(m)
-    sbm, mu = sbm_and_mu(g)
-    mass = sbm.total_mass()
+    mass = g.sbm_mass()
     vbbm = MS.vbbm_conewise(m)
     rel = abs(mass - 3 * vbbm) / max(abs(3 * vbbm), 1e-30)
-    mu_rel = abs(mu.total_mass() - 2 * mass) / max(2 * mass, 1e-30)
+    mu_rel = abs(sum(g.mu_masses().tolist()) - 2 * mass) / max(2 * mass, 1e-30)
     r, big_r = B.enclosing_radii(m)
     struct = structural_checks(g, r, big_r)
     ok = (rel <= 1e-6 and mu_rel <= 1e-12 and not struct.violations)

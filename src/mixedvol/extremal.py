@@ -14,7 +14,7 @@ import numpy as np
 from . import quadrature as quad
 from .bodies import Polytope, SupportEvaluator, enclosing_radii, v_llm_zero
 from .errors import DegenerateInput, SingularGM, ZeroDenominator
-from .graph import MetricGraph, build_graph, sbm_and_mu
+from .graph import MetricGraph, build_graph
 from .measures import DeficitReport, mixed_volume_xpp, quadratic_deficit
 
 DEFICIT_THRESHOLD = 1e-9      # relative to max(vKL^2, vKK*vLL)
@@ -148,7 +148,7 @@ def fit_linear_on_sbm(g: MetricGraph, delta: SupportEvaluator
     int u u^T = a a^T cc + e e^T ss + (a e^T + e a^T) sc of the arcs. The
     linear term adds no cut, so the residual keeps delta's segments. v is fit
     on delta's local part and its shift added after: the residual never holds it."""
-    arcs, w = g.arcs, g.sbm.weights
+    arcs, w = g.arcs, g.sbm_weights
     # coords[j, i]: the coefficients of x_i on arc j
     coords = np.stack([arcs.starts, arcs.tangents], axis=2)
     a_mat = np.tensordot(w, quad.product_integral(
@@ -208,11 +208,10 @@ def rigidity_check(k: Polytope, l: Polytope, m: Polytope) -> RigidityReport:
         raise DegenerateInput("rigidity check requires full-dimensional M")
     r, big_r = enclosing_radii(m)
     g = build_graph(m)
-    sbm, mu = sbm_and_mu(g)
     f = SupportEvaluator.of(k) + SupportEvaluator.of(l, -1.0)
-    (rf,) = quad.restrict(sbm.arcs, f)
-    sbm_int = sum((sbm.weights * rf.pair(rf)[0]).tolist())
-    mu_int = float(f(mu.directions) ** 2 @ mu.masses)
+    (rf,) = quad.restrict(g.arcs, f)
+    sbm_int = sum((g.sbm_weights * rf.pair(rf)[0]).tolist())
+    mu_int = float(f(g.normals) ** 2 @ g.mu_masses())
     dr = quadratic_deficit(k, l, m)
     correction = (r * r / (6.0 * big_r * big_r)) * sbm_int \
         - (4.0 * big_r * big_r / (3.0 * r * r)) * mu_int

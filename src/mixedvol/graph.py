@@ -1,11 +1,13 @@
 """Metric graph of a polytope and the discretized operator.
 
 Vertices are facet normals on the sphere; edges are geodesic arcs between
-normals of adjacent facets, weighted by ridge lengths. A polytope M inside a
-plane w^perp gives the degenerate graph of the same type, the bouquet of half
-circles (lowerdim). The quadratic form
+normals of adjacent facets, weighted by ridge lengths. The graph holds the
+paper's two measures: S_{B,M} is w/2 times arclength on its arcs
+(sbm_weights), and mu_M is atoms at its vertices (mu_masses). A polytope M
+inside a plane w^perp gives the degenerate graph of the same type, the
+bouquet of half circles (lowerdim). The quadratic form
 E(f,g) = (1/6) sum_e w_e int (fg - f'g') and the L^2(S_{B,M}) mass inner
-product (1/2) sum_e w_e int fg are assembled with conforming piecewise-linear
+product sum_e (w_e/2) int fg are assembled with conforming piecewise-linear
 elements sharing vertex degrees of freedom, so continuity holds by
 construction and the weighted Kirchhoff conditions are natural. The two
 matrices share one sparse pattern, laid out row by row from the edge chains
@@ -24,7 +26,6 @@ stiffness, is negative definite; it also fills less than partial pivoting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -34,7 +35,6 @@ from . import quadrature as quad
 from .bodies import Polytope, SupportEvaluator
 from .errors import (BadMesh, BadParam, DegenerateInput, InsufficientSpectrum,
                      NumericalFailure)
-from .quadrature import SphericalMeasure
 
 # slack of structural_checks: on R/r against tan(l/2), and relative to the
 # total edge weight on each vertex's balance residual
@@ -57,10 +57,24 @@ class MetricGraph:
     weights: np.ndarray     # (E,) ridge lengths H^1(F cap F')
     arcs: quad.Arcs         # E rows, lengths arccos <n_F, n_F'>
 
-    @cached_property
-    def sbm(self) -> SphericalMeasure:
-        """S_{B,M}: the edges with weight w/2, built once per graph."""
-        return SphericalMeasure(arcs=self.arcs, weights=self.weights / 2.0)
+    @property
+    def sbm_weights(self) -> np.ndarray:
+        """(E,) the weights w/2 of S_{B,M} on the arcs: S_{B,M} is
+        sum_e (w_e/2) times arclength on arc e."""
+        return self.weights / 2.0
+
+    def sbm_mass(self) -> float:
+        """The total mass of S_{B,M}, 3 V(B, B, M)."""
+        return sum((self.sbm_weights * self.arcs.lengths).tolist())
+
+    def mu_masses(self) -> np.ndarray:
+        """(F,) the masses of mu_M at the normals: mu_M({n_F}) =
+        (1/2) sum_{F'~F} w l for n = 3, the S_{B,M} mass of F's edges."""
+        mu = np.zeros(len(self.normals))
+        # both ends of each edge, in edge order
+        np.add.at(mu, self.edges.ravel(),
+                  np.repeat(self.sbm_weights * self.arcs.lengths, 2))
+        return mu
 
     def vertex_balance_residuals(self) -> np.ndarray:
         """|sum of w_e times the outgoing unit tangent| at each vertex."""
@@ -88,15 +102,6 @@ def build_graph(m: Polytope) -> MetricGraph:
     return MetricGraph(normals, m.facets.areas, edges, m.edges.lengths,
                        quad.Arcs.between(normals[edges[:, 0]],
                                          normals[edges[:, 1]]))
-
-
-def sbm_and_mu(g: MetricGraph) -> tuple[SphericalMeasure, SphericalMeasure]:
-    """Realize S_{B,M} (arcs with weight w/2) and mu_M (vertex atoms,
-    mu_M({n_F}) = (1/2) sum_{F'~F} w * l for n = 3)."""
-    # both ends of each edge, in edge order
-    mu_mass = np.zeros(len(g.normals))
-    np.add.at(mu_mass, g.edges.ravel(), np.repeat(g.weights * g.arcs.lengths / 2.0, 2))
-    return g.sbm, SphericalMeasure(g.normals, mu_mass)
 
 
 def form_value(g: MetricGraph, f: SupportEvaluator, gg: SupportEvaluator) -> float:
@@ -193,12 +198,12 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     left = np.where(k == 0, heads[el_edge], first[el_edge] + k - 1)
     right = np.where(k == el_counts - 1, tails[el_edge], first[el_edge] + k)
     he = edge_h[el_edge]
-    w = weights[el_edge]
+    w, ws = weights[el_edge], g.sbm_weights[el_edge]
     m_off = he / 6.0                   # element mass matrix he/6 [[2, 1], [1, 2]]
     m_diag = m_off * 2.0
     stiff = 1.0 / he                   # element stiffness 1/he [[1, -1], [-1, 1]]
     e_diag, e_off = w / 6.0 * (m_diag - stiff), w / 6.0 * (m_off + stiff)
-    mm_diag, mm_off = w / 2.0 * m_diag, w / 2.0 * m_off
+    mm_diag, mm_off = ws * m_diag, ws * m_off
 
     # One CSR pattern for both matrices, rows in DOF order, columns sorted.
     # The row of vertex v holds v, then the interior node next to v on each

@@ -5,14 +5,15 @@ on the half great circles theta -> iota(theta, z) = w cos(theta) + z sin(theta)
 over the directions z in the support of the (lower-dimensional) surface
 measure of M inside w^perp. lowerdim_setup returns these half circles, with
 shared poles at +-w, as a plain graph.MetricGraph, the degenerate metric
-graph of M, so the Galerkin assembly, S_{B,M} (its sbm) and the residual's
-sup scan are those of the full-dimensional pipeline. Their directions and
-masses are read off M's own tables: a polygon's outward edge normals (its
-fan) with its edge lengths and the area of its sides, a segment's two
-vertices. Equality is certified by extremal.certify, the verdict step that
-both certifiers share, with the face criterion as the residual. The
-spectrum is fully explicit: lambda_k = (1 - k^2)/3 with multiplicities
-1, m, m, ... where m is the number of support atoms, the graph's edges.
+graph of M, so the Galerkin assembly, S_{B,M} (its arcs with weights
+sbm_weights) and the residual's sup scan are those of the full-dimensional
+pipeline. Their directions and masses are read off M's own tables: a
+polygon's outward edge normals (its fan) with its edge lengths and the area
+of its sides, a segment's two vertices. Equality is certified by
+extremal.certify, the verdict step that both certifiers share, with the
+face criterion as the residual. The spectrum is fully explicit:
+lambda_k = (1 - k^2)/3 with multiplicities 1, m, m, ... where m is the
+number of support atoms, the graph's edges.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .bodies import (Polytope, SupportEvaluator, _pair_sums, _row_dots,
                      _row_norms, _sum_dim, _triangle_areas, hull)
 from .errors import DegenerateInput, MixedVolError
 from .graph import build_graph
-from .quadrature import SphericalMeasure
 
 ATOM_MERGE_ANGLE = 1e-9   # angular tolerance for merging atoms by direction
 # a mass below -NEGATIVE_MASS_TOL times the gross mass it was computed from
@@ -121,9 +120,11 @@ def mixed_volume(k: Polytope, l: Polytope, m: Polytope) -> float:
 # Area measures
 # ---------------------------------------------------------------------------
 
-def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
-    """S_{L,M} = (1/2)[S(L+M) - S(L) - S(M)], merged, with NegativeMass
-    raised for an atom below -NEGATIVE_MASS_TOL times the gross mass.
+def mixed_area_measure(l: Polytope, m: Polytope
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(directions, masses): the atoms of S_{L,M} = (1/2)[S(L+M) - S(L) -
+    S(M)], merged, with NegativeMass raised for an atom below
+    -NEGATIVE_MASS_TOL times the gross mass.
 
     S_{L,M} is bilinear and translation invariant, so it is taken between
     the local rows of L and M scaled to unit diameter, and its masses are
@@ -132,7 +133,7 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     gives the zero measure."""
     dl, dm = l.diameter, m.diameter
     if dl == 0.0 or dm == 0.0:
-        return SphericalMeasure()
+        return np.zeros((0, 3)), np.zeros(0)
     l, m = l.scaled(1.0 / dl), m.scaled(1.0 / dm)
     parts = [b.facets for b in (hull(_pair_sums(l.local, m.local)), l, m)]
     raw = np.concatenate([c * f.areas for c, f in zip((0.5, -0.5, -0.5), parts)])
@@ -142,7 +143,7 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
     if len(masses) and masses.min() < floor:
         raise NegativeMass(f"atom mass {masses.min():g} below {floor:g}")
     keep = masses > 0.0
-    return SphericalMeasure(dirs[keep], dl * dm * masses[keep])
+    return dirs[keep], dl * dm * masses[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +152,8 @@ def mixed_area_measure(l: Polytope, m: Polytope) -> SphericalMeasure:
 
 def mixed_volume_via_measure(k: Polytope, l: Polytope, m: Polytope) -> float:
     """(1/3) int h_K dS_{L,M}, a sum over the atoms of S_{L,M}."""
-    mu = mixed_area_measure(l, m)
-    return float(SupportEvaluator.of(k)(mu.directions) @ mu.masses) / 3.0
+    dirs, masses = mixed_area_measure(l, m)
+    return float(SupportEvaluator.of(k)(dirs) @ masses) / 3.0
 
 
 def mv3(k: Polytope, l: Polytope, m: Polytope) -> float:
@@ -201,7 +202,7 @@ def classical_functionals(k: Polytope) -> tuple[float, float, float]:
     The surface area 3 V(B,K,K) is the total mass of S_K, and V(B,B,K) a
     third of the mass of the arc measure S_{B,K}."""
     s = sum(k.facets.areas.tolist())
-    w = (3.0 / (2.0 * np.pi)) * (build_graph(k).sbm.total_mass() / 3.0)
+    w = (3.0 / (2.0 * np.pi)) * (build_graph(k).sbm_mass() / 3.0)
     return k.volume, s, w
 
 

@@ -1,5 +1,4 @@
-"""Integration along great-circle arcs on the unit sphere, and measures on
-the sphere made of atoms and weighted arcs.
+"""Integration along great-circle arcs on the unit sphere.
 
 On an arc u(t) = a cos t + e sin t the restriction of a support-function
 combination is a piecewise trig polynomial A cos t + B sin t, cut where some
@@ -13,7 +12,7 @@ products are closed-form sums over segments, reduced per arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -38,9 +37,9 @@ class Arcs:
     """Great-circle arcs as rows: arc i is u(t) = starts[i] cos t +
     tangents[i] sin t, t in [0, lengths[i]], with starts[i] and tangents[i]
     orthonormal."""
-    starts: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    tangents: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    lengths: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    starts: np.ndarray      # (n, 3)
+    tangents: np.ndarray    # (n, 3)
+    lengths: np.ndarray     # (n,)
 
     @classmethod
     def between(cls, a, b) -> "Arcs":
@@ -263,20 +262,3 @@ def arc_sample_nodes(arc: Arcs, f: SupportEvaluator) -> np.ndarray:
     _, t0, t1 = segments(arc, f)
     return np.unique(np.linspace(t0, t1, NODES_PER_SEGMENT))
 
-
-# ---------------------------------------------------------------------------
-# Measures on the sphere: atoms plus weighted arcs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SphericalMeasure:
-    """Measure on S^2: mass masses[i] at directions[i], plus weights[j]
-    times arclength on arc j of arcs."""
-    directions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    masses: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    arcs: Arcs = field(default_factory=Arcs)
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def total_mass(self) -> float:
-        return (sum(self.masses.tolist())
-                + sum((self.weights * self.arcs.lengths).tolist()))

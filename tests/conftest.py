@@ -159,35 +159,49 @@ def sum_vertices(bodies) -> np.ndarray:
     return pts
 
 
-def barycenter_residual(s: quad.SphericalMeasure) -> float:
-    """|int u ds|, which vanishes for the area measures of closed bodies; an
-    arc of length l from a along e gives int u = sin(l) a + (1 - cos(l)) e."""
-    l, w = s.arcs.lengths, s.weights
-    return float(np.linalg.norm(
-        s.masses @ s.directions + (w * np.sin(l)) @ s.arcs.starts
-        + (w * (1 - np.cos(l))) @ s.arcs.tangents))
+def barycenter_residual(directions: np.ndarray, masses: np.ndarray) -> float:
+    """|int u ds| for a measure of atoms, which vanishes for the area
+    measures of closed bodies."""
+    return float(np.linalg.norm(masses @ directions))
 
 
-def cylinder_measures(m, w, eps_seq) -> list[quad.SphericalMeasure]:
-    """S_{B, M + eps[0, w]} on the metric graph of each thin cylinder over
-    the polygon M; as eps -> 0 their masses and integrals tend at first
+def cylinder_graphs(m, w, eps_seq) -> list[G.MetricGraph]:
+    """The metric graph of each thin cylinder M + eps[0, w] over the polygon
+    M; as eps -> 0 the masses and integrals of their S_{B,M} tend at first
     order in eps to those of the half-circle measure on M of the
     lower-dimensional pipeline."""
     w = B.as_unit_vector(w)
-    return [G.build_graph(B.minkowski_sum(m, B.segment(np.zeros(3), eps * w))).sbm
+    return [G.build_graph(B.minkowski_sum(m, B.segment(np.zeros(3), eps * w)))
             for eps in eps_seq]
 
 
-def arc_integral(f: B.SupportEvaluator, mu: quad.SphericalMeasure) -> float:
-    """int f dmu for a measure of weighted arcs and no atoms, such as a
-    graph's S_{B,M}: the weights times the exact per-arc integrals."""
-    (r,) = quad.restrict(mu.arcs, f)
-    return sum((mu.weights * r.integral()).tolist())
+def arc_integral(f: B.SupportEvaluator, g: G.MetricGraph) -> float:
+    """int f dS_{B,M} on a metric graph: the arcs' S_{B,M} weights times the
+    exact per-arc integrals."""
+    (r,) = quad.restrict(g.arcs, f)
+    return sum((g.sbm_weights * r.integral()).tolist())
+
+
+def ref_mu_masses(g: G.MetricGraph) -> list[float]:
+    """mu_M by a loop over the edges, in edge order: each edge gives w l / 2
+    to both of its vertices."""
+    mass = np.zeros(len(g.normals))
+    for (i, j), l, w in zip(g.edges.tolist(), g.arcs.lengths.tolist(),
+                            g.weights.tolist()):
+        mass[i] += w * l / 2.0
+        mass[j] += w * l / 2.0
+    return mass.tolist()
+
+
+def scale(p: B.Polytope) -> float:
+    """The largest absolute vertex coordinate of p, at least 1e-30: the size
+    of the rounding in its absolute vertex rows."""
+    return max(float(np.abs(p.vertices).max()), 1e-30)
 
 
 def cylinder_integrals(m, w, f: B.SupportEvaluator, eps_seq) -> list[float]:
-    """int f dS_{B, M + eps[0, w]} over the cylinder_measures."""
-    return [arc_integral(f, mu) for mu in cylinder_measures(m, w, eps_seq)]
+    """int f dS_{B, M + eps[0, w]} over the cylinder_graphs."""
+    return [arc_integral(f, g) for g in cylinder_graphs(m, w, eps_seq)]
 
 
 def decay_ratios(values, limit: float) -> list[float]:

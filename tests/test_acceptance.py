@@ -15,7 +15,7 @@ from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
 from mixedvol.bodies import SupportEvaluator
 
-from conftest import cylinder_measures, decay_ratios, rel_err
+from conftest import cylinder_graphs, decay_ratios, rel_err
 
 W = np.array([0.0, 0.0, 1.0])
 
@@ -61,11 +61,10 @@ def test_02_cube_constants():
     """Vol, surface, and V(B,B,C) for the unit cube, two independent routes."""
     c = B.cube()
     vol_err = abs(c.volume - 1.0)
-    surf = MS.mixed_area_measure(c, c).total_mass()
+    surf = sum(MS.mixed_area_measure(c, c)[1].tolist())
     surf_err = abs(surf - 6.0)
     # graph-mass route
-    sbm, _ = G.sbm_and_mu(G.build_graph(c))
-    vbbm_graph = sbm.total_mass() / 3.0
+    vbbm_graph = G.build_graph(c).sbm_mass() / 3.0
     # finite-difference Steiner-coefficient oracle: quadratic coefficient of
     # t -> Vol(C + tB) equals 3 V(B, B, C)
     ts = np.array([0.1, 0.2, 0.3, 0.4])
@@ -88,10 +87,9 @@ def test_03_graph_identities():
     violations = 0
     for m in seeded_hulls(100, 3003):
         g = G.build_graph(m)
-        sbm, mu = G.sbm_and_mu(g)
-        mass = sbm.total_mass()
+        mass = g.sbm_mass()
         worst_mass = max(worst_mass, rel_err(mass, 3 * MS.vbbm_conewise(m)))
-        worst_mu = max(worst_mu, rel_err(mu.total_mass(), 2 * mass))
+        worst_mu = max(worst_mu, rel_err(sum(g.mu_masses().tolist()), 2 * mass))
         worst_bal = max(worst_bal,
                         g.vertex_balance_residuals().max() / g.total_weight())
         r, big_r = B.enclosing_radii(m)
@@ -270,9 +268,9 @@ def test_11_cylinder_limit():
     """Graph mass of the thin cylinder converges to 2 pi at first order."""
     sq = B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
                          dtype=float))
-    limit = LD.lowerdim_setup(sq, W).sbm.total_mass()
-    values = [mu.total_mass()
-              for mu in cylinder_measures(sq, W, [0.2, 0.1, 0.05, 0.025])]
+    limit = LD.lowerdim_setup(sq, W).sbm_mass()
+    values = [g.sbm_mass()
+              for g in cylinder_graphs(sq, W, [0.2, 0.1, 0.05, 0.025])]
     ratios = decay_ratios(values, limit)
     ok = (abs(limit - 2 * np.pi) < 1e-12
           and all(1.7 <= r <= 2.3 for r in ratios))

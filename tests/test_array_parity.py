@@ -11,7 +11,7 @@ from mixedvol import graph as G
 from mixedvol import measures as MS
 from mixedvol.errors import BadSpec
 
-from conftest import BODIES, assert_same_polytope, body
+from conftest import BODIES, assert_same_polytope, body, ref_mu_masses
 
 
 # -- reference loops -----------------------------------------------------------
@@ -56,15 +56,6 @@ def ref_arc(a, b):
     e = b - c * a
     s = np.linalg.norm(e)
     return e / s, float(np.arctan2(s, c))
-
-
-def ref_mu_masses(g):
-    mass = np.zeros(len(g.normals))
-    for (i, j), l, w in zip(g.edges.tolist(), g.arcs.lengths.tolist(),
-                            g.weights.tolist()):
-        mass[i] += w * l / 2.0
-        mass[j] += w * l / 2.0
-    return mass.tolist()
 
 
 def ref_structural(g, r, big_r, tol):
@@ -169,9 +160,8 @@ def test_graph_matches_row_loops(name, monkeypatch):
         assert np.array_equal(start, p.facets.normals[i])
         assert np.array_equal(tangent, e)
         assert length == l
-    sbm, mu = G.sbm_and_mu(g)
-    assert sbm.weights.tolist() == [w / 2.0 for w in g.weights.tolist()]
-    assert mu.masses.tolist() == ref_mu_masses(g)
+    assert g.sbm_weights.tolist() == [w / 2.0 for w in g.weights.tolist()]
+    assert g.mu_masses().tolist() == ref_mu_masses(g)
     assert g.total_weight() == sum(w for w in g.weights.tolist())
     r, big_r = B.enclosing_radii(p)
     # the default tolerance passes; the other two settings make every check

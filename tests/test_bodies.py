@@ -11,10 +11,10 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from mixedvol import bodies as B
-from mixedvol.errors import BadSpec, DegenerateInput, NumericalFailure
+from mixedvol.errors import BadSpec, NumericalFailure
 
 from conftest import (NEAR_TOP, TILT, assert_same_polytope, facet_vertices,
-                      reference_ball_points, reference_hull, rel_err,
+                      reference_ball_points, reference_hull, rel_err, scale,
                       sum_vertices)
 
 # the facet merge tolerance of the reference builders below
@@ -47,7 +47,7 @@ def test_facet_planes_contain_cycles():
     p = B.random_hull(15, 3)
     for vs, normal, offset in zip(facet_vertices(p), p.facets.normals,
                                   p.facets.offsets):
-        assert np.abs(p.local[vs] @ normal - offset).max() < 1e-9 * p.scale
+        assert np.abs(p.local[vs] @ normal - offset).max() < 1e-9 * scale(p)
 
 
 def test_coplanar_facets_merged():
@@ -74,7 +74,7 @@ def _check_hull(p, pts, slack=0.0):
     assert len(p.vertices) - len(p.edges) + len(p.facets) == 2
     assert rel_err(area, ref.area) < 1e-12 + 2 * slack * p.edges.lengths.sum() / ref.area
     assert rel_err(p.volume, ref.volume) < 1e-12 + slack * area / ref.volume
-    tol = 1e-9 * p.scale
+    tol = 1e-9 * scale(p)
     normals, offsets = p.facets.normals, p.facets.offsets
     for f, vs in enumerate(facet_vertices(p)):
         assert len(vs) >= 3
@@ -203,7 +203,7 @@ def _assert_same_hull(p, vsets, normals, offsets, edges, areas=None):
     assert sorted(perm.tolist()) == list(range(len(vsets)))
     assert np.abs(p.facets.normals - np.asarray(normals)[perm]).max() <= 5e-13
     assert (np.abs(p.facets.offsets - np.asarray(offsets)[perm]).max()
-            <= 5e-13 * p.scale)
+            <= 5e-13 * scale(p))
     if areas is not None:
         assert (np.abs(p.facets.areas - np.asarray(areas)[perm]).max()
                 <= 1e-15 * sum(areas))
@@ -485,8 +485,7 @@ def test_flat_points_affine_dim_calls_3d_get_the_planar_hull(shift):
     for n in cube.facets.normals:
         face = cube.face(n)
         assert face.dim == 2 and len(face.vertices) == 4
-        with pytest.raises(DegenerateInput):
-            B.hull(face.vertices, require_full_dim=True)
+        assert B.hull(face.vertices).dim == 2
 
 
 def test_lower_dimensional_hulls(unit_square, unit_segment):
@@ -494,11 +493,6 @@ def test_lower_dimensional_hulls(unit_square, unit_segment):
     assert unit_segment.dim == 1
     pt = B.hull(np.array([[1.0, 2.0, 3.0]] * 3))
     assert pt.dim == 0
-
-
-def test_hull_requires_full_dim_flag(unit_square):
-    with pytest.raises(DegenerateInput):
-        B.hull(unit_square.vertices, require_full_dim=True)
 
 
 def _rotated_cube_face(shift):
@@ -527,8 +521,8 @@ def _assert_same_planar_tables(p, q):
     whichever way it runs."""
     assert p.dim == q.dim == 2
     assert len(p.vertices) == len(q.vertices) == len(p.edges)
-    scale = max(p.scale, q.scale)
-    rel = 1e-13 * scale / p.diameter
+    size = max(scale(p), scale(q))
+    rel = 1e-13 * size / p.diameter
     # q's vertex of each of p's vertices
     at = np.argmin(np.linalg.norm(p.vertices[:, None] - q.vertices, axis=2), axis=1)
     assert sorted(at.tolist()) == list(range(len(at)))
@@ -540,7 +534,7 @@ def _assert_same_planar_tables(p, q):
     # offsets about their own origins
     hp, hq = (b.facets.offsets + B._row_dots(b.facets.normals, b.origin)
               for b in (p, q))
-    assert np.allclose(hp, hq[side], rtol=0, atol=rel * scale)
+    assert np.allclose(hp, hq[side], rtol=0, atol=rel * size)
     assert np.allclose(p.facets.areas, q.facets.areas, rtol=rel, atol=0)
     ring = {frozenset(e): l for e, l in zip(at[p.edges.vertices].tolist(),
                                             p.edges.lengths)}
@@ -563,7 +557,7 @@ def test_planar_hull_holds_its_two_sides_and_its_boundary(name):
     assert np.array_equal(f.normals[1], -f.normals[0])
     c = p.vertices.mean(axis=0)
     assert np.allclose(f.offsets, np.max(p.local @ f.normals.T, axis=0), rtol=0,
-                       atol=1e-14 * p.scale)
+                       atol=1e-14 * scale(p))
     # the polygon in coordinates of its plane, for 2-D Qhull: there volume
     # is the area and area the perimeter
     basis = np.linalg.svd(p.vertices - c)[2][:2]
@@ -598,7 +592,7 @@ SLABS = [(count, seed) for count in (10, 30) for seed in range(4)]
 
 @pytest.mark.parametrize("t", [1e-6, 1e-7, 1e-8])
 def test_thin_slab_is_full_dimensional(t):
-    p = B.hull(_slab(t), require_full_dim=True)
+    p = B.hull(_slab(t))
     assert (p.dim, len(p.vertices), len(p.facets)) == (3, 16, 28)
 
 
@@ -607,22 +601,18 @@ def test_thinner_slab_is_planar(t):
     # 2V/S of Qhull's facets decides here: Qhull returns a sliver for
     # 1e-14 <= t <= 1e-9 and refuses only t = 0
     assert B.hull(_slab(t)).dim == 2
-    with pytest.raises(DegenerateInput):
-        B.hull(_slab(t), require_full_dim=True)
 
 
 @pytest.mark.parametrize("count, seed", SLABS)
 @pytest.mark.parametrize("t", [1e-6, 1e-7, 1e-8])
 def test_thin_slabs_of_each_size_are_full_dimensional(t, count, seed):
-    assert B.hull(_slab(t, count, seed), require_full_dim=True).dim == 3
+    assert B.hull(_slab(t, count, seed)).dim == 3
 
 
 @pytest.mark.parametrize("count, seed", SLABS)
 @pytest.mark.parametrize("t", [1e-9, 1e-10, 1e-12, 1e-14, 0.0])
 def test_thinner_slabs_of_each_size_are_planar(t, count, seed):
     assert B.hull(_slab(t, count, seed)).dim == 2
-    with pytest.raises(DegenerateInput):
-        B.hull(_slab(t, count, seed), require_full_dim=True)
 
 
 @pytest.mark.parametrize("count, seed", SLABS)
@@ -656,8 +646,6 @@ FLAT_INPUTS = {
 def test_flat_inputs_get_lower_dimensional_hulls(name):
     make, dim = FLAT_INPUTS[name]
     assert B.hull(make()).dim == dim
-    with pytest.raises(DegenerateInput):
-        B.hull(make(), require_full_dim=True)
 
 
 def test_affine_dim():

@@ -4,10 +4,11 @@ from scipy.spatial.transform import Rotation
 
 from mixedvol import bodies as B
 from mixedvol import extremal as X
+from mixedvol import graph as G
 from mixedvol import measures as MS
 from mixedvol.errors import DegenerateInput, ZeroDenominator
 
-from conftest import rel_err, sup_on_arcs
+from conftest import ref_mu_masses, rel_err, sup_on_arcs
 
 
 def test_stability_witness_identical_bodies(unit_cube, std_simplex):
@@ -180,6 +181,17 @@ def test_rigidity_random_suite():
         m = m.translate(-m.origin)
         rep = X.rigidity_check(k, l, m)
         assert rep.holds, f"seed {seed}: margin {rep.margin}"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rigidity_mu_integral_matches_a_vertex_loop(seed):
+    # int (h_K - h_L)^2 dmu_M, summed vertex by vertex over the metric graph
+    # of M with the loop masses of mu_M
+    k, l, m = (B.random_hull(10, seed + c) for c in (40, 140, 240))
+    g = G.build_graph(m)
+    ref = sum(mass * (max(k.vertices @ n) - max(l.vertices @ n)) ** 2
+              for mass, n in zip(ref_mu_masses(g), g.normals))
+    assert rel_err(X.rigidity_check(k, l, m).mu_integral, ref) <= 1e-12
 
 
 def test_rigidity_dominance_on_equality_instances(unit_cube):

@@ -45,19 +45,18 @@ def test_build_graph_rejects_lower_dim(unit_square):
 
 def test_sbm_and_mu_masses_cube(unit_cube):
     g = G.build_graph(unit_cube)
-    sbm, mu = G.sbm_and_mu(g)
-    assert sbm.total_mass() == pytest.approx(3 * np.pi, rel=1e-12)
-    assert mu.total_mass() == pytest.approx(2 * sbm.total_mass(), rel=1e-14)
+    assert g.sbm_mass() == pytest.approx(3 * np.pi, rel=1e-12)
+    assert sum(g.mu_masses().tolist()) == pytest.approx(2 * g.sbm_mass(),
+                                                        rel=1e-14)
 
 
 def test_mass_identities_random():
     for seed in range(10):
         m = B.random_hull(10, seed)
         g = G.build_graph(m)
-        sbm, mu = G.sbm_and_mu(g)
         vbbm = MS.vbbm_conewise(m)
-        assert rel_err(sbm.total_mass(), 3 * vbbm) < 1e-9
-        assert rel_err(mu.total_mass(), 2 * sbm.total_mass()) < 1e-13
+        assert rel_err(g.sbm_mass(), 3 * vbbm) < 1e-9
+        assert rel_err(sum(g.mu_masses().tolist()), 2 * g.sbm_mass()) < 1e-13
 
 
 def test_vertex_balance():
@@ -121,8 +120,7 @@ def test_constant_function_identity(unit_cube):
     form = G.assemble(g, np.pi / 30)
     ones = np.ones(form.size)
     e_val = ones @ form.e_matrix @ ones
-    sbm, _ = G.sbm_and_mu(g)
-    assert e_val == pytest.approx(sbm.total_mass() / 3.0, rel=1e-13)
+    assert e_val == pytest.approx(g.sbm_mass() / 3.0, rel=1e-13)
 
 
 def test_assemble_guards(unit_cube):

@@ -14,7 +14,7 @@ from mixedvol.errors import (BadMesh, DimensionError, InsufficientSpectrum,
 from mixedvol.graph import kernel_analysis, spectrum
 
 from conftest import (NEAR_TOP, TILT, adaptive_gauss, arc_integral,
-                      cylinder_integrals, cylinder_measures, decay_ratios,
+                      cylinder_graphs, cylinder_integrals, decay_ratios,
                       rel_err, sup_on_arcs)
 
 W = np.array([0.0, 0.0, 1.0])
@@ -84,23 +84,23 @@ def test_setup_containment_is_relative_to_the_extent_of_m(unit_square, shift):
 
 def test_sbm_mass_square(unit_square):
     g = LD.lowerdim_setup(unit_square, W)
-    assert g.sbm.total_mass() == pytest.approx(2 * np.pi, rel=1e-12)
+    assert g.sbm_mass() == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def test_sbm_odd_function_vanishes(unit_square):
     g = LD.lowerdim_setup(unit_square, W)
     f = SupportEvaluator([], shift=W)   # cos(theta) integrates to zero
-    assert abs(arc_integral(f, g.sbm)) < 1e-12
+    assert abs(arc_integral(f, g)) < 1e-12
 
 
 def test_sbm_callable_matches_evaluator(unit_square, unit_cube):
     g = LD.lowerdim_setup(unit_square, W)
     ev = SupportEvaluator.of(unit_cube)
-    exact = arc_integral(ev, g.sbm)
-    arcs = g.sbm.arcs
+    exact = arc_integral(ev, g)
+    arcs = g.arcs
     numeric = sum(w * adaptive_gauss(lambda t: np.asarray(ev(arcs.points(i, t))),
                                      0.0, arcs.lengths[i], 1e-11)
-                  for i, w in enumerate(g.sbm.weights))
+                  for i, w in enumerate(g.sbm_weights))
     assert rel_err(exact, numeric) < 1e-9
 
 
@@ -359,9 +359,9 @@ CYLINDER_EPS = [0.2, 0.1, 0.05, 0.025]
 
 
 def test_cylinder_limit_mass(unit_square):
-    limit = LD.lowerdim_setup(unit_square, W).sbm.total_mass()
-    values = [mu.total_mass()
-              for mu in cylinder_measures(unit_square, W, CYLINDER_EPS)]
+    limit = LD.lowerdim_setup(unit_square, W).sbm_mass()
+    values = [g.sbm_mass()
+              for g in cylinder_graphs(unit_square, W, CYLINDER_EPS)]
     assert limit == pytest.approx(2 * np.pi, rel=1e-12)
     # graph mass of the cylinder is 2*pi + eps*pi for the unit square
     for eps, val in zip(CYLINDER_EPS, values):
@@ -372,7 +372,7 @@ def test_cylinder_limit_mass(unit_square):
 
 def test_cylinder_limit_support_function(unit_square, unit_cube):
     f = SupportEvaluator.of(unit_cube)
-    limit = arc_integral(f, LD.lowerdim_setup(unit_square, W).sbm)
+    limit = arc_integral(f, LD.lowerdim_setup(unit_square, W))
     values = cylinder_integrals(unit_square, W, f, CYLINDER_EPS)
     for ratio in decay_ratios(values, limit):
         assert 1.7 <= ratio <= 2.3
@@ -383,7 +383,7 @@ def test_sbm_consistency_with_mixed_volume(unit_square, unit_cube):
     # extrapolation of the full-dimensional graph values
     g = LD.lowerdim_setup(unit_square, W)
     f = SupportEvaluator.of(unit_cube)
-    direct = arc_integral(f, g.sbm)
+    direct = arc_integral(f, g)
     values = cylinder_integrals(unit_square, W, f, [0.02, 0.01])
     extrapolated = (2 * values[1] - values[0])
     assert rel_err(direct, extrapolated) < 1e-4
