@@ -571,6 +571,9 @@ def run_command(argv: list[str]) -> int:
     except MixedVolError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:      # NumPy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 2
     if isinstance(code, str):       # graph returns its export, not a code
         text, code = code, 0
     else:

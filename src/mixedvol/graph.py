@@ -320,7 +320,9 @@ def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
 
     The form must be symmetric, as assemble's forms are: the CSR arrays of
     M and of E - SHIFT M go to SuperLU as CSC arrays, which for a symmetric
-    matrix hold the same matrix. It must also have E = M/3 - K/6 with K
+    matrix hold the same matrix. E and M must share one CSR pattern, as
+    assemble's do, so that E - SHIFT M is one pass over their data; raises
+    BadParam otherwise. The form must also have E = M/3 - K/6 with K
     positive semidefinite, as assemble's forms do: then
     E - SHIFT M = -((SHIFT - 1/3) M + K/6) is negative definite, and both
     factorizations take their diagonal pivots with no row interchange."""
@@ -330,9 +332,14 @@ def spectrum(form: DiscretizedForm, k: int) -> SpectrumResult:
     if k >= n:
         raise InsufficientSpectrum(
             f"{n} DOFs cannot resolve {k} eigenpairs; decrease the mesh size")
+    e, m = form.e_matrix, form.mass
+    if not (np.array_equal(e.indptr, m.indptr)
+            and np.array_equal(e.indices, m.indices)):
+        raise BadParam("E and M of the form do not share one sparsity pattern")
     try:
-        r = _mass_factor(form.mass)
-        lu = _symmetric_lu(form.e_matrix - SHIFT * form.mass)
+        r = _mass_factor(m)
+        lu = _symmetric_lu(
+            CSRMatrix.on_pattern(e.data - SHIFT * m.data, e.indices, e.indptr))
     except RuntimeError as exc:          # SuperLU: factor is exactly singular
         raise NumericalFailure(f"factorization failed: {exc}") from exc
     rt = r.T                  # the CSR view of the same arrays

@@ -285,6 +285,24 @@ def reference_mass_factor(mass) -> scipy.sparse.csr_array:
     return lu.L.multiply(np.sqrt(d)).tocsr()[lu.perm_c]
 
 
+def reference_fan_crossings(fan: np.ndarray, arcs: quad.Arcs
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """(arc, t) of the crossings of the fan arcs with the interiors of the
+    arcs, as quadrature._fan_crossings found them before it took one flat
+    product and two sign tables: a broadcast product per fan arc, every
+    distance within PLANE_TOL zeroed, then s0 s1 <= 0 with not both ends 0."""
+    s = fan @ arcs.poles.T                        # (E, 2, arcs)
+    s[np.abs(s) <= quad.PLANE_TOL] = 0.0
+    s0, s1 = s[:, 0], s[:, 1]
+    fi, ai = np.nonzero((s0 * s1 <= 0.0) & ((s0 != 0.0) | (s1 != 0.0)))
+    x = (np.abs(s1[fi, ai])[:, None] * fan[fi, 0]
+         + np.abs(s0[fi, ai])[:, None] * fan[fi, 1])
+    t = np.arctan2(B._row_dots(x, arcs.tangents[ai]),
+                   B._row_dots(x, arcs.starts[ai]))
+    inside = (t > quad.CUT_TOL) & (t < arcs.lengths[ai] - quad.CUT_TOL)
+    return ai[inside], t[inside]
+
+
 def sup_on_arcs(f: B.SupportEvaluator, arcs: quad.Arcs) -> float:
     """Sup of |f| over quadrature.NODES_PER_SEGMENT nodes of each smooth segment
     of f on the arcs, endpoints included, found by evaluating f itself at

@@ -284,6 +284,19 @@ def test_spectrum_kmax_below_1_gives_exit_2(capsys, kmax):
     assert "BadParam" in err
 
 
+def test_mesh_that_cannot_fit_in_memory_gives_exit_2(capsys, monkeypatch):
+    # --mesh-h 1e-9 asks NumPy for about 163 GiB; a stub raises in its place,
+    # so that the test allocates nothing
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 163. GiB for an array")
+
+    monkeypatch.setattr(cli, "assemble", no_memory)
+    code, out, err = run(capsys, ["spectrum", "--M", "ball@0", "--mesh-h", "1e-9"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: MemoryError: Unable to allocate 163. GiB for an array\n"
+
+
 @pytest.mark.parametrize("kmax", ["0", "-1"])
 def test_lower_spectrum_kmax_below_1_gives_exit_2(capsys, kmax):
     # kmax 0 derived a zero tolerance and failed a correct spectrum; kmax -1

@@ -17,7 +17,7 @@ from mixedvol import lowerdim as LD
 from mixedvol import quadrature as quad
 
 from conftest import (arc_integral, body, loop_breakpoints, loop_restriction,
-                      scale)
+                      reference_fan_crossings, scale)
 
 W = np.array([0.0, 0.0, 1.0])
 
@@ -259,6 +259,30 @@ def test_lowerdim_certificate_matches_the_loop(seed):
     ref = sum(0.5 * mass * _loop_integral(fk, fr)
               for mass, fr in zip(g.weights.tolist(), _frames(g.arcs)))
     assert _close(arc_integral(fk, g), ref)
+
+
+PARITY_FANS = ("sphere600", "sphere100", "ball@2", "rand10s0", "square",
+               "segment", "point")
+PARITY_ARCS = {
+    "graph:rand10s0": ARC_SETS["graph:rand10s0"],
+    "graph:sphere30": ARC_SETS["graph:sphere30"],
+    "bouquet:square": ARC_SETS["bouquet:square"],
+    "none": lambda: quad.Arcs(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)),
+}
+
+
+@pytest.mark.parametrize("term", PARITY_FANS)
+def test_fan_crossings_match_the_float_product_bit_for_bit(term):
+    """One flat product and two sign tables cut where the broadcast product
+    with its distances zeroed and multiplied did, at the same bits."""
+    fan = TERMS[term]().fan
+    if term == "point":
+        assert fan.shape == (0, 2, 3)
+    for name, make in PARITY_ARCS.items():
+        arcs = make()
+        got, ref = quad._fan_crossings(fan, arcs), reference_fan_crossings(fan, arcs)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and np.array_equal(g, r), (term, name)
 
 
 def test_integrals_over_no_arcs_are_empty():

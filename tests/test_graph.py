@@ -331,11 +331,15 @@ def test_spectrum_is_one_standard_eigsh_call(unit_cube, monkeypatch):
 
 
 def _broken_mass(form: G.DiscretizedForm, how: str):
+    """A mass matrix on E's pattern, as spectrum requires: M negated, or M
+    with row and column 5 zeroed in place (the zeros stay stored)."""
+    e, data = form.e_matrix, form.mass.data.copy()
     if how == "negated":
-        return -form.mass
-    m = form.mass.toarray()
-    m[5], m[:, 5] = 0.0, 0.0
-    return G.CSRMatrix(m)
+        data = -data
+    else:
+        rows = np.repeat(np.arange(form.size), np.diff(e.indptr))
+        data[(rows == 5) | (e.indices == 5)] = 0.0
+    return G.CSRMatrix.on_pattern(data, e.indices, e.indptr)
 
 
 @pytest.mark.parametrize("how", ["negated", "zero-row"])
@@ -345,6 +349,13 @@ def test_mass_not_positive_definite_is_numerical_failure(unit_cube, how):
     bad = dataclasses.replace(form, mass=_broken_mass(form, how))
     with pytest.raises(NumericalFailure):
         G.spectrum(bad, 8)
+
+
+def test_mass_off_the_pattern_of_e_is_bad_param(unit_cube):
+    form = G.assemble(G.build_graph(unit_cube), np.pi / 20)
+    diagonal = G.CSRMatrix(np.diag(form.mass.diagonal()))
+    with pytest.raises(BadParam, match="sparsity pattern"):
+        G.spectrum(dataclasses.replace(form, mass=diagonal), 8)
 
 
 # every full-dimensional test body and the bouquets of half circles over a

@@ -9,7 +9,13 @@ directory. Each tree then runs the same invocations through
 
 - every ``mixedvol`` usage line of README.md's "Command line" block, read as
   the CI step reads them;
-- ``randtest`` of every suite at ``--n 200``, seeds 0-2.
+- ``randtest`` of every suite at ``--n 200``, seeds 0-2;
+- ``deficit``, ``certify-full``, ``stability`` and ``rigidity`` on large
+  bodies: ``K`` and ``L`` the hulls of 100 and of 600 seeded unit-sphere
+  points, ``M`` of 10 and of 30, so that both trees restrict support
+  functions of 100-600 vertices to the arcs of a metric graph. The points
+  are written once as PolytopeFiles to a temporary directory that both
+  trees read, so the reports name the same paths.
 
 A run differs when its exit code, its stderr or its stdout differs. A JSON
 report is compared key by key with ``wall_time`` dropped; any other output
@@ -29,10 +35,15 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SUITES = ("mixvol", "graph", "form", "stability", "rigidity", "certify",
           "classical", "lower")
 N, SEEDS = 200, (0, 1, 2)
+# the large-body runs: each command on K<n>, L<n> and M<m> for each n, m
+LARGE_COMMANDS = ("deficit", "certify-full", "stability", "rigidity")
+KL_POINTS, M_POINTS = (100, 600), (10, 30)
 
 # runs the argv lists read from stdin and writes (code, stdout, stderr) of
 # each as one JSON list
@@ -63,10 +74,30 @@ def readme_lines() -> list[list[str]]:
     return argvs
 
 
-def invocations() -> list[list[str]]:
+def write_spheres(into: Path) -> dict[str, str]:
+    """Write K<n> and L<n> (n in KL_POINTS) and M<n> (n in M_POINTS) as
+    PolytopeFiles of n unit-sphere points, each from its own seed, and
+    return the path of each by name."""
+    into.mkdir()
+    names = [f"{b}{n}" for b in "KL" for n in KL_POINTS]
+    names += [f"M{n}" for n in M_POINTS]
+    paths = {}
+    for seed, name in enumerate(names):
+        p = np.random.default_rng(seed).standard_normal((int(name[1:]), 3))
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        path = into / f"{name}.json"
+        path.write_text(json.dumps({"vertices": p.tolist(), "name": name}))
+        paths[name] = str(path)
+    return paths
+
+
+def invocations(spheres: dict[str, str]) -> list[list[str]]:
     return readme_lines() + [
         ["randtest", "--suite", s, "--n", str(N), "--seed", str(seed)]
-        for s in SUITES for seed in SEEDS]
+        for s in SUITES for seed in SEEDS] + [
+        [c, "--K", spheres[f"K{n}"], "--L", spheres[f"L{n}"],
+         "--M", spheres[f"M{m}"]]
+        for c in LARGE_COMMANDS for n in KL_POINTS for m in M_POINTS]
 
 
 def export(rev: str, into: Path) -> Path:
@@ -136,10 +167,10 @@ def main() -> int:
     ap.add_argument("--base", required=True,
                     help="the git revision to compare against")
     args = ap.parse_args()
-    argvs = invocations()
     with tempfile.TemporaryDirectory() as tmp:
-        base = run_tree(export(args.base, Path(tmp)), argvs)
-    new = run_tree(ROOT, argvs)
+        argvs = invocations(write_spheres(Path(tmp) / "bodies"))
+        base = run_tree(export(args.base, Path(tmp) / "base"), argvs)
+        new = run_tree(ROOT, argvs)
     differ = 0
     for argv, b, n in zip(argvs, base, new):
         diff = differences(b, n)
