@@ -23,7 +23,7 @@ from . import measures as MS
 from .bodies import Polytope, SupportEvaluator
 from .errors import MixedVolError
 from .graph import (MetricGraph, assemble, build_graph, form_value,
-                    kernel_analysis, spectrum, structural_checks)
+                    kernel_analysis, p1_window, spectrum, structural_checks)
 
 CSV_SCHEMA_VERSION = "mixedvol-report-v2"
 # points per random hull of the randomized suites
@@ -217,13 +217,6 @@ def cmd_graph(args, rep):
     return json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
 
 
-def p1_window(k: int, h: float) -> float:
-    """Twice the a-priori P1 eigenvalue error k^4 h^2 / 36 of eigenvalue
-    cluster k at mesh size h: the window of spectrum's kernel (k = 1) and
-    lower-spectrum's default --tol (k = kmax)."""
-    return 2.0 * k ** 4 * h ** 2 / 36.0
-
-
 def cmd_spectrum(args, rep):
     m = require_full_dim(parse_body(args.M), "M")
     form = assemble(build_graph(m), args.mesh_h)
@@ -292,13 +285,9 @@ def cmd_rigidity(args, rep):
 
 
 def cmd_lower_spectrum(args, rep):
-    m = parse_body(args.M)
-    g = LD.lowerdim_setup(m, parse_direction(args.w))
-    tol = args.tol
-    if tol is None:
-        tol = p1_window(args.kmax, args.mesh_h)
-    r = LD.verify_spectrum(g, args.kmax, args.mesh_h, tol)
-    rep["params"]["tol"] = tol
+    g = LD.lowerdim_setup(parse_body(args.M), parse_direction(args.w))
+    r = LD.verify_spectrum(g, args.kmax, args.mesh_h, args.tol)
+    rep["params"]["tol"] = r.tol
     rep["values"]["multiplicity"] = len(g.edges)
     rep["values"]["eigen_residual_max"] = r.eigen_residual_max
     rep["values"]["clusters"] = [

@@ -161,6 +161,14 @@ class DiscretizedForm:
         return len(self.node_points)
 
 
+def p1_window(k: int, h: float) -> float:
+    """Twice the a-priori P1 eigenvalue error k^4 h^2 / 36 of eigenvalue
+    cluster k at element length h: the window of spectrum's kernel (k = 1)
+    and lower-spectrum's default tolerance (k = kmax), each at a form's
+    max_element."""
+    return 2.0 * k ** 4 * h ** 2 / 36.0
+
+
 def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     """Hat-function Galerkin matrices of a metric graph, with exact
     per-element integrals.

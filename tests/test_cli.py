@@ -450,6 +450,17 @@ def test_lower_spectrum_default_tol_from_mesh_and_kmax(capsys):
     assert doc["margins"]["worst_deviation"] <= doc["params"]["tol"]
 
 
+def test_lower_spectrum_default_tol_from_the_element_used(capsys):
+    # at --mesh-h 3 each half circle still gets 2 elements, of pi/2: the
+    # window is that of the element, not of the requested mesh (0.5)
+    code, out, err = run(capsys, ["lower-spectrum", "--M", "square",
+                                  "--mesh-h", "3", "--kmax", "1"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["params"]["tol"] == 2 * 1 ** 4 * (np.pi / 2) ** 2 / 36
+    assert doc["margins"]["worst_deviation"] <= doc["params"]["tol"]
+
+
 def test_lower_spectrum_finds_every_copy_of_a_multiple_eigenvalue(capsys):
     # at h = pi/40 the k = 2 cluster of the square has four copies of one
     # eigenvalue; asking ARPACK for exactly nine pairs returned three of them

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,9 +11,10 @@ from mixedvol import lowerdim as LD
 from mixedvol import measures as MS
 from mixedvol import quadrature as quad
 from mixedvol.bodies import SupportEvaluator
-from mixedvol.errors import (BadMesh, DimensionError, InsufficientSpectrum,
+from mixedvol.errors import (BadMesh, BadParam, DimensionError,
+                             InsufficientSpectrum, NumericalFailure,
                              ZeroDenominator)
-from mixedvol.graph import kernel_analysis, spectrum
+from mixedvol.graph import build_graph, kernel_analysis, spectrum
 
 from conftest import (NEAR_TOP, TILT, adaptive_gauss, arc_integral,
                       cylinder_graphs, cylinder_integrals, decay_ratios,
@@ -161,13 +164,32 @@ def regular_polygon(k: int) -> B.Polytope:
     return B.hull(np.column_stack([np.cos(ang), np.sin(ang), np.zeros(k)]))
 
 
+def irregular_polygon(k: int, seed: int) -> B.Polytope:
+    """A k-gon in e3-perp with unequal edges: each vertex of the regular
+    k-gon turned by up to a quarter of its angle step and moved to a radius
+    in [0.6, 1.4], seeded."""
+    rng = np.random.default_rng(seed)
+    ang = (np.arange(k) + rng.uniform(-0.25, 0.25, k)) * 2 * np.pi / k
+    r = rng.uniform(0.6, 1.4, k)
+    return B.hull(np.column_stack([r * np.cos(ang), r * np.sin(ang),
+                                   np.zeros(k)]))
+
+
 LOWER_BODIES = {
     "square": lambda: B.hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
                                        [1, 1, 0]], dtype=float)),
     "segment": lambda: B.segment([0, 0, 0], [1, 0, 0]),
     "hexagon": lambda: regular_polygon(6),
     "12-gon": lambda: regular_polygon(12),
+    "hexagon~0": lambda: irregular_polygon(6, 0),
+    "hexagon~1": lambda: irregular_polygon(6, 1),
+    "5-gon~2": lambda: irregular_polygon(5, 2),
 }
+# bodies whose edge weights (lengths) all differ, at an odd (41) and an even
+# (60) number of elements per half circle
+WEIGHTED_CASES = [(name, kmax, n)
+                  for name in ("hexagon~0", "hexagon~1", "5-gon~2")
+                  for kmax in (1, 2, 3) for n in (41, 60)]
 
 
 # (body, kmax, n) with h = pi/n where asking ARPACK for exactly the predicted
@@ -177,11 +199,14 @@ LOWER_BODIES = {
     ("hexagon", 2, 36), ("hexagon", 2, 40), ("hexagon", 3, 28),
     ("hexagon", 3, 36), ("hexagon", 3, 48), ("hexagon", 3, 56),
     ("12-gon", 2, 20), ("12-gon", 3, 48), ("12-gon", 3, 80),
-    ("12-gon", 3, 116), ("segment", 3, 40),
+    ("12-gon", 3, 116), ("segment", 3, 40), *WEIGHTED_CASES,
 ])
 def test_spectrum_matches_dense_eigh(name, kmax, n):
     g = LD.lowerdim_setup(LOWER_BODIES[name](), W)
     h = np.pi / n
+    if "~" in name:
+        assert np.ptp(g.weights) > 0.1 * g.weights.max()
+        assert LD.assemble_lowerdim(g, h).max_element == np.pi / n
     rep = LD.verify_spectrum(g, kmax, h, 1.0)
     observed = np.concatenate([c.observed for c in rep.clusters])
     form = LD.assemble_lowerdim(g, h)
@@ -194,6 +219,42 @@ def test_spectrum_insufficient(unit_square):
     g = LD.lowerdim_setup(unit_square, W)
     with pytest.raises(InsufficientSpectrum):
         LD.verify_spectrum(g, 10, np.pi / 2.1, 5e-3)
+
+
+def perturbed_form(g, h: float, i: int, j: int, factor: float):
+    """The bouquet's form with E[i, j] and its mirror E[j, i] scaled."""
+    form = LD.assemble_lowerdim(g, h)
+    e = form.e_matrix.copy()
+    row = e.indices[e.indptr[i]:e.indptr[i + 1]]
+    col = e.indices[e.indptr[j]:e.indptr[j + 1]]
+    e.data[e.indptr[i] + np.flatnonzero(row == j)] *= factor
+    e.data[e.indptr[j] + np.flatnonzero(col == i)] *= factor
+    return dataclasses.replace(form, e_matrix=e)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6])
+def test_spectrum_certificate_catches_a_wrong_assembly(monkeypatch, capsys,
+                                                       unit_square, factor):
+    # one coupling of the first half circle's chain, off by 1e-6 relative:
+    # no closed-form pair solves the assembled pencil any more
+    g = LD.lowerdim_setup(unit_square, W)
+    form = perturbed_form(g, np.pi / 100, 10, 11, factor)
+    monkeypatch.setattr(LD, "assemble_lowerdim", lambda graph, h: form)
+    code = cli.run_command(["lower-spectrum", "--M", "square"])
+    _, err = capsys.readouterr()
+    if factor == 1.0:
+        assert LD.verify_spectrum(g, 2, np.pi / 100).eigen_residual_max < 1e-12
+        assert code == 0
+    else:
+        with pytest.raises(NumericalFailure):
+            LD.verify_spectrum(g, 2, np.pi / 100)
+        assert code == 2
+        assert err.startswith("error: NumericalFailure")
+
+
+def test_spectrum_refuses_a_graph_that_is_not_a_bouquet(unit_cube):
+    with pytest.raises(BadParam):
+        LD.verify_spectrum(build_graph(unit_cube), 1, np.pi / 40)
 
 
 def test_spectrum_h_convergence_square(unit_square):

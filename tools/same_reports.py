@@ -13,9 +13,15 @@ directory. Each tree then runs the same invocations through
 - ``deficit``, ``certify-full``, ``stability`` and ``rigidity`` on large
   bodies: ``K`` and ``L`` the hulls of 100 and of 600 seeded unit-sphere
   points, ``M`` of 10 and of 30, so that both trees restrict support
-  functions of 100-600 vertices to the arcs of a metric graph. The points
-  are written once as PolytopeFiles to a temporary directory that both
-  trees read, so the reports name the same paths.
+  functions of 100-600 vertices to the arcs of a metric graph;
+- ``lower-spectrum`` on the bouquets of half circles: ``segment`` and
+  ``square`` at ``--mesh-h`` pi/200 with ``--kmax 3``, and a seeded
+  irregular hexagon, whose half circles all carry different weights, at
+  pi/150 with ``--kmax 2``.
+
+The points of the large bodies and of the hexagon are written once as
+PolytopeFiles to a temporary directory that both trees read, so the reports
+name the same paths.
 
 A run differs when its exit code, its stderr or its stdout differs. A JSON
 report is compared key by key with ``wall_time`` dropped; any other output
@@ -74,30 +80,43 @@ def readme_lines() -> list[list[str]]:
     return argvs
 
 
-def write_spheres(into: Path) -> dict[str, str]:
+def write_bodies(into: Path) -> dict[str, str]:
     """Write K<n> and L<n> (n in KL_POINTS) and M<n> (n in M_POINTS) as
     PolytopeFiles of n unit-sphere points, each from its own seed, and
+    ``hexagon``, the regular hexagon in e3-perp with each vertex turned by
+    up to a quarter of its angle step and moved to a radius in [0.6, 1.4];
     return the path of each by name."""
     into.mkdir()
     names = [f"{b}{n}" for b in "KL" for n in KL_POINTS]
     names += [f"M{n}" for n in M_POINTS]
-    paths = {}
+    points = {}
     for seed, name in enumerate(names):
         p = np.random.default_rng(seed).standard_normal((int(name[1:]), 3))
-        p /= np.linalg.norm(p, axis=1)[:, None]
+        points[name] = p / np.linalg.norm(p, axis=1)[:, None]
+    rng = np.random.default_rng(len(names))
+    ang = (np.arange(6) + rng.uniform(-0.25, 0.25, 6)) * np.pi / 3
+    r = rng.uniform(0.6, 1.4, 6)
+    points["hexagon"] = np.column_stack([r * np.cos(ang), r * np.sin(ang),
+                                         np.zeros(6)])
+    paths = {}
+    for name, p in points.items():
         path = into / f"{name}.json"
         path.write_text(json.dumps({"vertices": p.tolist(), "name": name}))
         paths[name] = str(path)
     return paths
 
 
-def invocations(spheres: dict[str, str]) -> list[list[str]]:
+def invocations(bodies: dict[str, str]) -> list[list[str]]:
     return readme_lines() + [
         ["randtest", "--suite", s, "--n", str(N), "--seed", str(seed)]
         for s in SUITES for seed in SEEDS] + [
-        [c, "--K", spheres[f"K{n}"], "--L", spheres[f"L{n}"],
-         "--M", spheres[f"M{m}"]]
-        for c in LARGE_COMMANDS for n in KL_POINTS for m in M_POINTS]
+        [c, "--K", bodies[f"K{n}"], "--L", bodies[f"L{n}"],
+         "--M", bodies[f"M{m}"]]
+        for c in LARGE_COMMANDS for n in KL_POINTS for m in M_POINTS] + [
+        ["lower-spectrum", "--M", m, "--mesh-h", repr(np.pi / d), "--kmax",
+         str(k)]
+        for m, d, k in (("segment", 200, 3), ("square", 200, 3),
+                        (bodies["hexagon"], 150, 2))]
 
 
 def export(rev: str, into: Path) -> Path:
@@ -168,7 +187,7 @@ def main() -> int:
                     help="the git revision to compare against")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        argvs = invocations(write_spheres(Path(tmp) / "bodies"))
+        argvs = invocations(write_bodies(Path(tmp) / "bodies"))
         base = run_tree(export(args.base, Path(tmp) / "base"), argvs)
         new = run_tree(ROOT, argvs)
     differ = 0
