@@ -10,17 +10,18 @@ E(f,g) = (1/6) sum_e w_e int (fg - f'g') and the L^2(S_{B,M}) mass inner
 product sum_e (w_e/2) int fg are assembled with conforming piecewise-linear
 elements sharing vertex degrees of freedom, so continuity holds by
 construction and the weighted Kirchhoff conditions are natural. The two
-matrices share one sparse pattern, laid out row by row from the edge chains
-with no sparse-format conversion. Only the top of the spectrum is computed:
-by shift-invert Lanczos on the standard symmetric form
-R^T (E - sigma M)^{-1} R, where M = R R^T, so each Lanczos step is one sparse
-solve and no mass-matrix product. The forms are symmetric, so their CSR arrays
-are also their CSC arrays: SuperLU (Li, ACM TOMS 2005) gets them as they are,
-and R is read off the arrays of SuperLU's L. Both M and E - sigma M are
-factored in SuperLU's symmetric mode, one minimum-degree ordering for rows and
-columns and the diagonal pivots as they come. That is stable because M is
-positive definite and E - sigma M = -((sigma - 1/3) M + K/6), with K the PSD
-stiffness, is negative definite; it also fills less than partial pivoting.
+matrices share one sparse pattern, read off one stable sort of the element
+triplets by row and column, with no sparse-format conversion. Only the top of
+the spectrum is computed: by shift-invert Lanczos on the standard symmetric
+form R^T (E - sigma M)^{-1} R, where M = R R^T, so each Lanczos step is one
+sparse solve and no mass-matrix product. The forms are symmetric, so their CSR
+arrays are also their CSC arrays: SuperLU (Li, ACM TOMS 2005) gets them as
+they are, and R is read off the arrays of SuperLU's L. Both M and
+E - sigma M are factored in SuperLU's symmetric mode, one minimum-degree
+ordering for rows and columns and the diagonal pivots as they come. That is
+stable because M is positive definite and E - sigma M =
+-((sigma - 1/3) M + K/6), with K the PSD stiffness, is negative definite; it
+also fills less than partial pivoting.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .bodies import Polytope, SupportEvaluator
 from .errors import (BadMesh, BadParam, DegenerateInput, InsufficientSpectrum,
                      NumericalFailure)
 
-# slack of structural_checks: on R/r against tan(l/2), and relative to the
-# total edge weight on each vertex's balance residual
+# slack of structural_checks and lowerdim_setup: on R/r against tan(l/2), and
+# relative to the total edge weight on each vertex's balance residual
 STRUCTURAL_TOL = 1e-9
 
 
@@ -154,7 +155,7 @@ class DiscretizedForm:
     e_matrix: CSRMatrix        # quadratic form E
     mass: CSRMatrix            # L^2(S_{B,M}) inner product, SPD
     node_points: np.ndarray    # (N, 3) sphere position of each DOF
-    max_element: float         # the longest element, at most h
+    max_element: float         # the longest element: h or less, or a few ulps more
 
     @property
     def size(self) -> int:
@@ -173,20 +174,21 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     """Hat-function Galerkin matrices of a metric graph, with exact
     per-element integrals.
 
-    Each edge is split into ceil(l/h) uniform elements (at least 2). DOFs
+    Each edge is split into ceil(q - 8 eps q) uniform elements, q = l/h, at
+    least 2: an edge of d elements of length h does not get d + 1 when l/h
+    rounds to just above d, and an element may exceed h by a few ulps. DOFs
     0..F-1 are the vertices, shared by their edges, so continuity holds by
     construction and the Kirchhoff vertex conditions are natural; the
     interior DOFs follow edge by edge. E and M are canonical CSR arrays on
-    one pattern (the same int64 indices and indptr arrays): a vertex row
-    couples the vertex to the interior node next to it on each of its
-    edges, and an interior row couples the node to its two chain
-    neighbours. Both are checked to be symmetric in O(nnz)."""
+    one pattern (the same int64 indices and indptr arrays): the element
+    triplets sorted stably by row and column, each entry's triplets summed
+    in input order. Both are checked to be symmetric in O(nnz)."""
     if h <= 0:
         raise BadMesh("mesh size must be positive")
     lengths, weights = g.arcs.lengths, g.weights
     heads, tails = g.edges.T
-    # an edge no longer than h still gets 2 elements, so none exceeds h
-    counts = np.maximum(np.ceil(lengths / h).astype(np.intp), 2)
+    q = lengths / h
+    counts = np.maximum(np.ceil(q - 8 * np.finfo(float).eps * q).astype(np.intp), 2)
     # a P1 mass matrix with positive element weights is SPD
     if not np.all(np.isfinite(weights) & (weights > 0)):
         raise NumericalFailure(
@@ -213,55 +215,35 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     e_diag, e_off = w / 6.0 * (m_diag - stiff), w / 6.0 * (m_off + stiff)
     mm_diag, mm_off = ws * m_diag, ws * m_off
 
-    # One CSR pattern for both matrices, rows in DOF order, columns sorted.
-    # The row of vertex v holds v, then the interior node next to v on each
-    # of its edges in edge order (interior DOFs ascend with the edge): the
-    # end elements of the edges, taken vertex by vertex.
-    ends = np.flatnonzero((k == 0) | (k == el_counts - 1))
-    at_head = k[ends] == 0
-    vertex = np.where(at_head, left[ends], right[ends])
-    order = np.argsort(vertex, kind="stable")
-    ends, vertex = ends[order], vertex[order]
-    node = np.where(at_head[order], right[ends], left[ends])
-    vertex_ptr = np.zeros(nv + 1, dtype=np.intp)
-    np.cumsum(np.bincount(vertex, minlength=nv) + 1, out=vertex_ptr[1:])
-    # link j follows j links and the diagonals of vertices 0..vertex[j]
-    diag_at, link_at = vertex_ptr[:-1], np.arange(len(ends)) + vertex + 1
-    # The row of interior node p holds its two neighbours on the chain and p
-    # itself, sorted (a neighbour that is a vertex sorts first); before and
-    # after are the elements on either side of each p, in DOF order.
-    before = np.flatnonzero(k < el_counts - 1)     # right[before] = p
-    after = np.flatnonzero(k > 0)                  # left[after] = p
-    chain = np.stack([left[before], right[before], right[after]], axis=1)
-    sort = np.argsort(chain, axis=1)
-    start = vertex_ptr[-1]
-    indptr = np.concatenate([vertex_ptr,
-                             start + 3 * np.arange(1, n_dofs - nv + 1)])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    indices[diag_at], indices[link_at] = np.arange(nv), node
-    indices[start:] = np.take_along_axis(chain, sort, axis=1).ravel()
-    both = np.concatenate([left, right])
+    # One CSR pattern for both matrices: the element triplets sorted stably
+    # by row, then column; an entry starts wherever (row, col) changes, and
+    # slot is the entry of each triplet in input order.
+    rows = np.concatenate([left, right, left, right])
+    cols = np.concatenate([left, right, right, left])
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    begins = np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(begins) - 1
+    indices = c[begins]
+    indptr = np.zeros(n_dofs + 1, dtype=np.intp)
+    np.cumsum(np.bincount(r[begins], minlength=n_dofs), out=indptr[1:])
 
     def values(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-        # each DOF's diagonal sums its element diagonals in element order,
-        # the elements it is the left end of first
-        summed = np.bincount(both, np.concatenate([diag, diag]), minlength=n_dofs)
-        data = np.empty(len(indices))
-        data[diag_at], data[link_at] = summed[:nv], off[ends]
-        data[start:] = np.take_along_axis(
-            np.stack([off[before], summed[nv:], off[after]], axis=1),
-            sort, axis=1).ravel()
-        return data
+        # bincount adds in input order: each diagonal sums its element terms
+        # in element order, the elements it is the left end of first
+        return np.bincount(slot, np.concatenate([diag, diag, off, off]),
+                           minlength=len(indices))
 
     e_data, m_data = values(e_diag, e_off), values(mm_diag, mm_off)
     _require_symmetric(indptr, indices, e_data, m_data)
     e_mat = CSRMatrix.on_pattern(e_data, indices, indptr)
     mass = CSRMatrix.on_pattern(m_data, indices, indptr)
 
-    # interior node n = 1..counts-1 of edge e sits at t = n * l / counts
-    node_edge = np.repeat(np.arange(len(lengths)), n_int)
-    t = ((np.arange(len(node_edge)) - np.repeat(first - nv, n_int) + 1)
-         * edge_h[node_edge])
+    # element k of an edge, short of its last, ends at interior node
+    # first + k, which sits at t = (k + 1) * he
+    inner = k < el_counts - 1
+    t, node_edge = (k[inner] + 1) * he[inner], el_edge[inner]
     points = np.concatenate([
         g.normals,
         np.cos(t)[:, None] * g.arcs.starts[node_edge]

@@ -36,7 +36,8 @@ from .bodies import (Polytope, SupportEvaluator, _row_dots, _row_norms,
 from .errors import (BadParam, DimensionError, InsufficientSpectrum,
                      NumericalFailure)
 from .extremal import EqualityCertificate, certify
-from .graph import DiscretizedForm, MetricGraph, assemble, p1_window
+from .graph import (STRUCTURAL_TOL, DiscretizedForm, MetricGraph, assemble,
+                    p1_window)
 
 HYPERPLANE_TOL = 1e-9
 # verify_spectrum's bound on a residual, in units of rounding (eps) in the
@@ -84,7 +85,7 @@ def lowerdim_setup(m: Polytope, w) -> MetricGraph:
                     np.tile([0, 1], (j, 1)), masses,
                     quad.Arcs(np.tile(w, (j, 1)), directions,
                               np.full(j, np.pi)))
-    if g.vertex_balance_residuals().max() > 1e-9 * g.total_weight():
+    if g.vertex_balance_residuals().max() > STRUCTURAL_TOL * g.total_weight():
         raise NumericalFailure("edge-normal atoms do not balance")
     return g
 

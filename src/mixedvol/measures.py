@@ -247,9 +247,9 @@ def vbbm_conewise(m: Polytope) -> float:
     owner = np.repeat(np.arange(nv), [len(c) for c in cycles])
     a = m.facets.normals[np.concatenate(cycles)]
     b = m.facets.normals[np.concatenate([c[1:] + c[:1] for c in cycles])]
-    theta = np.arccos(np.clip(_row_dots(a, b), -1.0, 1.0))
     axis = np.cross(a, b)
     nrm = _row_norms(axis)
+    theta = np.arctan2(nrm, _row_dots(a, b))
     side = nrm > 1e-14
     s = np.zeros((nv, 3))
     np.add.at(s, owner[side], theta[side, None] * axis[side] / nrm[side, None])

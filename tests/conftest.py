@@ -242,14 +242,16 @@ def mode3_eigenvalues(form, k: int) -> np.ndarray:
     return np.sort(vals)[::-1]
 
 
-def reference_matrices(g: G.MetricGraph, h: float):
-    """(E, M) of graph.assemble built the way it was before the shared
-    pattern: each matrix from its element triplets through scipy's COO to
-    CSR conversion, which sums the duplicates of each row in input order.
-    The library's matrices must have the same arrays, dtypes included."""
+def reference_elements(g: G.MetricGraph, h: float):
+    """(n_dofs, left, right, terms) of graph.assemble's elements: element i
+    joins DOFs left[i] and right[i], and terms holds the (diagonal,
+    off-diagonal) element values of E, then of M. The element counts follow
+    assemble's rule: this is the reference for the layout and the values,
+    not for the count."""
     lengths, weights = g.arcs.lengths, g.weights
     heads, tails = g.edges.T
-    counts = np.ceil(lengths / h).astype(np.intp)
+    q = lengths / h
+    counts = np.maximum(np.ceil(q - 8 * np.finfo(float).eps * q).astype(np.intp), 2)
     nv = len(g.normals)
     edge_h = lengths / counts
     n_int = counts - 1
@@ -266,12 +268,21 @@ def reference_matrices(g: G.MetricGraph, h: float):
     stiff = 1.0 / he
     e_diag, e_off = w / 6.0 * (m_diag - stiff), w / 6.0 * (m_off + stiff)
     mm_diag, mm_off = w / 2.0 * m_diag, w / 2.0 * m_off
+    return n_dofs, left, right, ((e_diag, e_off), (mm_diag, mm_off))
+
+
+def reference_matrices(g: G.MetricGraph, h: float):
+    """(E, M) of graph.assemble built the way it was before the shared
+    pattern: each matrix from its element triplets through scipy's COO to
+    CSR conversion, which sums the duplicates of each row in input order.
+    The library's matrices must have the same arrays, dtypes included."""
+    n_dofs, left, right, terms = reference_elements(g, h)
     rows = np.concatenate([left, right, left, right])
     cols = np.concatenate([left, right, right, left])
     shape = (n_dofs, n_dofs)
     return tuple(scipy.sparse.csr_array((np.concatenate([d, d, o, o]), (rows, cols)),
                                         shape=shape)
-                 for d, o in ((e_diag, e_off), (mm_diag, mm_off)))
+                 for d, o in terms)
 
 
 def reference_mass_factor(mass) -> scipy.sparse.csr_array:

@@ -95,9 +95,9 @@ def ref_vbbm(p):
         s = np.zeros(3)
         for i in range(len(normals)):
             a, b = normals[i], normals[(i + 1) % len(normals)]
-            theta = float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
             axis = np.cross(a, b)
             nrm = np.linalg.norm(axis)
+            theta = float(np.arctan2(nrm, a @ b))
             if nrm > 1e-14:
                 s += theta * axis / nrm
         s *= 0.5

@@ -14,8 +14,8 @@ from mixedvol.bodies import SupportEvaluator
 from mixedvol.errors import (BadMesh, BadParam, DegenerateInput,
                              InsufficientSpectrum, NumericalFailure)
 
-from conftest import (BODIES, body, mode3_eigenvalues, reference_mass_factor,
-                      reference_matrices, rel_err)
+from conftest import (BODIES, body, mode3_eigenvalues, reference_elements,
+                      reference_mass_factor, reference_matrices, rel_err)
 
 
 def test_cube_graph_combinatorics(unit_cube):
@@ -142,6 +142,22 @@ def test_assemble_dof_count(unit_cube):
     assert np.linalg.eigvalsh(form.mass.toarray()).min() > 0
 
 
+@pytest.mark.parametrize("make, h, dofs", [
+    # 2 poles and 4 half circles of 61 elements
+    (lambda: LD.lowerdim_setup(B.hull(SQUARE), W), np.pi / 61, 2 + 4 * 60),
+    # 6 vertices and 12 quarter circles of 61 elements
+    (lambda: G.build_graph(B.cube()), np.pi / 122, 6 + 12 * 60),
+    # 22 vertices, 20 side arcs of 6 elements, 40 cap arcs of 30
+    (lambda: G.build_graph(_prism(20)), np.pi / 60, 22 + 20 * 5 + 40 * 29),
+], ids=["square", "cube", "prism-20"])
+def test_element_counts_as_requested(make, h, dofs):
+    # l/h rounds to just above a whole number d on these arcs; each still
+    # gets d elements, not d + 1, so the longest element is h to rounding
+    form = G.assemble(make(), h)
+    assert form.size == dofs
+    assert form.max_element == pytest.approx(h, rel=1e-14)
+
+
 def test_galerkin_constant_exact(unit_cube):
     # the constant vector is represented exactly: E 1 = (1/3) M 1
     g = G.build_graph(unit_cube)
@@ -226,6 +242,13 @@ def test_spectrum_mesh_convergence(unit_cube):
 def _ngon(n: int) -> B.Polytope:
     ang = np.arange(n) * 2 * np.pi / n
     return B.hull(np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)]))
+
+
+def _prism(n: int) -> B.Polytope:
+    """The regular n-gon and its translate by e3: n side arcs of length
+    2 pi / n, and 2n arcs of length pi / 2 from the caps, of degree n."""
+    ring = _ngon(n).vertices
+    return B.hull(np.concatenate([ring, ring + [0.0, 0.0, 1.0]]))
 
 
 W = np.array([0.0, 0.0, 1.0])
@@ -389,16 +412,26 @@ def test_assembled_matrices_match_coo_reference(name):
 
 
 def test_high_degree_vertex_matches_coo_reference_to_rounding():
-    # a pole of the 20-gon bouquet has 41 entries in its row; there the COO
-    # route summed its 20 diagonal terms in the order its unstable sort left
-    # them, and assemble sums them in element order
-    g = LD.lowerdim_setup(_ngon(20), W)
+    # a pole of the 20-gon bouquet has 21 entries in its row, and a cap of
+    # the 20-sided prism 21 too; there the COO route summed the 20 diagonal
+    # terms in the order its unstable sort left them, and assemble sums them
+    # in element order: the elements the DOF is the left end of, then those
+    # it is the right end of, bit for bit as a plain loop adds them
     h = np.pi / 60
-    form = G.assemble(g, h)
-    for new, ref in zip((form.e_matrix, form.mass), reference_matrices(g, h)):
-        assert np.array_equal(new.indptr, ref.indptr)
-        assert np.array_equal(new.indices, ref.indices)
-        assert np.abs(new.data - ref.data).max() <= 8 * np.spacing(np.abs(ref.data).max())
+    for g in (LD.lowerdim_setup(_ngon(20), W), G.build_graph(_prism(20))):
+        form = G.assemble(g, h)
+        n_dofs, left, right, terms = reference_elements(g, h)
+        for new, ref, (diag, _) in zip((form.e_matrix, form.mass),
+                                       reference_matrices(g, h), terms):
+            assert np.array_equal(new.indptr, ref.indptr)
+            assert np.array_equal(new.indices, ref.indices)
+            assert (np.abs(new.data - ref.data).max()
+                    <= 8 * np.spacing(np.abs(ref.data).max()))
+            sums = [0.0] * n_dofs
+            for ends in (left, right):
+                for p, d in zip(ends.tolist(), diag.tolist()):
+                    sums[p] += d
+            assert np.array_equal(new.diagonal(), sums)
 
 
 @pytest.mark.parametrize("name", list(PATTERN_GRAPHS))

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import special_ortho_group
 
 from mixedvol import bodies as B
+from mixedvol import cli
 from mixedvol import extremal as X
 from mixedvol import measures as MS
 
@@ -157,6 +158,14 @@ def test_vbbm_conewise_cube_and_simplex(unit_cube, std_simplex):
     v1 = MS.vbbm_conewise(std_simplex)
     v2 = MS.build_graph(std_simplex).sbm_mass() / 3.0
     assert rel_err(v1, v2) < 1e-10
+
+
+def test_vbbm_conewise_short_side_to_rounding():
+    # a normal cone with a short side, whose angle the arccos of a dot
+    # product resolves only to about 1e-13 relative
+    p = cli._rand_poly(3159302157)
+    v = MS.vbbm_conewise(p)
+    assert abs(MS.build_graph(p).sbm_mass() - 3 * v) / (3 * v) <= 1e-14
 
 
 def test_integrate_constant_against_sbm(unit_cube):

@@ -14,14 +14,18 @@ directory. Each tree then runs the same invocations through
   bodies: ``K`` and ``L`` the hulls of 100 and of 600 seeded unit-sphere
   points, ``M`` of 10 and of 30, so that both trees restrict support
   functions of 100-600 vertices to the arcs of a metric graph;
+- ``spectrum`` on metric graphs with many elements and high-degree
+  vertices: ``ball@2`` at ``--mesh-h`` pi/100, ``M30`` and a prism over a
+  regular 20-gon (its two caps of degree 20) at pi/60;
 - ``lower-spectrum`` on the bouquets of half circles: ``segment`` and
-  ``square`` at ``--mesh-h`` pi/200 with ``--kmax 3``, and a seeded
-  irregular hexagon, whose half circles all carry different weights, at
-  pi/150 with ``--kmax 2``.
+  ``square`` at ``--mesh-h`` pi/200 with ``--kmax 3``, a seeded irregular
+  hexagon, whose half circles all carry different weights, at pi/150 with
+  ``--kmax 2``, and a regular 20-gon, whose poles have degree 20, at pi/100
+  with ``--kmax 2``.
 
-The points of the large bodies and of the hexagon are written once as
-PolytopeFiles to a temporary directory that both trees read, so the reports
-name the same paths.
+The points of the large bodies, the prism, the hexagon and the 20-gon are
+written once as PolytopeFiles to a temporary directory that both trees read,
+so the reports name the same paths.
 
 A run differs when its exit code, its stderr or its stdout differs. A JSON
 report is compared key by key with ``wall_time`` dropped; any other output
@@ -82,10 +86,11 @@ def readme_lines() -> list[list[str]]:
 
 def write_bodies(into: Path) -> dict[str, str]:
     """Write K<n> and L<n> (n in KL_POINTS) and M<n> (n in M_POINTS) as
-    PolytopeFiles of n unit-sphere points, each from its own seed, and
+    PolytopeFiles of n unit-sphere points, each from its own seed;
     ``hexagon``, the regular hexagon in e3-perp with each vertex turned by
     up to a quarter of its angle step and moved to a radius in [0.6, 1.4];
-    return the path of each by name."""
+    ``20-gon``, the regular 20-gon in e3-perp, and ``prism``, the 20-gon
+    and its translate by e3; return the path of each by name."""
     into.mkdir()
     names = [f"{b}{n}" for b in "KL" for n in KL_POINTS]
     names += [f"M{n}" for n in M_POINTS]
@@ -98,6 +103,10 @@ def write_bodies(into: Path) -> dict[str, str]:
     r = rng.uniform(0.6, 1.4, 6)
     points["hexagon"] = np.column_stack([r * np.cos(ang), r * np.sin(ang),
                                          np.zeros(6)])
+    ang = 2 * np.pi * np.arange(20) / 20
+    points["20-gon"] = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(20)])
+    points["prism"] = np.concatenate([points["20-gon"],
+                                      points["20-gon"] + [0.0, 0.0, 1.0]])
     paths = {}
     for name, p in points.items():
         path = into / f"{name}.json"
@@ -113,10 +122,13 @@ def invocations(bodies: dict[str, str]) -> list[list[str]]:
         [c, "--K", bodies[f"K{n}"], "--L", bodies[f"L{n}"],
          "--M", bodies[f"M{m}"]]
         for c in LARGE_COMMANDS for n in KL_POINTS for m in M_POINTS] + [
+        ["spectrum", "--M", m, "--mesh-h", repr(np.pi / d)]
+        for m, d in (("ball@2", 100), (bodies["M30"], 60),
+                     (bodies["prism"], 60))] + [
         ["lower-spectrum", "--M", m, "--mesh-h", repr(np.pi / d), "--kmax",
          str(k)]
         for m, d, k in (("segment", 200, 3), ("square", 200, 3),
-                        (bodies["hexagon"], 150, 2))]
+                        (bodies["hexagon"], 150, 2), (bodies["20-gon"], 100, 2))]
 
 
 def export(rev: str, into: Path) -> Path:
