@@ -19,8 +19,8 @@ from .graph import (DiscretizedForm, KernelReport, MetricGraph,
                     SpectrumResult, StructuralReport, assemble, build_graph,
                     form_value, kernel_analysis, spectrum, structural_checks)
 from .lowerdim import (ClusterReport, LowerSpectrumReport, assemble_lowerdim,
-                       certify_equality_lowerdim, explicit_spectrum,
-                       lowerdim_setup, verify_spectrum)
+                       certify_equality_lowerdim, lowerdim_setup,
+                       verify_spectrum)
 from .measures import (DeficitReport, NegativeMass, classical_functionals,
                        merge_atoms, mixed_area_measure, mixed_volume,
                        mixed_volume_via_measure, mixed_volume_xpp, mv3,

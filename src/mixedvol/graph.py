@@ -10,8 +10,8 @@ E(f,g) = (1/6) sum_e w_e int (fg - f'g') and the L^2(S_{B,M}) mass inner
 product sum_e (w_e/2) int fg are assembled with conforming piecewise-linear
 elements sharing vertex degrees of freedom, so continuity holds by
 construction and the weighted Kirchhoff conditions are natural. The two
-matrices share one sparse pattern, read off one stable sort of the element
-triplets by row and column, with no sparse-format conversion. Only the top of
+matrices share one sparse pattern, the sorted distinct keys row*n + col of
+the element triplets, with no sparse-format conversion. Only the top of
 the spectrum is computed: by shift-invert Lanczos on the standard symmetric
 form R^T (E - sigma M)^{-1} R, where M = R R^T, so each Lanczos step is one
 sparse solve and no mass-matrix product. The forms are symmetric, so their CSR
@@ -180,9 +180,9 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     0..F-1 are the vertices, shared by their edges, so continuity holds by
     construction and the Kirchhoff vertex conditions are natural; the
     interior DOFs follow edge by edge. E and M are canonical CSR arrays on
-    one pattern (the same int64 indices and indptr arrays): the element
-    triplets sorted stably by row and column, each entry's triplets summed
-    in input order. Both are checked to be symmetric in O(nnz)."""
+    one pattern (the same int64 indices and indptr arrays): the sorted
+    distinct keys row*n + col of the element triplets, each entry's triplets
+    summed in input order. Both are checked to be symmetric in O(nnz)."""
     if h <= 0:
         raise BadMesh("mesh size must be positive")
     lengths, weights = g.arcs.lengths, g.weights
@@ -215,19 +215,14 @@ def assemble(g: MetricGraph, h: float) -> DiscretizedForm:
     e_diag, e_off = w / 6.0 * (m_diag - stiff), w / 6.0 * (m_off + stiff)
     mm_diag, mm_off = ws * m_diag, ws * m_off
 
-    # One CSR pattern for both matrices: the element triplets sorted stably
-    # by row, then column; an entry starts wherever (row, col) changes, and
-    # slot is the entry of each triplet in input order.
+    # One CSR pattern for both matrices: the sorted distinct keys
+    # row*n + col of the element triplets; slot is each triplet's entry.
     rows = np.concatenate([left, right, left, right])
     cols = np.concatenate([left, right, right, left])
-    order = np.lexsort((cols, rows))
-    r, c = rows[order], cols[order]
-    begins = np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(begins) - 1
-    indices = c[begins]
+    keys, slot = np.unique(rows * n_dofs + cols, return_inverse=True)
+    indices = keys % n_dofs
     indptr = np.zeros(n_dofs + 1, dtype=np.intp)
-    np.cumsum(np.bincount(r[begins], minlength=n_dofs), out=indptr[1:])
+    np.cumsum(np.bincount(keys // n_dofs, minlength=n_dofs), out=indptr[1:])
 
     def values(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         # bincount adds in input order: each diagonal sums its element terms
@@ -267,18 +262,16 @@ class SpectrumResult:
 SHIFT = 0.34
 
 
-def _as_csc(a: scipy.sparse.csr_array) -> scipy.sparse.csc_array:
-    """A symmetric CSR array as CSC: the same three arrays, no conversion."""
-    return scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
-
-
 def _symmetric_lu(a: scipy.sparse.csr_array) -> scipy.sparse.linalg.SuperLU:
     """SuperLU of a symmetric array in symmetric mode: a minimum-degree
     ordering of A + A^T applied to rows and columns alike, and the diagonal
     pivots taken as they come. No row interchange is made, so the array
-    must be definite (positive or negative) for the pivots to be stable."""
+    must be definite (positive or negative) for the pivots to be stable.
+    Being symmetric, its CSR arrays are its CSC arrays, so SuperLU gets them
+    with no conversion."""
     return scipy.sparse.linalg.splu(
-        _as_csc(a), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape),
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options={"SymmetricMode": True})
 
 

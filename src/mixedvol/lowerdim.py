@@ -115,13 +115,6 @@ class LowerSpectrumReport:
         return self.worst_deviation <= self.tol
 
 
-def explicit_spectrum(k_max: int, multiplicity: int) -> list[tuple[float, int]]:
-    """[(lambda_k, multiplicity)] for k = 0..k_max: (1-k^2)/3 with
-    multiplicities 1, m, m, ..."""
-    return [((1.0 - k * k) / 3.0, 1 if k == 0 else multiplicity)
-            for k in range(k_max + 1)]
-
-
 def _bouquet_pairs(weights: np.ndarray, c: int,
                    k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The top 1 + k_max j eigenpairs (lambda, X) of the P1 pencil that
@@ -185,7 +178,6 @@ def verify_spectrum(g: MetricGraph, k_max: int, h: float,
             and form.size == 2 + j * (c - 1)):
         raise BadParam("the graph is not a bouquet of half circles of "
                        "length pi between the poles +-w")
-    predicted = explicit_spectrum(k_max, j)
     needed = 1 + k_max * j
     if form.size <= needed:
         raise InsufficientSpectrum(
@@ -203,12 +195,11 @@ def verify_spectrum(g: MetricGraph, k_max: int, h: float,
         raise NumericalFailure(
             "the bouquet's closed-form eigenpairs do not solve the assembled "
             f"pencil: residual {residuals.max():g}")
+    # cluster 0 is the constants, cluster k >= 1 its j pairs at (1 - k^2)/3
     clusters = []
     worst = 0.0
-    pos = 0
-    for k, (lam, mult) in enumerate(predicted):
-        chunk = vals[pos:pos + mult]
-        pos += mult
+    for k, chunk in enumerate([vals[:1]] + np.split(vals[1:], k_max)):
+        lam = (1.0 - k * k) / 3.0
         clusters.append(ClusterReport(k, lam, tuple(float(v) for v in chunk)))
         worst = max(worst, float(np.abs(chunk - lam).max()))
     return LowerSpectrumReport(tuple(clusters), worst, tol,

@@ -477,6 +477,21 @@ def test_face_along_the_move_keeps_its_vertices(unit_cube, shift):
         assert len(cube.face(-u).vertices) == 4
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e7, 1e8])
+def test_faces_of_a_cube_hulled_far_away_keep_their_vertices(shift):
+    # hulled from the moved coordinates, so the local rows carry their
+    # rounding: a height tolerance read off |local| alone drops vertices
+    # here (ROADMAP item 3)
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    moved = (B.cube().vertices - 0.5) @ q.T + shift * np.array([1.0, 0.3, 0.0])
+    cube = B.hull(moved)
+    for n in cube.facets.normals:
+        assert len(cube.face(n).vertices) == 4
+    for u in q.T:
+        assert len(cube.face(u).vertices) == 4
+        assert len(cube.face(-u).vertices) == 4
+
+
 @pytest.mark.parametrize("shift", [1e7, 1e8])
 def test_flat_points_affine_dim_calls_3d_get_the_planar_hull(shift):
     # far from the origin affine_dim calls the four points of a face of the

@@ -267,12 +267,17 @@ def test_spectrum_h_convergence_square(unit_square):
         assert 3.9 <= coarse / fine <= 4.1
 
 
-def test_explicit_spectrum_values():
-    entries = LD.explicit_spectrum(3, 5)
-    assert entries[0] == (pytest.approx(1 / 3), 1)
-    assert entries[1] == (pytest.approx(0.0), 5)
-    assert entries[2] == (pytest.approx(-1.0), 5)
-    assert entries[3] == (pytest.approx(-8 / 3), 5)
+def test_clusters_are_the_explicit_spectrum(unit_square):
+    # (1 - k^2)/3 with multiplicities 1, m, m, ... for m half circles; the
+    # square at kmax 1 has one cluster past the constants
+    ang = 2 * np.pi * np.arange(5) / 5
+    pentagon = B.hull(np.column_stack([np.cos(ang), np.sin(ang), np.zeros(5)]))
+    rep = LD.verify_spectrum(LD.lowerdim_setup(pentagon, W), 3, np.pi / 200)
+    assert [c.predicted for c in rep.clusters] == pytest.approx(
+        [1 / 3, 0.0, -1.0, -8 / 3])
+    assert [len(c.observed) for c in rep.clusters] == [1, 5, 5, 5]
+    rep = LD.verify_spectrum(LD.lowerdim_setup(unit_square, W), 1, np.pi / 200)
+    assert [len(c.observed) for c in rep.clusters] == [1, 4]
 
 
 def test_kernel_contains_coordinates(unit_square):

@@ -18,10 +18,11 @@ directory. Each tree then runs the same invocations through
   vertices: ``ball@2`` at ``--mesh-h`` pi/100, ``M30`` and a prism over a
   regular 20-gon (its two caps of degree 20) at pi/60;
 - ``lower-spectrum`` on the bouquets of half circles: ``segment`` and
-  ``square`` at ``--mesh-h`` pi/200 with ``--kmax 3``, a seeded irregular
+  ``square`` at ``--mesh-h`` pi/200 with ``--kmax 3``, ``square`` also with
+  ``--kmax 1`` (one cluster past the constants), a seeded irregular
   hexagon, whose half circles all carry different weights, at pi/150 with
-  ``--kmax 2``, and a regular 20-gon, whose poles have degree 20, at pi/100
-  with ``--kmax 2``.
+  ``--kmax 2`` and ``--kmax 3``, and a regular 20-gon, whose poles have
+  degree 20, at pi/100 with ``--kmax 2``.
 
 The points of the large bodies, the prism, the hexagon and the 20-gon are
 written once as PolytopeFiles to a temporary directory that both trees read,
@@ -128,7 +129,9 @@ def invocations(bodies: dict[str, str]) -> list[list[str]]:
         ["lower-spectrum", "--M", m, "--mesh-h", repr(np.pi / d), "--kmax",
          str(k)]
         for m, d, k in (("segment", 200, 3), ("square", 200, 3),
-                        (bodies["hexagon"], 150, 2), (bodies["20-gon"], 100, 2))]
+                        ("square", 200, 1), (bodies["hexagon"], 150, 2),
+                        (bodies["hexagon"], 150, 3),
+                        (bodies["20-gon"], 100, 2))]
 
 
 def export(rev: str, into: Path) -> Path:
